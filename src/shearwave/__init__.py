@@ -8,10 +8,9 @@ physical particle paths with per-period drift.
 
 from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
                      UnsupportedConfig)
-from .fields import (FieldSample, SteadyCoeffs, field_identity_residuals,
-                     hamiltonian, hamiltonian_gradient, in_fluid,
-                     nondim_solution, pressure, sample, steady_rhs, surface,
-                     velocity, write_field_grid)
+from .fields import (SteadyCoeffs, field_identity_residuals, hamiltonian,
+                     hamiltonian_gradient, in_fluid, nondim_solution, pressure,
+                     steady_rhs, surface, velocity, write_field_grid)
 from .params import (NondimParams, Regime, WaveParams, classify_regime,
                      dispersion_residual, from_kv, from_json_str, from_mapping,
                      nondimensionalize, redimensionalize, shear_profile,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BifurcationScan", "ClosedOrbit", "CriticalPoint", "DomainError",
-    "DriftReport", "FieldSample", "IsoclineBranch", "NondimParams",
+    "DriftReport", "IsoclineBranch", "NondimParams",
     "NumericsError", "PhasePortrait", "Regime", "SeparatrixTrace",
     "ShearwaveError", "SteadyCoeffs", "TraceError", "Trajectory",
     "UnsupportedConfig", "WaveParams", "bifurcation_scan",
@@ -42,7 +41,7 @@ __all__ = [
     "from_mapping", "hamiltonian", "hamiltonian_gradient", "in_fluid",
     "infinity_isocline", "integrate_steady", "layer_boundaries",
     "nondim_solution", "nondimensionalize", "portrait_json", "portrait_svg",
-    "pressure", "read_seeds", "redimensionalize", "sample", "section_height",
+    "pressure", "read_seeds", "redimensionalize", "section_height",
     "shear_profile",
     "solve_dispersion", "steady_rhs", "surface", "to_json_str", "to_kv",
     "to_physical", "to_steady", "trace_separatrix", "transit_time_tau",

@@ -84,22 +84,9 @@ PRESETS = {
 
 def _load_scenario_file(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if path.suffix.lower() == ".json" or stripped.startswith("{"):
-        mapping = json.loads(text)
-        if not isinstance(mapping, dict):
-            raise DomainError("scenario JSON must contain an object")
-        return {str(key): value for key, value in mapping.items()}
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"malformed scenario line {lineno}: {raw!r}")
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
-    return mapping
+    if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
+        return wp.json_mapping(text)
+    return wp.kv_mapping(text)
 
 
 def resolve_params(args) -> tuple[str, WaveParams]:
@@ -391,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_source(drf)
     drf.add_argument("--levels", type=int, default=33)
     drf.add_argument("--find-closed", action="store_true",
-                     help="also bisect for a closed physical orbit")
+                     help="also search for a closed physical orbit")
     drf.set_defaults(func=cmd_drift)
 
     bif = subs.add_parser("bifurcation", help="critical-point census over vorticity")

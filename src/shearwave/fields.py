@@ -96,25 +96,6 @@ def in_fluid(t, x, y, params: WaveParams):
     return (y >= 0) & (y <= surface(t, x, params))
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """All field quantities at one space-time point."""
-
-    u: float
-    v: float
-    P: float
-    eta: float
-    P0: float = 0.0
-
-
-def sample(t: float, x: float, y: float, params: WaveParams,
-           P0: float = 0.0) -> FieldSample:
-    u, v = velocity(t, x, y, params)
-    return FieldSample(u=float(u), v=float(v),
-                       P=float(pressure(t, x, y, params, P0=P0)),
-                       eta=float(surface(t, x, params)), P0=P0)
-
-
 def nondim_solution(x, y, nd: NondimParams):
     """Dimensionless perturbation fields (u, v, p) of the steady solution.
 
@@ -163,9 +144,37 @@ class SteadyCoeffs:
             return dataclasses.replace(self, Ak=-self.Ak), True
         return self, False
 
+    # The steady system, written once.  ``m`` is the arithmetic module:
+    # ``math`` for scalars, ``numpy`` for arrays.  The two differ in the
+    # last ulp of cosh/sinh, so each caller keeps the one it has always used.
+
+    def H(self, X, Y, m):
+        """H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y, unguarded."""
+        return self.Ak * m.cos(X) * m.sinh(Y) - 0.5 * self.omega * Y * Y - self.f * Y
+
+    def H_X(self, X, Y, m):
+        """dH/dX = -dY/dt, unguarded."""
+        return -self.Ak * m.sin(X) * m.sinh(Y)
+
+    def H_Y(self, X, Y, m):
+        """dH/dY = dX/dt (phi, whose roots are the X-nullcline), unguarded."""
+        return self.Ak * m.cos(X) * m.cosh(Y) - self.omega * Y - self.f
+
+    def hessian(self, X, Y, m):
+        """(Hxx, Hxy, Hyy); the flow Jacobian is [[Hxy, Hyy], [-Hxx, -Hxy]]."""
+        c = self.Ak * m.cos(X) * m.sinh(Y)
+        return -c, -self.Ak * m.sin(X) * m.cosh(Y), c - self.omega
+
+
+def _steady_args(X, Y):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    _check_hyperbolic(Y)
+    return X, Y
+
 
 def steady_rhs(X, Y, co: SteadyCoeffs):
-    """Right-hand side (dX/dt, dY/dt) of the steady-frame system.
+    """Right-hand side (dX/dt, dY/dt) = (dH/dY, -dH/dX) of the steady system.
 
     The bed line Y = 0 is exactly invariant: sinh(0) = 0 makes dY/dt
     vanish identically there in floating point as well.
@@ -173,35 +182,20 @@ def steady_rhs(X, Y, co: SteadyCoeffs):
     Y = np.asarray(Y, dtype=float)
     if np.any(Y < 0):
         raise DomainError("Y must be nonnegative (the bed maps to Y = 0)")
-    return _steady_rhs_raw(X, Y, co)
-
-
-def _steady_rhs_raw(X, Y, co: SteadyCoeffs):
-    # No sign check: integrators may probe Y < 0 transiently.
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    _check_hyperbolic(Y)
-    dX = co.Ak * np.cos(X) * np.cosh(Y) - co.omega * Y - co.f
-    dY = co.Ak * np.sin(X) * np.sinh(Y)
-    return dX, dY
+    X, Y = _steady_args(X, Y)
+    return co.H_Y(X, Y, np), -co.H_X(X, Y, np)
 
 
 def hamiltonian(X, Y, co: SteadyCoeffs):
     """Conserved quantity H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    _check_hyperbolic(Y)
-    return co.Ak * np.cos(X) * np.sinh(Y) - 0.5 * co.omega * Y * Y - co.f * Y
+    X, Y = _steady_args(X, Y)
+    return co.H(X, Y, np)
 
 
 def hamiltonian_gradient(X, Y, co: SteadyCoeffs):
     """Analytic partials (dH/dX, dH/dY); the flow is (dH/dY, -dH/dX)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    _check_hyperbolic(Y)
-    dHdX = -co.Ak * np.sin(X) * np.sinh(Y)
-    dHdY = co.Ak * np.cos(X) * np.cosh(Y) - co.omega * Y - co.f
-    return dHdX, dHdY
+    X, Y = _steady_args(X, Y)
+    return co.H_X(X, Y, np), co.H_Y(X, Y, np)
 
 
 # ----------------------------------------------------------------------

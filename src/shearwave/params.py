@@ -313,8 +313,8 @@ def from_mapping(mapping: dict, strict: bool = True) -> WaveParams:
     return WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
 
 
-def from_kv(text: str, strict: bool = True) -> WaveParams:
-    """Parse ``key = value`` lines (``#`` starts a comment)."""
+def kv_mapping(text: str) -> dict:
+    """Mapping of ``key = value`` lines (``#`` starts a comment), unvalidated."""
     mapping = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -324,11 +324,21 @@ def from_kv(text: str, strict: bool = True) -> WaveParams:
             raise DomainError(f"malformed line {lineno}: {raw!r}")
         key, _, value = line.partition("=")
         mapping[key.strip()] = value.strip()
-    return from_mapping(mapping, strict=strict)
+    return mapping
 
 
-def from_json_str(text: str, strict: bool = True) -> WaveParams:
+def json_mapping(text: str) -> dict:
+    """Mapping of a JSON object, unvalidated."""
     mapping = json.loads(text)
     if not isinstance(mapping, dict):
         raise DomainError("JSON parameter file must contain an object")
-    return from_mapping(mapping, strict=strict)
+    return mapping
+
+
+def from_kv(text: str, strict: bool = True) -> WaveParams:
+    """Parse ``key = value`` lines (``#`` starts a comment)."""
+    return from_mapping(kv_mapping(text), strict=strict)
+
+
+def from_json_str(text: str, strict: bool = True) -> WaveParams:
+    return from_mapping(json_mapping(text), strict=strict)

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, ode, quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .fields import SteadyCoeffs, hamiltonian
 from .params import WaveParams
-from .portrait import CriticalPoint, find_critical_points, phi
+from .portrait import (CriticalPoint, bracketed_root, find_critical_points,
+                       isocline_roots)
 
 #: Hard ceiling for |Y| during integration; beyond it cosh overflows.
 Y_GUARD = 700.0
@@ -121,7 +121,7 @@ def _make_trajectory(t, X, Y, co, shifted, truncated, method) -> Trajectory:
 def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                      rtol: float = 1e-10, atol: float = 1e-12,
                      method: str = "adaptive", dt: float | None = None,
-                     t_eval=None, shifted: bool = False) -> Trajectory:
+                     shifted: bool = False) -> Trajectory:
     """Integrate the steady system from (X0, Y0) over [0, t_end].
 
     ``method="adaptive"`` uses an 8th-order embedded Runge-Kutta pair with
@@ -136,7 +136,7 @@ def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     if not t_end > 0:
         raise DomainError("t_end must be positive")
     if method == "adaptive":
-        traj = _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, t_eval, shifted)
+        traj = _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted)
     elif method == "midpoint":
         if dt is None:
             dt = t_end / 2000.0
@@ -164,23 +164,16 @@ def _rhs(t, z, co):
     # inf/nan propagate so the step is rejected instead of raising.
     X, Y = z
     with np.errstate(over="ignore", invalid="ignore"):
-        return (co.Ak * np.cos(X) * np.cosh(Y) - co.omega * Y - co.f,
-                co.Ak * np.sin(X) * np.sinh(Y))
+        return co.H_Y(X, Y, np), -co.H_X(X, Y, np)
 
 
-def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, t_eval, shifted):
-    if t_eval is not None:
-        return _integrate_adaptive_sampled(X0, Y0, co, t_end, rtol, atol,
-                                           t_eval, shifted)
+def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted):
     # Accepted-step output via the compiled 8th-order pair; the pure-Python
     # driver is an order of magnitude slower on long horizons.
-    Ak, omega, f = co.Ak, co.omega, co.f
-
     def rhs(t, z):
         # The compiled driver needs a list; a tuple fails conversion.
         try:
-            return [Ak * math.cos(z[0]) * math.cosh(z[1]) - omega * z[1] - f,
-                    Ak * math.sin(z[0]) * math.sinh(z[1])]
+            return [co.H_Y(z[0], z[1], math), -co.H_X(z[0], z[1], math)]
         except (OverflowError, ValueError):
             return [math.inf, math.inf]
 
@@ -213,33 +206,12 @@ def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, t_eval, shifted):
         Ys.insert(0, float(Y0))
     if not solver.successful() and not escaped[0]:
         if max(abs(y) for y in Ys) > Y_ESCAPE_MIN:
-            # The hyperbolic blow-up outruns the representable time
-            # resolution long before |Y| reaches the overflow guard.
             escaped[0] = True
         else:
             raise NumericsError("integration step failure",
                                 diagnostics={"t_reached": ts[-1],
                                              "t_end": t_end})
     return _make_trajectory(ts, Xs, Ys, co, shifted, escaped[0], "adaptive")
-
-
-def _integrate_adaptive_sampled(X0, Y0, co, t_end, rtol, atol, t_eval, shifted):
-    guard = lambda t, z, co_: Y_GUARD - abs(z[1])
-    guard.terminal = True
-    sol = solve_ivp(_rhs, (0.0, t_end), (float(X0), float(Y0)), args=(co,),
-                    method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval,
-                    events=guard, dense_output=False)
-    if sol.status == -1:
-        if sol.t.size and np.max(np.abs(sol.y[1])) > Y_ESCAPE_MIN:
-            return _make_trajectory(sol.t, sol.y[0], sol.y[1], co, shifted,
-                                    True, "adaptive")
-        raise NumericsError("integration step failure",
-                            diagnostics={"message": sol.message,
-                                         "t_reached": float(sol.t[-1])
-                                         if sol.t.size else 0.0})
-    truncated = sol.status == 1
-    return _make_trajectory(sol.t, sol.y[0], sol.y[1], co, shifted,
-                            truncated, "adaptive")
 
 
 def _integrate_midpoint(X0, Y0, co, t_end, dt, shifted):
@@ -259,12 +231,8 @@ def _integrate_midpoint(X0, Y0, co, t_end, dt, shifted):
             G = z_new - z - dt * F
             if float(np.max(np.abs(G))) < 1e-14 * (1.0 + float(np.max(np.abs(z)))):
                 break
-            X, Y = mid
-            J = np.array([
-                [-co.Ak * math.sin(X) * math.cosh(Y),
-                 co.Ak * math.cos(X) * math.sinh(Y) - co.omega],
-                [co.Ak * math.cos(X) * math.sinh(Y),
-                 co.Ak * math.sin(X) * math.cosh(Y)]])
+            Hxx, Hxy, Hyy = co.hessian(mid[0], mid[1], math)
+            J = np.array([[Hxy, Hyy], [-Hxx, -Hxy]])
             M = np.eye(2) - 0.5 * dt * J
             z_new = z_new - np.linalg.solve(M, G)
         z = z_new
@@ -286,39 +254,56 @@ def _h_at_pi(Y, co):
     return float(hamiltonian(math.pi, Y, co))
 
 
+def _grow_bracket(hi: float, pred) -> float | None:
+    """Double ``hi`` while ``pred(hi)`` holds; None once it passes Y_GUARD."""
+    while pred(hi):
+        hi *= 2.0
+        if hi > Y_GUARD:
+            return None
+    return hi
+
+
 def layer_boundaries(co_n: SteadyCoeffs,
                      cps: list[CriticalPoint] | None = None) -> dict:
     """Heights on the X = pi section separating the orbit families.
 
     For the three-point regime, returns the saddle/center heights plus the
     two crossings of the vortex-bounding level H = H(P0) on that section.
+    Only the topologies of the paper's figures are classified: a set whose
+    bounding point at X = 0 is missing or is a center raises NumericsError.
     """
     if cps is None:
         cps = find_critical_points(co_n)
     out = {"critical_points": cps}
-    saddles0 = [cp for cp in cps if cp.X == 0.0]
+    at_zero = [cp for cp in cps if cp.X == 0.0]
     at_pi = sorted((cp for cp in cps if cp.X != 0.0), key=lambda cp: cp.Y)
-    if saddles0:
-        out["H0"] = saddles0[0].H_value
-        out["Y_P0"] = saddles0[0].Y
+    if not at_zero and len(at_pi) != 2:
+        return out  # no bounding level: every height transits
+    if not at_zero or at_zero[0].kind != "saddle":
+        topology = ", ".join(f"{cp.kind} at ({cp.X:.4g}, {cp.Y:.4g})" for cp in cps)
+        raise NumericsError(
+            f"unclassified critical-point topology [{topology}]: the layers "
+            "need a saddle as the lowest critical point at X = 0",
+            diagnostics={"critical_points": [(cp.label, cp.kind, cp.X, cp.Y)
+                                             for cp in cps]})
+    H0 = out["H0"] = at_zero[0].H_value
+    out["Y_P0"] = at_zero[0].Y
+
+    def level_root(lo, hi):
+        return bracketed_root(lambda Y: _h_at_pi(Y, co_n) - H0, lo, hi, 1e-15,
+                              what="bounding level on X = pi")
+
     if len(at_pi) == 2:
         p1, p2 = at_pi
         out["Y_P1"], out["Y_P2"] = p1.Y, p2.Y
-        H0 = out["H0"]
-        out["Y_lower"] = brentq(lambda Y: _h_at_pi(Y, co_n) - H0, 1e-300, p1.Y,
-                                xtol=1e-15, maxiter=200)
-        out["Y_upper"] = brentq(lambda Y: _h_at_pi(Y, co_n) - H0, p1.Y, p2.Y,
-                                xtol=1e-15, maxiter=200)
-    elif saddles0:
+        out["Y_lower"] = level_root(1e-300, p1.Y)
+        out["Y_upper"] = level_root(p1.Y, p2.Y)
+    else:
         # Single saddle: the bounded region below its level on X = pi.
-        H0 = out["H0"]
-        lo, hi = 1e-300, saddles0[0].Y
-        while _h_at_pi(hi, co_n) > H0:
-            hi *= 2.0
-            if hi > Y_GUARD:
-                raise NumericsError("failed to bracket the bounding level")
-        out["Y_lower"] = brentq(lambda Y: _h_at_pi(Y, co_n) - H0, lo, hi,
-                                xtol=1e-15, maxiter=200)
+        hi = _grow_bracket(at_zero[0].Y, lambda Y: _h_at_pi(Y, co_n) > H0)
+        if hi is None:
+            raise NumericsError("failed to bracket the bounding level")
+        out["Y_lower"] = level_root(1e-300, hi)
     return out
 
 
@@ -331,16 +316,17 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
     or above the upper one).  Returns None for orbits that never reach the
     section (e.g. the unbounded family hugging a vertical asymptote).
     """
-    from .portrait import _isocline_roots
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0 or co_n.Ak == 0.0:
         return Y0
     H0 = float(hamiltonian(X0, Y0, co_n))
-    region = sum(1 for r in _isocline_roots(float(X0), co_n, Y_GUARD) if r < Y0)
-    crits = _isocline_roots(math.pi, co_n, Y_GUARD)
+    region = sum(1 for r in isocline_roots(float(X0), co_n, Y_GUARD) if r < Y0)
+    crits = isocline_roots(math.pi, co_n, Y_GUARD)
 
     def solve_on(lo, hi):
+        if hi is None:
+            return None
         flo = _h_at_pi(lo, co_n) - H0
         fhi = _h_at_pi(hi, co_n) - H0
         if flo == 0.0:
@@ -349,27 +335,19 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
             return hi
         if flo * fhi > 0:
             return None
-        return brentq(lambda y: _h_at_pi(y, co_n) - H0, lo, hi,
-                      xtol=1e-15, maxiter=300)
+        return bracketed_root(lambda y: _h_at_pi(y, co_n) - H0, lo, hi, 1e-15,
+                              maxiter=300, what="section height on X = pi")
+
+    def above(y):
+        return _h_at_pi(y, co_n) > H0
 
     if region == 0:
-        hi = crits[0] if crits else 1.0
-        if not crits:
-            while _h_at_pi(hi, co_n) > H0:
-                hi *= 2.0
-                if hi > Y_GUARD:
-                    return None
-        return solve_on(0.0, hi)
+        return solve_on(0.0, crits[0] if crits else _grow_bracket(1.0, above))
     if len(crits) < 2:
         return None  # no rising piece on the section: asymptote-bound orbit
     if region == 1:
         return solve_on(crits[0], crits[1])
-    hi = crits[1] + 1.0
-    while _h_at_pi(hi, co_n) > H0:
-        hi *= 2.0
-        if hi > Y_GUARD:
-            return None
-    return solve_on(crits[1], hi)
+    return solve_on(crits[1], _grow_bracket(crits[1] + 1.0, above))
 
 
 def classify_layer(Y0: float, co_n: SteadyCoeffs,
@@ -381,10 +359,6 @@ def classify_layer(Y0: float, co_n: SteadyCoeffs,
         return "bed_adjacent"
     if boundaries is None:
         boundaries = layer_boundaries(co_n)
-    cps = boundaries["critical_points"]
-    if not cps:
-        # Wave-free or degenerate flow: every level transits.
-        return "internal_wave"
     if "Y_P1" in boundaries:
         H0 = boundaries["H0"]
         if _h_at_pi(Y0, co_n) < H0 and Y0 < boundaries["Y_P2"]:
@@ -396,7 +370,8 @@ def classify_layer(Y0: float, co_n: SteadyCoeffs,
         return "unbounded"
     if "Y_lower" in boundaries:
         return "internal_wave" if Y0 < boundaries["Y_lower"] else "unbounded"
-    return "internal_wave"  # no bounding level: every height transits
+    # No bounding level (wave-free or degenerate flow): every height transits.
+    return "internal_wave"
 
 
 # ----------------------------------------------------------------------
@@ -417,30 +392,20 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
         return float(hamiltonian(X, y, co)) - H0
 
     def bracket(X):
-        from .portrait import _isocline_roots
-        roots = _isocline_roots(X, co, Y_GUARD)
+        roots = isocline_roots(X, co, Y_GUARD)
         if not rising:
-            hi = roots[0] if roots else None
-            if hi is None:
-                hi = 1.0
-                while residual(X, hi) > 0:
-                    hi *= 2.0
-                    if hi > Y_GUARD:
-                        raise NumericsError("level bracket escaped the guard",
-                                            diagnostics={"X": X, "H0": H0})
-            return 0.0, hi
-        if not roots:
+            lo = 0.0
+            hi = roots[0] if roots else _grow_bracket(1.0, lambda y: residual(X, y) > 0)
+        elif roots:
+            lo = roots[0]
+            hi = roots[1] if len(roots) > 1 else _grow_bracket(
+                lo + 1.0, lambda y: residual(X, y) < 0)
+        else:
             raise NumericsError("no isocline root: level is not in a rising region",
                                 diagnostics={"X": X, "H0": H0})
-        lo = roots[0]
-        hi = roots[1] if len(roots) > 1 else None
         if hi is None:
-            hi = lo + 1.0
-            while residual(X, hi) < 0:
-                hi *= 2.0
-                if hi > Y_GUARD:
-                    raise NumericsError("level bracket escaped the guard",
-                                        diagnostics={"X": X, "H0": H0})
+            raise NumericsError("level bracket escaped the guard",
+                                diagnostics={"X": X, "H0": H0})
         return lo, hi
 
     def y_of_x(X: float) -> float:
@@ -451,7 +416,7 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
                 if abs(r) <= tol:
                     cache["y"] = y
                     return y
-                d = float(phi(y, X, co))
+                d = float(co.H_Y(X, y, np))
                 if d == 0.0:
                     break
                 y_new = y - r / d
@@ -459,10 +424,10 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
                     break
                 y = y_new
         lo, hi = bracket(X)
-        y = brentq(lambda yy: residual(X, yy), lo, hi,
-                   xtol=1e-15, maxiter=300)
+        y = bracketed_root(lambda yy: residual(X, yy), lo, hi, 1e-15,
+                           maxiter=300, what=f"level H = {H0:.6g} at X = {X:.6g}")
         for _ in range(3):
-            d = float(phi(y, X, co))
+            d = float(co.H_Y(X, y, np))
             if d == 0.0:
                 break
             y = min(max(y - residual(X, y) / d, lo), hi)
@@ -488,7 +453,7 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, rising: bool) -> float | None
         y_of_x = _level_solver(co_n, H0, rising)
         sign = 1.0 if rising else -1.0
         def integrand(X):
-            return sign / float(phi(y_of_x(X), X, co_n))
+            return sign / float(co_n.H_Y(X, y_of_x(X), np))
     # The orbit is mirror-symmetric in X, so integrate a half period.  On
     # levels hugging a separatrix the integrand steepens and quad reports a
     # (harmless) roundoff warning; the event-detection cross-check guards
@@ -505,8 +470,15 @@ def _tau_integration(Y0: float, co_n: SteadyCoeffs, rising: bool,
                      max_periods: float = 10000.0) -> float:
     """Event-detected transit time from direct integration."""
     direction = 1.0 if rising else -1.0
-    target = math.pi + direction * 2.0 * math.pi
+    return _first_crossing(Y0, co_n, math.pi + direction * 2.0 * math.pi,
+                           direction, max_periods, rtol, atol,
+                           "orbit did not complete a transit")[0]
 
+
+def _first_crossing(Y0, co_n, target, direction, max_periods, rtol, atol,
+                    failure, dense_output=False):
+    """Time of the first crossing of X = target in ``direction`` by the orbit
+    from (pi, Y0), and the solution; at most ``max_periods`` wave periods."""
     def event(t, z, co):
         return z[0] - target
     event.terminal = True
@@ -514,11 +486,11 @@ def _tau_integration(Y0: float, co_n: SteadyCoeffs, rising: bool,
 
     t_max = max_periods * 2.0 * math.pi / co_n.f
     sol = solve_ivp(_rhs, (0.0, t_max), (math.pi, float(Y0)), args=(co_n,),
-                    method="DOP853", rtol=rtol, atol=atol, events=event)
+                    method="DOP853", rtol=rtol, atol=atol, events=event,
+                    dense_output=dense_output)
     if not sol.t_events[0].size:
-        raise NumericsError("orbit did not complete a transit",
-                            diagnostics={"Y0": Y0, "t_max": t_max})
-    return float(sol.t_events[0][0])
+        raise NumericsError(failure, diagnostics={"Y0": Y0, "t_max": t_max})
+    return float(sol.t_events[0][0]), sol
 
 
 def transit_time_tau(level_or_traj, co: SteadyCoeffs, check: bool = False,
@@ -562,29 +534,18 @@ def _loop_period_and_min_xdot(Y0: float, co_n: SteadyCoeffs,
     (the loop is time-symmetric about that section) and doubles it.  Also
     returns the minimum of dX/dt seen along the half loop.
     """
-    xd0 = float(phi(Y0, math.pi, co_n))
+    xd0 = float(co_n.H_Y(math.pi, Y0, np))
     scale = co_n.Ak * math.cosh(Y0) + abs(co_n.omega) * Y0 + co_n.f
     if abs(xd0) <= 1e-13 * scale:
         return None, 0.0  # at the center to rounding: no loop to time
     # The loop crosses X = pi moving left at the bottom and right at the top.
     direction = 1.0 if xd0 < 0.0 else -1.0
-
-    def section(t, z, co):
-        return z[0] - math.pi
-    section.terminal = True
-    section.direction = direction
-
-    t_max = 1000.0 * 2.0 * math.pi / co_n.f
-    sol = solve_ivp(_rhs, (0.0, t_max), (math.pi, float(Y0)), args=(co_n,),
-                    method="DOP853", rtol=rtol, atol=atol, events=section,
-                    dense_output=True)
-    if not sol.t_events[0].size:
-        raise NumericsError("vortex orbit failed to return to the section",
-                            diagnostics={"Y0": Y0})
-    t_half = float(sol.t_events[0][0])
+    t_half, sol = _first_crossing(Y0, co_n, math.pi, direction, 1000.0, rtol, atol,
+                                  "vortex orbit failed to return to the section",
+                                  dense_output=True)
     ts = np.linspace(0.0, t_half, 512)
     Z = sol.sol(ts)
-    xdots = np.asarray(phi(Z[1], Z[0], co_n), float)
+    xdots = np.asarray(co_n.H_Y(Z[0], Z[1], np), float)
     return 2.0 * t_half, float(np.min(xdots))
 
 
@@ -735,11 +696,12 @@ class ClosedOrbit:
 def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     """Locate a height whose particle orbit closes in the physical frame.
 
-    Bisects the per-period drift over ``Y_bracket`` (default: bed to just
-    below the free surface).  Returns None when the drift does not change
-    sign across the bracket, in which case no closed orbit is detectable
-    there.  A found level is verified by integrating one full period and
-    measuring the closure error directly.
+    Root-finds the per-period drift over ``Y_bracket`` (default: bed to
+    just below the free surface) with Brent's method to 1e-15 in Y.
+    Returns None when the drift does not change sign across the bracket,
+    in which case no closed orbit is detectable there.  A found level is
+    verified by integrating one full period and measuring the closure
+    error directly (``verified``: 1e-10 of the wavelength and the depth).
     """
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
@@ -754,7 +716,8 @@ def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     d_lo, d_hi = drift(lo), drift(hi)
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)) or d_lo * d_hi > 0:
         return None
-    Y_star = brentq(drift, lo, hi, xtol=1e-15, maxiter=300)
+    Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
+                            what="closed-orbit level")
     residual = abs(drift(Y_star))
     tau = transit_time_tau(Y_star, co_n, boundaries=boundaries)
     if tau is None:

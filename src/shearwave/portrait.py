@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NumericsError, TraceError, UnsupportedConfig
+from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
+                     UnsupportedConfig)
 from .fields import SteadyCoeffs, hamiltonian, hamiltonian_gradient, steady_rhs
 from .params import Regime, WaveParams, classify_regime
 
@@ -43,7 +44,7 @@ SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 
 def phi(Y, X, co: SteadyCoeffs):
     """X-velocity of the steady flow at fixed X, as a function of height."""
-    return co.Ak * np.cos(X) * np.cosh(Y) - co.omega * np.asarray(Y, float) - co.f
+    return co.H_Y(X, np.asarray(Y, float), np)
 
 
 def branching_discriminant(alpha: float, omega: float, f: float) -> float:
@@ -60,6 +61,26 @@ def branching_discriminant(alpha: float, omega: float, f: float) -> float:
     return r * math.asinh(r) - math.hypot(1.0, r) - f / alpha
 
 
+def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,
+                   what: str = "root") -> float:
+    """Brent's root of ``fn`` on [lo, hi].
+
+    A bracket without a sign change, or a solve that does not converge,
+    raises NumericsError carrying the bracket and both end values; errors
+    raised by ``fn`` itself pass through unchanged.
+    """
+    try:
+        return brentq(fn, lo, hi, xtol=xtol, maxiter=maxiter)
+    except ShearwaveError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        flo, fhi = fn(lo), fn(hi)
+        raise NumericsError(
+            f"{what}: no root found on [{lo:.6g}, {hi:.6g}] "
+            f"(end values {flo:.6g}, {fhi:.6g})",
+            diagnostics={"bracket": (lo, hi), "values": (flo, fhi)}) from exc
+
+
 def _polish_root(y, lo, hi, fn, dfn, iters=3):
     # A few guarded Newton steps after bracketing; keeps the residual at
     # rounding level even where the bracketed solve stops at xtol.
@@ -74,7 +95,7 @@ def _polish_root(y, lo, hi, fn, dfn, iters=3):
     return y
 
 
-def _isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
+def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     """All Y in (0, y_cap] with phi(Y; X) = 0, ascending.
 
     phi is convex in Y where cos(X) > 0 and concave where cos(X) < 0, so it
@@ -85,10 +106,10 @@ def _isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     omega, f = co.omega, co.f
 
     def fn(y):
-        return b * math.cosh(y) - omega * y - f
+        return co.H_Y(X, y, math)
 
     def dfn(y):
-        return b * math.sinh(y) - omega
+        return co.hessian(X, y, math)[2]
 
     if b == 0.0:
         if omega < 0:
@@ -121,13 +142,7 @@ def _isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
             roots.append(lo)
             continue
         if flo * fhi < 0.0:
-            try:
-                y = brentq(fn, lo, hi, xtol=ROOT_XTOL, maxiter=200)
-            except ValueError as exc:  # pragma: no cover - bracket guaranteed
-                raise NumericsError(
-                    "root bracketing failed on the isocline",
-                    diagnostics={"X": X, "bracket": (lo, hi),
-                                 "phi": (flo, fhi)}) from exc
+            y = bracketed_root(fn, lo, hi, ROOT_XTOL, what=f"isocline at X = {X:.6g}")
             roots.append(_polish_root(y, lo, hi, fn, dfn))
         elif fhi == 0.0 and hi < y_cap:
             roots.append(hi)
@@ -145,7 +160,7 @@ def infinity_isocline(X: float, co: SteadyCoeffs, y_cap: float = 700.0) -> np.nd
     if co.Ak < 0:
         raise UnsupportedConfig(
             "coefficients must be normalized to Ak >= 0 (X -> X + pi shift)")
-    return np.asarray(_isocline_roots(float(X), co, float(y_cap)), dtype=float)
+    return np.asarray(isocline_roots(float(X), co, float(y_cap)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -173,9 +188,7 @@ def classify_critical_point(X: float, Y: float, co: SteadyCoeffs):
         raise DomainError(
             f"({X!r}, {Y!r}) is not a critical point: rhs = ({float(dX):.3e}, "
             f"{float(dY):.3e})")
-    Hxx = -co.Ak * math.cos(X) * math.sinh(Y)
-    Hxy = -co.Ak * math.sin(X) * math.cosh(Y)
-    Hyy = co.Ak * math.cos(X) * math.sinh(Y) - co.omega
+    Hxx, Hxy, Hyy = co.hessian(X, Y, math)
     eigs = np.linalg.eigvalsh(np.array([[Hxx, Hxy], [Hxy, Hyy]]))
     det = eigs[0] * eigs[1]
     frob = abs(Hxx) + 2.0 * abs(Hxy) + abs(Hyy)
@@ -201,7 +214,7 @@ def find_critical_points(co: SteadyCoeffs,
         return []
     points = []
     for X, labels in ((0.0, ("P0", "P0b")), (math.pi, ("P1", "P2"))):
-        roots = _isocline_roots(X, co, y_cap)
+        roots = isocline_roots(X, co, y_cap)
         for idx, Y in enumerate(roots):
             kind, eigs = classify_critical_point(X, Y, co)
             label = labels[idx] if idx < len(labels) else f"X{X:.0f}r{idx}"
@@ -236,9 +249,7 @@ def _saddle_arm_direction(saddle: CriticalPoint, co: SteadyCoeffs,
     for a Hamiltonian saddle lie on the level-set asymptotes.
     """
     X, Y = saddle.X, saddle.Y
-    Hxx = -co.Ak * math.cos(X) * math.sinh(Y)
-    Hxy = -co.Ak * math.sin(X) * math.cosh(Y)
-    Hyy = co.Ak * math.cos(X) * math.sinh(Y) - co.omega
+    Hxx, Hxy, Hyy = co.hessian(X, Y, math)
     disc = Hxy * Hxy - Hxx * Hyy
     if disc <= 0:
         raise NumericsError("no real manifold directions: not a saddle",
@@ -341,29 +352,20 @@ def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
         if not crossings:
             return None
         t, p, status = min(crossings, key=lambda c: c[0])
-        if status == "strip_boundary":
-            # Refine the boundary height onto the level set at fixed X.
-            xb, yg = p
+        if status != "bed":
+            # Newton onto the level set along the free coordinate: Y on the
+            # strip boundary, X on the ymax line.
+            axis = 1 if status == "strip_boundary" else 0
+            q = list(p)
             for _ in range(30):
-                r = float(hamiltonian(xb, yg, co)) - H_level
+                r = float(hamiltonian(q[0], q[1], co)) - H_level
                 if abs(r) <= tol:
                     break
-                d = float(hamiltonian_gradient(xb, yg, co)[1])
+                d = float(hamiltonian_gradient(q[0], q[1], co)[axis])
                 if d == 0.0:
                     break
-                yg -= r / d
-            p = (xb, max(yg, 0.0))
-        elif status == "ymax":
-            xg, yb = p
-            for _ in range(30):
-                r = float(hamiltonian(xg, yb, co)) - H_level
-                if abs(r) <= tol:
-                    break
-                d = float(hamiltonian_gradient(xg, yb, co)[0])
-                if d == 0.0:
-                    break
-                xg -= r / d
-            p = (xg, yb)
+                q[axis] -= r / d
+            p = (q[0], max(q[1], 0.0))
         return p, status
 
     p = seed
@@ -478,21 +480,17 @@ def _assemble_isoclines(co: SteadyCoeffs, ymax: float,
     y_cap = max(2.0 * ymax, Y_SEARCH_MAX)
     lower, upper = [], []
     for x in xs:
-        roots = _isocline_roots(float(x), co, y_cap)
+        roots = isocline_roots(float(x), co, y_cap)
         if roots and roots[0] <= ymax:
             lower.append((x, roots[0]))
         if len(roots) == 2 and roots[1] <= ymax:
             upper.append((x, roots[1]))
     branches = []
-    if lower:
-        label = "gamma" if co.omega >= 0 else "Y1"
-        arr = np.asarray(lower)
-        branches.append(IsoclineBranch(label=label, samples=arr,
-                                       monotonicity=_monotonicity(arr)))
-    if upper:
-        arr = np.asarray(upper)
-        branches.append(IsoclineBranch(label="Y2", samples=arr,
-                                       monotonicity=_monotonicity(arr)))
+    for label, pts in (("gamma" if co.omega >= 0 else "Y1", lower), ("Y2", upper)):
+        if pts:
+            arr = np.asarray(pts)
+            branches.append(IsoclineBranch(label=label, samples=arr,
+                                           monotonicity=_monotonicity(arr)))
     return branches
 
 
@@ -594,15 +592,13 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
     if steps < 2:
         raise DomainError("steps must be at least 2")
 
-    def census(omega: float):
+    def coeffs(omega: float) -> SteadyCoeffs:
         p = WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
-        co_n, _ = SteadyCoeffs.from_params(p).normalized()
-        pts = find_critical_points(co_n, y_cap=y_cap)
-        return pts
+        return SteadyCoeffs.from_params(p).normalized()[0]
 
     rows = []
     for omega in np.linspace(omega_start, omega_stop, steps):
-        pts = census(float(omega))
+        pts = find_critical_points(coeffs(float(omega)), y_cap=y_cap)
         status = "regular"
         if len(pts) == 2:
             status = "degenerate"
@@ -610,8 +606,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
                             kinds=tuple(p.kind for p in pts), status=status))
 
     def disc(omega: float) -> float:
-        p = WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
-        co_n, _ = SteadyCoeffs.from_params(p).normalized()
+        co_n = coeffs(omega)
         if co_n.Ak == 0.0:
             raise DomainError("the discriminant needs a > 0")
         return branching_discriminant(co_n.Ak, omega, co_n.f)
@@ -622,8 +617,8 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
         if jump:
             d_lo, d_hi = disc(lo.omega), disc(hi.omega)
             if d_lo * d_hi < 0:
-                omega_star = float(brentq(disc, lo.omega, hi.omega,
-                                          xtol=1e-9, maxiter=200))
+                omega_star = float(bracketed_root(disc, lo.omega, hi.omega, 1e-9,
+                                                  what="branching discriminant"))
             break
     return BifurcationScan(rows=rows, omega_star=omega_star, branch=branch)
 
