@@ -86,7 +86,6 @@ def test_artifact_digests_match_manifest(tmp_path, capsys):
         pytest.skip(f"digests were recorded with {manifest['stack']}, "
                     f"this run uses {_stack()}; last-ulp library differences "
                     "change output bytes")
-    assert set(PRESETS) >= set(DETERMINISM_JOBS)
     got = artifact_digests(tmp_path)
     capsys.readouterr()
     want = manifest["sha256"]

@@ -10,23 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from shearwave import (SteadyCoeffs, WaveParams, hamiltonian_gradient,
-                       integrate_steady, steady_rhs)
-from shearwave import paths
+from shearwave import (SteadyCoeffs, from_mapping, hamiltonian_gradient,
+                       integrate_steady, paths, steady_rhs)
+from shearwave.cli import PRESETS
 
-G = 9.81
 STEP = 1e-6
-
-PRESET_COEFFS = {
-    "fig1": (1.0, 1.0, 0.0, 0.01, "plus"),
-    "fig2": (1.0, 1.0, -6.0, 0.01, "minus"),
-    "fig4-left": (1.0, 0.12, 35.0, 3e-4, "plus"),
-}
+PRESET_NAMES = ("fig1", "fig2", "fig4-left")
 
 
 def _coeffs(name):
-    h, k, omega, a, branch = PRESET_COEFFS[name]
-    p = WaveParams.solve(G, h, k, omega, a=a, branch=branch)
+    p = from_mapping(PRESETS[name]["params"])
     return SteadyCoeffs.from_params(p).normalized()[0]
 
 
@@ -42,7 +35,7 @@ def _central(fn, X, Y):
     return np.column_stack([dX, dY])
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_COEFFS))
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_hessian_matches_central_differences_of_gradient(name):
     co = _coeffs(name)
     for X, Y in _points(seed=sum(map(ord, name))):
@@ -52,7 +45,7 @@ def test_hessian_matches_central_differences_of_gradient(name):
         assert np.allclose(fd, [[Hxx, Hxy], [Hxy, Hyy]], rtol=0.0, atol=1e-7 * scale)
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_COEFFS))
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_flow_jacobian_from_hessian_matches_the_flow(name):
     co = _coeffs(name)
     for X, Y in _points(seed=7 + sum(map(ord, name))):
