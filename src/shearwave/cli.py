@@ -83,7 +83,11 @@ PRESETS = {
 # ----------------------------------------------------------------------
 
 def _load_scenario_file(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"scenario file {path} is not UTF-8 "
+                          f"(byte {exc.start}: {exc.reason})") from None
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         return wp.json_mapping(text)
     return wp.kv_mapping(text)

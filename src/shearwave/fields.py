@@ -225,26 +225,33 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     _check_hyperbolic(params.k * y)
     A, k, f, omega = params.A, params.k, params.f, params.omega
     theta = _phase(t, x, params)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     ky = k * y
+    cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
 
-    u_x = -A * k * np.sin(theta) * np.cosh(ky)
-    v_y = A * k * np.sin(theta) * np.cosh(ky)
+    u_x = -A * k * sin_t * cosh_ky
+    v_y = A * k * sin_t * cosh_ky
     div = u_x + v_y
 
-    v_x = A * k * np.cos(theta) * np.sinh(ky)
-    u_y = -omega + A * k * np.cos(theta) * np.sinh(ky)
+    v_x = A * k * cos_t * sinh_ky
+    u_y = -omega + A * k * cos_t * sinh_ky
     curl_defect = (v_x - u_y) - omega
 
-    bed_v = A * np.sin(theta) * math.sinh(0.0)
+    bed_v = A * sin_t * math.sinh(0.0)
 
-    v_surf = A * np.sin(theta) * math.sinh(k * params.h)
-    eta_t = params.a * f * np.sin(theta)
-    eta_x = -params.a * k * np.sin(theta)
+    v_surf = A * sin_t * math.sinh(k * params.h)
+    eta_t = params.a * f * sin_t
+    eta_x = -params.a * k * sin_t
     U_h = -omega * params.h
     kinematic_defect = v_surf - (eta_t + U_h * eta_x)
 
-    P_surf = pressure(t, x, params.h, params, P0=P0)
-    dynamic_defect = P_surf - P0 - params.g * (surface(t, x, params) - params.h)
+    # pressure(t, x, h) and surface(t, x) on the shared cos(theta); the
+    # hydrostatic term g*(h - y) vanishes at y = h.
+    kh = k * params.h
+    P_surf = P0 + (A / k) * cos_t * (
+        (f + k * omega * params.h) * np.cosh(kh) - omega * np.sinh(kh))
+    eta = params.h + params.a * cos_t
+    dynamic_defect = P_surf - P0 - params.g * (eta - params.h)
 
     return FieldResiduals(div=div, curl_defect=curl_defect, bed_v=bed_v,
                           kinematic_defect=kinematic_defect,
@@ -258,15 +265,41 @@ def field_identity_residuals(t, x, y, params: WaveParams,
 def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid,
                     P0: float = 0.0):
     """Yield CSV rows (header first) of the fields on an x (outer) by y
-    (inner) grid, floats at 17 significant digits."""
+    (inner) grid, floats at 17 significant digits.
+
+    The inputs are checked before any row is yielded.  The y factors are
+    computed once per grid and the x factors once per grid line, with the
+    operand grouping of :func:`velocity`, :func:`pressure` and
+    :func:`in_fluid`, so every value equals the per-point one bit for bit.
+    """
+    _require_bed_frame(params)
+    y = np.asarray(y_grid, dtype=float)
+    if np.any(y < 0):
+        raise DomainError("y must be nonnegative (the bed is at y = 0)")
+    ky = params.k * y
+    _check_hyperbolic(ky)
+    A, k, f, omega = params.A, params.k, params.f, params.omega
+    x = np.asarray(x_grid, dtype=float)
+    theta = _phase(t, x, params)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
+    shear = -omega * y
+    p_shape = (f + k * omega * y) * cosh_ky - omega * sinh_ky
+    hydrostatic = P0 + params.g * (params.h - y)
+    y_cells = [f"{yv:.17g}" for yv in y.tolist()]
+    t_cell = f"{t:.17g}"
+
     yield GRID_HEADER
-    for x in np.asarray(x_grid, dtype=float):
-        for y in np.asarray(y_grid, dtype=float):
-            u, v = velocity(t, x, y, params)
-            P = pressure(t, x, y, params, P0=P0)
-            flag = "inside" if bool(in_fluid(t, x, y, params)) else "outside"
-            yield (f"{x:.17g},{y:.17g},{t:.17g},"
-                   f"{float(u):.17g},{float(v):.17g},{float(P):.17g},{flag}")
+    for xv, ct, st in zip(x.tolist(), cos_t.tolist(), sin_t.tolist()):
+        u = shear + A * ct * cosh_ky
+        v = A * st * sinh_ky
+        P = hydrostatic + (A / k) * ct * p_shape
+        inside = y <= params.h + params.a * ct
+        x_cell = f"{xv:.17g}"
+        for y_cell, uv, vv, Pv, flag in zip(y_cells, u.tolist(), v.tolist(),
+                                            P.tolist(), inside.tolist()):
+            yield (f"{x_cell},{y_cell},{t_cell},{uv:.17g},{vv:.17g},{Pv:.17g},"
+                   f"{'inside' if flag else 'outside'}")
 
 
 def write_field_grid(path, params: WaveParams, t: float, x_grid, y_grid,

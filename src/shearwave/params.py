@@ -290,6 +290,13 @@ def to_json_str(params: WaveParams) -> str:
     return json.dumps({key: getattr(params, key) for key in PARAM_KEYS}, indent=2)
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"parameter {key} must be a number, got {value!r}") from None
+
+
 def from_mapping(mapping: dict, strict: bool = True) -> WaveParams:
     """Build params from a key/value mapping, re-solving the speed.
 
@@ -301,14 +308,11 @@ def from_mapping(mapping: dict, strict: bool = True) -> WaveParams:
     if unknown and strict:
         raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
     try:
-        g = float(mapping["g"])
-        h = float(mapping["h"])
-        k = float(mapping["k"])
-        omega = float(mapping["omega"])
+        g, h, k, omega = (_number(key, mapping[key]) for key in ("g", "h", "k", "omega"))
     except KeyError as exc:
         raise DomainError(f"missing required parameter key: {exc.args[0]}") from None
-    a = float(mapping.get("a", 0.0))
-    s = float(mapping.get("s", 0.0))
+    a = _number("a", mapping.get("a", 0.0))
+    s = _number("s", mapping.get("s", 0.0))
     branch = str(mapping.get("branch", "plus")).strip()
     return WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
 
@@ -329,7 +333,10 @@ def kv_mapping(text: str) -> dict:
 
 def json_mapping(text: str) -> dict:
     """Mapping of a JSON object, unvalidated."""
-    mapping = json.loads(text)
+    try:
+        mapping = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"malformed JSON parameter file: {exc}") from None
     if not isinstance(mapping, dict):
         raise DomainError("JSON parameter file must contain an object")
     return mapping
