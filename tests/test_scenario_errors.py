@@ -50,10 +50,3 @@ def test_non_scalar_json_value_exits_2(capsys, tmp_path, key):
     assert code == EXIT_BAD_INPUT
     assert err == [f"error: parameter {key} must be a number, got [1]"]
 
-
-def test_numeric_strings_still_parse(capsys, tmp_path):
-    scen = tmp_path / "ok.json"
-    scen.write_text(json.dumps({key: str(value) for key, value in VALID.items()}),
-                    encoding="utf-8")
-    code, err = run_validate(capsys, scen)
-    assert code == 0 and err == []
