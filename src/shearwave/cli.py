@@ -122,6 +122,11 @@ def resolve_params(args) -> tuple[str, WaveParams]:
 
 
 def _out_dir(args, name: str) -> Path:
+    # The name comes from the scenario file: it must stay one directory
+    # level below --out.
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise DomainError(f"scenario name {name!r} is not a plain directory "
+                          "name (no path separators, not '.' or '..')")
     out = Path(getattr(args, "out", "out")) / name
     out.mkdir(parents=True, exist_ok=True)
     return out

@@ -222,40 +222,69 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     """
     _require_bed_frame(params)
     y = np.asarray(y, dtype=float)
-    _check_hyperbolic(params.k * y)
+    ky = params.k * y
+    _check_hyperbolic(ky)
     A, k, f, omega = params.A, params.k, params.f, params.omega
-    theta = _phase(t, x, params)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    ky = k * y
+    a, h = params.a, params.h
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    phase_shape = np.broadcast_shapes(t.shape, x.shape)
+    full_shape = np.broadcast_shapes(phase_shape, y.shape)
+
+    # Each expression keeps the operand order of the per-term formulas
+    # (noted on the right), with its arithmetic evaluated into reused
+    # buffers: the temporaries are as large as the inputs, and allocating
+    # one per operation costs more than the arithmetic on 10^4-point
+    # reports.  Transcendentals never write over their input.
+    tmp = np.multiply(f, t, out=np.empty(phase_shape))
+    theta = np.multiply(k, x, out=np.empty(phase_shape))
+    np.subtract(theta, tmp, out=theta)                 # _phase(t, x)
+    sin_t = np.sin(theta, out=np.empty(phase_shape))
+    cos_t = np.cos(theta, out=np.empty(phase_shape))
     cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
+    full = np.empty(full_shape)
 
-    u_x = -A * k * sin_t * cosh_ky
-    v_y = A * k * sin_t * cosh_ky
-    div = u_x + v_y
+    np.multiply(-A * k, sin_t, out=tmp)
+    np.multiply(tmp, cosh_ky, out=full)                # u_x
+    np.multiply(A * k, sin_t, out=tmp)
+    div = np.multiply(tmp, cosh_ky, out=np.empty(full_shape))  # v_y
+    np.add(full, div, out=div)                         # u_x + v_y
 
-    v_x = A * k * cos_t * sinh_ky
-    u_y = -omega + A * k * cos_t * sinh_ky
-    curl_defect = (v_x - u_y) - omega
+    np.multiply(A * k, cos_t, out=tmp)
+    np.multiply(tmp, sinh_ky, out=full)                # v_x
+    curl_defect = np.add(-omega, full, out=np.empty(full_shape))  # u_y
+    np.subtract(full, curl_defect, out=curl_defect)
+    np.subtract(curl_defect, omega, out=curl_defect)   # (v_x - u_y) - omega
 
-    bed_v = A * sin_t * math.sinh(0.0)
+    bed_v = np.multiply(A, sin_t, out=np.empty(phase_shape))
+    np.multiply(bed_v, math.sinh(0.0), out=bed_v)      # A*sin_t*sinh(0)
 
-    v_surf = A * sin_t * math.sinh(k * params.h)
-    eta_t = params.a * f * sin_t
-    eta_x = -params.a * k * sin_t
-    U_h = -omega * params.h
-    kinematic_defect = v_surf - (eta_t + U_h * eta_x)
+    kinematic_defect = np.multiply(A, sin_t, out=np.empty(phase_shape))
+    np.multiply(kinematic_defect, math.sinh(k * h),
+                out=kinematic_defect)                  # v_surf
+    np.multiply(-a * k, sin_t, out=tmp)                # eta_x
+    np.multiply(-omega * h, tmp, out=tmp)              # U(h)*eta_x
+    eta_t = np.multiply(a * f, sin_t, out=sin_t)
+    np.add(eta_t, tmp, out=tmp)
+    np.subtract(kinematic_defect, tmp, out=kinematic_defect)
 
     # pressure(t, x, h) and surface(t, x) on the shared cos(theta); the
     # hydrostatic term g*(h - y) vanishes at y = h.
-    kh = k * params.h
-    P_surf = P0 + (A / k) * cos_t * (
-        (f + k * omega * params.h) * np.cosh(kh) - omega * np.sinh(kh))
-    eta = params.h + params.a * cos_t
-    dynamic_defect = P_surf - P0 - params.g * (eta - params.h)
+    kh = k * h
+    dynamic_defect = np.multiply(A / k, cos_t, out=np.empty(phase_shape))
+    np.multiply(dynamic_defect,
+                (f + k * omega * h) * np.cosh(kh) - omega * np.sinh(kh),
+                out=dynamic_defect)
+    np.add(P0, dynamic_defect, out=dynamic_defect)     # P_surf
+    np.subtract(dynamic_defect, P0, out=dynamic_defect)
+    np.multiply(a, cos_t, out=cos_t)
+    eta = np.add(h, cos_t, out=cos_t)                  # h + a*cos_t
+    np.subtract(eta, h, out=eta)
+    np.multiply(params.g, eta, out=eta)
+    np.subtract(dynamic_defect, eta, out=dynamic_defect)
 
-    return FieldResiduals(div=div, curl_defect=curl_defect, bed_v=bed_v,
-                          kinematic_defect=kinematic_defect,
-                          dynamic_defect=dynamic_defect)
+    # 0-d results come back as numpy scalars, as plain arithmetic gives.
+    return FieldResiduals(*(r if r.ndim else r[()] for r in (
+        div, curl_defect, bed_v, kinematic_defect, dynamic_defect)))
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, ode, quad, solve_ivp
+# scipy.integrate is reached by attribute, so it loads on first use and
+# commands that never integrate do not pay for its import.
+import scipy
 
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .fields import SteadyCoeffs, hamiltonian
@@ -193,8 +195,8 @@ def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted):
             return -1
         return 0
 
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol,
-                                     nsteps=10 ** 9)
+    solver = scipy.integrate.ode(rhs).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=10 ** 9)
     solver.set_solout(solout)
     solver.set_initial_value([float(X0), float(Y0)], 0.0)
     with warnings.catch_warnings():
@@ -459,9 +461,9 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, rising: bool) -> float | None
     # (harmless) roundoff warning; the event-detection cross-check guards
     # the actual accuracy.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-12,
-                      limit=400)
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, _ = scipy.integrate.quad(integrand, 0.0, math.pi, epsabs=1e-13,
+                                      epsrel=1e-12, limit=400)
     return 2.0 * val
 
 
@@ -485,9 +487,10 @@ def _first_crossing(Y0, co_n, target, direction, max_periods, rtol, atol,
     event.direction = direction
 
     t_max = max_periods * 2.0 * math.pi / co_n.f
-    sol = solve_ivp(_rhs, (0.0, t_max), (math.pi, float(Y0)), args=(co_n,),
-                    method="DOP853", rtol=rtol, atol=atol, events=event,
-                    dense_output=dense_output)
+    sol = scipy.integrate.solve_ivp(
+        _rhs, (0.0, t_max), (math.pi, float(Y0)), args=(co_n,),
+        method="DOP853", rtol=rtol, atol=atol, events=event,
+        dense_output=dense_output)
     if not sol.t_events[0].size:
         raise NumericsError(failure, diagnostics={"Y0": Y0, "t_max": t_max})
     return float(sol.t_events[0][0]), sol

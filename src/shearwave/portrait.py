@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
                      UnsupportedConfig)
@@ -70,7 +69,7 @@ def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,
     raised by ``fn`` itself pass through unchanged.
     """
     try:
-        return brentq(fn, lo, hi, xtol=xtol, maxiter=maxiter)
+        return _brentq(fn, lo, hi, xtol, maxiter)
     except ShearwaveError:
         raise
     except (ValueError, RuntimeError) as exc:
@@ -79,6 +78,88 @@ def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,
             f"{what}: no root found on [{lo:.6g}, {hi:.6g}] "
             f"(end values {flo:.6g}, {fhi:.6g})",
             diagnostics={"bracket": (lo, hi), "values": (flo, fhi)}) from exc
+
+
+#: Relative tolerance of the Brent iteration, scipy's smallest allowed value.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+
+
+def _brentq(fn, a: float, b: float, xtol: float, maxiter: int) -> float:
+    """Brent's method (Brent 1973), ported line for line from scipy's
+    ``brentq.c`` so every iterate, and so the root, is scipy's.
+
+    A NaN function value or a bracket without a sign change raises
+    ValueError; ``maxiter`` iterations without convergence raise
+    RuntimeError.  Signs compare like C's ``signbit``, so -0.0 counts as
+    negative.
+    """
+    def f(x):
+        fx = float(fn(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    def negative(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # On tiny function values den underflows to 0; C's quotient is
+            # then inf or nan, which fails the step test below and bisects.
+            stry = num / den if den else math.inf
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 def _polish_root(y, lo, hi, fn, dfn, iters=3):
