@@ -297,15 +297,15 @@ def _number(key: str, value) -> float:
         raise DomainError(f"parameter {key} must be a number, got {value!r}") from None
 
 
-def from_mapping(mapping: dict, strict: bool = True) -> WaveParams:
+def from_mapping(mapping: dict) -> WaveParams:
     """Build params from a key/value mapping, re-solving the speed.
 
     Derived quantities (c, f, A, wavelength) present in the mapping are
     ignored; the speed is always recomputed from the stored branch.
-    Unknown keys raise :class:`DomainError` unless ``strict`` is False.
+    Unknown keys raise :class:`DomainError`.
     """
     unknown = set(mapping) - set(PARAM_KEYS) - set(_DERIVED_KEYS)
-    if unknown and strict:
+    if unknown:
         raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
     try:
         g, h, k, omega = (_number(key, mapping[key]) for key in ("g", "h", "k", "omega"))
@@ -342,10 +342,10 @@ def json_mapping(text: str) -> dict:
     return mapping
 
 
-def from_kv(text: str, strict: bool = True) -> WaveParams:
+def from_kv(text: str) -> WaveParams:
     """Parse ``key = value`` lines (``#`` starts a comment)."""
-    return from_mapping(kv_mapping(text), strict=strict)
+    return from_mapping(kv_mapping(text))
 
 
-def from_json_str(text: str, strict: bool = True) -> WaveParams:
-    return from_mapping(json_mapping(text), strict=strict)
+def from_json_str(text: str) -> WaveParams:
+    return from_mapping(json_mapping(text))

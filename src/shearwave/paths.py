@@ -9,8 +9,8 @@ displacement is (f*tau - 2*pi)/k, so tau > 2*pi/f means forward drift.
 Orbit families and how each is handled:
 
 * bed / interior-wave orbits traverse X from pi to -pi: tau comes from
-  quadrature of dt = dX / (-dX/dt) along the H-level curve, cross-checked
-  against event-detected time integration;
+  quadrature of dt = dX / (-dX/dt) along the H-level curve (checked
+  against event-detected time integration on request);
 * vortex orbits (negative-vorticity cat's-eye) are closed in the steady
   frame: the loop period is found by integrating half a loop between the
   two crossings of the X = pi section, and the particle advances f*T/k
@@ -256,13 +256,27 @@ def _h_at_pi(Y, co):
     return float(hamiltonian(math.pi, Y, co))
 
 
-def _grow_bracket(hi: float, pred) -> float | None:
-    """Double ``hi`` while ``pred(hi)`` holds; None once it passes Y_GUARD."""
-    while pred(hi):
+def _piece_bracket(fn, roots: list[float], piece: int):
+    """Bracket [lo, hi] of monotone piece ``piece`` of a column, or None.
+
+    ``fn`` is H(X, .) minus a level and ``roots`` are the isocline roots at
+    X, which split the column into monotone pieces: piece i runs from
+    roots[i - 1] (the bed for i = 0) to roots[i].  With dX/dt < 0 at the
+    bed, even pieces fall and odd pieces rise.  The open top piece is grown
+    by doubling from one unit above its floor while the crossing lies above.
+    None when the piece does not exist or its growth passes Y_GUARD.
+    """
+    if piece > len(roots):
+        return None
+    lo = roots[piece - 1] if piece else 0.0
+    if piece < len(roots):
+        return lo, roots[piece]
+    sign, hi = (-1.0 if piece % 2 else 1.0), lo + 1.0
+    while sign * fn(hi) > 0:
         hi *= 2.0
         if hi > Y_GUARD:
             return None
-    return hi
+    return lo, hi
 
 
 def layer_boundaries(co_n: SteadyCoeffs,
@@ -290,22 +304,20 @@ def layer_boundaries(co_n: SteadyCoeffs,
                                              for cp in cps]})
     H0 = out["H0"] = at_zero[0].H_value
     out["Y_P0"] = at_zero[0].Y
+    # The critical points on the section split it into monotone pieces.
+    roots = [cp.Y for cp in at_pi]
+    fn = lambda Y: _h_at_pi(Y, co_n) - H0
 
-    def level_root(lo, hi):
-        return bracketed_root(lambda Y: _h_at_pi(Y, co_n) - H0, lo, hi, 1e-15,
-                              what="bounding level on X = pi")
-
-    if len(at_pi) == 2:
-        p1, p2 = at_pi
-        out["Y_P1"], out["Y_P2"] = p1.Y, p2.Y
-        out["Y_lower"] = level_root(1e-300, p1.Y)
-        out["Y_upper"] = level_root(p1.Y, p2.Y)
-    else:
-        # Single saddle: the bounded region below its level on X = pi.
-        hi = _grow_bracket(at_zero[0].Y, lambda Y: _h_at_pi(Y, co_n) > H0)
-        if hi is None:
+    def level_root(piece):
+        bracket = _piece_bracket(fn, roots, piece)
+        if bracket is None:
             raise NumericsError("failed to bracket the bounding level")
-        out["Y_lower"] = level_root(1e-300, hi)
+        return bracketed_root(fn, *bracket, 1e-15, what="bounding level on X = pi")
+
+    out["Y_lower"] = level_root(0)
+    if len(roots) == 2:
+        out["Y_P1"], out["Y_P2"] = roots
+        out["Y_upper"] = level_root(1)
     return out
 
 
@@ -325,31 +337,14 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
     H0 = float(hamiltonian(X0, Y0, co_n))
     region = sum(1 for r in isocline_roots(float(X0), co_n, Y_GUARD) if r < Y0)
     crits = isocline_roots(math.pi, co_n, Y_GUARD)
-
-    def solve_on(lo, hi):
-        if hi is None:
-            return None
-        flo = _h_at_pi(lo, co_n) - H0
-        fhi = _h_at_pi(hi, co_n) - H0
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi > 0:
-            return None
-        return bracketed_root(lambda y: _h_at_pi(y, co_n) - H0, lo, hi, 1e-15,
-                              maxiter=300, what="section height on X = pi")
-
-    def above(y):
-        return _h_at_pi(y, co_n) > H0
-
-    if region == 0:
-        return solve_on(0.0, crits[0] if crits else _grow_bracket(1.0, above))
-    if len(crits) < 2:
+    if region and len(crits) < 2:
         return None  # no rising piece on the section: asymptote-bound orbit
-    if region == 1:
-        return solve_on(crits[0], crits[1])
-    return solve_on(crits[1], _grow_bracket(crits[1] + 1.0, above))
+    fn = lambda y: _h_at_pi(y, co_n) - H0
+    bracket = _piece_bracket(fn, crits, region)
+    if bracket is None or fn(bracket[0]) * fn(bracket[1]) > 0:
+        return None
+    return bracketed_root(fn, *bracket, 1e-15, maxiter=300,
+                          what="section height on X = pi")
 
 
 def classify_layer(Y0: float, co_n: SteadyCoeffs,
@@ -393,23 +388,6 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
     def residual(X, y):
         return float(hamiltonian(X, y, co)) - H0
 
-    def bracket(X):
-        roots = isocline_roots(X, co, Y_GUARD)
-        if not rising:
-            lo = 0.0
-            hi = roots[0] if roots else _grow_bracket(1.0, lambda y: residual(X, y) > 0)
-        elif roots:
-            lo = roots[0]
-            hi = roots[1] if len(roots) > 1 else _grow_bracket(
-                lo + 1.0, lambda y: residual(X, y) < 0)
-        else:
-            raise NumericsError("no isocline root: level is not in a rising region",
-                                diagnostics={"X": X, "H0": H0})
-        if hi is None:
-            raise NumericsError("level bracket escaped the guard",
-                                diagnostics={"X": X, "H0": H0})
-        return lo, hi
-
     def y_of_x(X: float) -> float:
         y = cache["y"]
         if y is not None:
@@ -425,9 +403,14 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
                 if y_new < 0.0 or not math.isfinite(y_new):
                     break
                 y = y_new
-        lo, hi = bracket(X)
-        y = bracketed_root(lambda yy: residual(X, yy), lo, hi, 1e-15,
-                           maxiter=300, what=f"level H = {H0:.6g} at X = {X:.6g}")
+        fn = lambda yy: residual(X, yy)
+        bracket = _piece_bracket(fn, isocline_roots(X, co, Y_GUARD), int(rising))
+        if bracket is None:
+            raise NumericsError("level has no bracket on its monotone piece",
+                                diagnostics={"X": X, "H0": H0, "rising": rising})
+        lo, hi = bracket
+        y = bracketed_root(fn, lo, hi, 1e-15, maxiter=300,
+                           what=f"level H = {H0:.6g} at X = {X:.6g}")
         for _ in range(3):
             d = float(co.H_Y(X, y, np))
             if d == 0.0:
@@ -439,42 +422,39 @@ def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
     return y_of_x
 
 
-def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, rising: bool) -> float | None:
-    """Transit time over one X-period along the orbit through (pi, Y0)."""
+def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
+                    layer: str) -> tuple[float, bool] | None:
+    """Transit time over one X-period along the orbit through (pi, Y0) in
+    family ``layer``, and whether the transit runs rightward.
+
+    None where the orbit does not transit: a vortex loop, the asymptote-bound
+    family, or a shear level at rest in the steady frame.
+    """
     if co_n.Ak == 0.0:
-        # Pure shear: uniform steady X-speed -(f + omega*Y0); no leftward
-        # transit when the level outruns the wave.
+        # Pure shear: uniform steady X-speed -(f + omega*Y0).
         speed_left = co_n.f + co_n.omega * Y0
         if speed_left == 0.0:
             return None
-        return 2.0 * math.pi / abs(speed_left)
+        return 2.0 * math.pi / abs(speed_left), speed_left < 0.0
+    if layer in ("vortex", "unbounded"):
+        return None
+    rightward = layer == "surface_wave"
     if Y0 == 0.0:
         integrand = lambda X: 1.0 / (co_n.f - co_n.Ak * math.cos(X))
     else:
         H0 = float(hamiltonian(math.pi, Y0, co_n))
-        y_of_x = _level_solver(co_n, H0, rising)
-        sign = 1.0 if rising else -1.0
+        y_of_x = _level_solver(co_n, H0, rightward)
+        sign = 1.0 if rightward else -1.0
         def integrand(X):
             return sign / float(co_n.H_Y(X, y_of_x(X), np))
     # The orbit is mirror-symmetric in X, so integrate a half period.  On
-    # levels hugging a separatrix the integrand steepens and quad reports a
-    # (harmless) roundoff warning; the event-detection cross-check guards
-    # the actual accuracy.
+    # levels hugging a separatrix the integrand steepens and quad warns of
+    # roundoff; only transit_time_tau(check=True) measures the accuracy.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, _ = scipy.integrate.quad(integrand, 0.0, math.pi, epsabs=1e-13,
                                       epsrel=1e-12, limit=400)
-    return 2.0 * val
-
-
-def _tau_integration(Y0: float, co_n: SteadyCoeffs, rising: bool,
-                     rtol: float = 1e-12, atol: float = 1e-13,
-                     max_periods: float = 10000.0) -> float:
-    """Event-detected transit time from direct integration."""
-    direction = 1.0 if rising else -1.0
-    return _first_crossing(Y0, co_n, math.pi + direction * 2.0 * math.pi,
-                           direction, max_periods, rtol, atol,
-                           "orbit did not complete a transit")[0]
+    return 2.0 * val, rightward
 
 
 def _first_crossing(Y0, co_n, target, direction, max_periods, rtol, atol,
@@ -503,9 +483,9 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs, check: bool = False,
     The orbit is given either by its height Y0 on the X = pi section or by
     a :class:`Trajectory` (whose section height is recovered from its
     H-level).  Returns None for orbits that do not transit (the vortex and
-    the asymptote-bound family).  With ``check=True`` the quadrature value
-    is cross-checked against an event-detected direct integration to 1e-8
-    relative.
+    the asymptote-bound family, and a shear level at rest in the steady
+    frame).  With ``check=True`` the quadrature value is cross-checked
+    against an event-detected direct integration to 1e-8 relative.
     """
     co_n, _ = co.normalized()
     if isinstance(level_or_traj, Trajectory):
@@ -515,13 +495,15 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs, check: bool = False,
             return None
     else:
         Y0 = float(level_or_traj)
-    layer = classify_layer(Y0, co_n, boundaries)
-    if layer == "vortex":
+    transit = _tau_quadrature(Y0, co_n, classify_layer(Y0, co_n, boundaries))
+    if transit is None:
         return None
-    rising = layer == "surface_wave"
-    tau = _tau_quadrature(Y0, co_n, rising)
+    tau, rightward = transit
     if check and co_n.Ak != 0.0:
-        tau_evt = _tau_integration(Y0, co_n, rising)
+        direction = 1.0 if rightward else -1.0
+        tau_evt, _ = _first_crossing(Y0, co_n, math.pi + direction * 2.0 * math.pi,
+                                     direction, 10000.0, 1e-12, 1e-13,
+                                     "orbit did not complete a transit")
         if abs(tau_evt - tau) > TAU_CROSS_CHECK_RTOL * abs(tau):
             raise NumericsError(
                 "transit-time routes disagree",
@@ -581,61 +563,39 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
 
     Leftward transits displace the particle by (f*tau - 2*pi)/k per
     period; the sign of tau - 2*pi/f decides forward/backward/closed.
-    Vortex loops advance f*T/k per loop (always forward; the center moves
-    in a straight line at speed f/k).  Surface-layer orbits have positive
-    physical velocity throughout and are reported always_forward.
+    Rightward transits have positive physical velocity throughout and are
+    reported always_forward.  Vortex loops advance f*T/k per loop (always
+    forward; the center moves in a straight line at speed f/k).
     """
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     co_n, _ = co.normalized()
-    if boundaries is None and co_n.Ak != 0.0:
+    if boundaries is None:
         boundaries = layer_boundaries(co_n)
     layer = classify_layer(Y0, co_n, boundaries)
     f, k = co_n.f, co_n.k
-    period_ref = 2.0 * math.pi / f
-
-    if co_n.Ak == 0.0:
-        # Pure shear: the particle moves at the constant speed -omega*y.
-        speed_left = f + co_n.omega * Y0  # steady leftward X-speed
-        if speed_left == 0.0:
-            return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
-                               direction="always_forward", layer=layer,
-                               mean_speed=f / k)
-        tau = 2.0 * math.pi / abs(speed_left)
-        if speed_left > 0:
-            drift = (f * tau - 2.0 * math.pi) / k
-            direction = _trichotomy(tau, f)
+    transit = _tau_quadrature(Y0, co_n, layer)
+    if transit is not None:
+        tau, rightward = transit
+        if rightward:
+            drift, direction = (f * tau + 2.0 * math.pi) / k, "always_forward"
         else:
-            drift = (f * tau + 2.0 * math.pi) / k
-            direction = "always_forward"
+            drift, direction = (f * tau - 2.0 * math.pi) / k, _trichotomy(tau, f)
         return DriftReport(Y0=Y0, tau=tau, drift_m=drift, direction=direction,
                            layer=layer, mean_speed=drift / tau)
-
-    if layer in ("bed_adjacent", "internal_wave", "unbounded"):
-        if layer == "unbounded":
-            # X is confined to a vertical asymptote band: mean speed f/k.
-            return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
-                               direction="forward", layer=layer,
-                               mean_speed=f / k)
-        tau = _tau_quadrature(Y0, co_n, rising=False)
-        drift = (f * tau - 2.0 * math.pi) / k
-        return DriftReport(Y0=Y0, tau=tau, drift_m=drift,
-                           direction=_trichotomy(tau, f), layer=layer,
-                           mean_speed=drift / tau)
-
-    if layer == "surface_wave":
-        tau = _tau_quadrature(Y0, co_n, rising=True)
-        drift = (f * tau + 2.0 * math.pi) / k
-        return DriftReport(Y0=Y0, tau=tau, drift_m=drift,
-                           direction="always_forward", layer=layer,
-                           mean_speed=drift / tau)
+    if layer != "vortex":
+        # X confined to an asymptote band, or a shear level at rest in the
+        # steady frame, where the speed is f/k throughout.
+        return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
+                           direction="forward" if layer == "unbounded"
+                           else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.
     T, min_xdot = _loop_period_and_min_xdot(Y0, co_n)
     if T is None:
         # The center itself: straight-line forward motion at speed f/k,
         # measured from an actual integration rather than asserted.
-        horizon = 10.0 * period_ref
+        horizon = 10.0 * (2.0 * math.pi / f)
         traj = integrate_steady(math.pi, Y0, co_n, horizon,
                                 rtol=1e-12, atol=1e-14, shifted=False)
         speed = float((traj.x[-1] - traj.x[0]) / (traj.t[-1] - traj.t[0]))
@@ -667,9 +627,11 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
     if levels is None:
+        if n < 1:
+            raise DomainError(f"the number of drift levels must be at least 1, got {n}")
         top = 0.999 * fluid_top_level(params, shifted)
         levels = np.concatenate([[0.0], np.geomspace(1e-5 * top, top, n - 1)])
-    boundaries = layer_boundaries(co_n) if co_n.Ak != 0.0 else None
+    boundaries = layer_boundaries(co_n)
     return [drift_per_period(float(Y0), co_n, boundaries=boundaries)
             for Y0 in np.asarray(levels, float)]
 
@@ -708,7 +670,7 @@ def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     """
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
-    boundaries = layer_boundaries(co_n) if co_n.Ak != 0.0 else None
+    boundaries = layer_boundaries(co_n)
     if Y_bracket is None:
         Y_bracket = (0.0, 0.98 * fluid_top_level(params, shifted))
     lo, hi = float(Y_bracket[0]), float(Y_bracket[1])

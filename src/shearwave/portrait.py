@@ -612,6 +612,10 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     coefficient is negative the half-period shift is applied and recorded
     (``shifted``), and the regime's crest position restores orientation.
     """
+    if not 0.0 < ymax < math.inf:
+        raise DomainError(f"ymax must be positive and finite, got {ymax!r}")
+    if resolution < 2:
+        raise DomainError(f"resolution must be at least 2, got {resolution!r}")
     regime = classify_regime(params)
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()

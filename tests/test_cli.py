@@ -199,6 +199,22 @@ class TestExitCodes:
         assert "component X" in err
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv", [
+        ["portrait", "--ymax", "0", "--format", "svg"],
+        ["portrait", "--ymax", "-1"],
+        ["portrait", "--ymax", "nan"],
+        ["portrait", "--resolution", "-1"],
+        ["drift", "--levels", "0"],
+        ["drift", "--levels", "-3"],
+    ], ids=" ".join)
+    def test_out_of_range_option_exits_2_with_one_line(self, argv, capsys, tmp_path):
+        code, _, err = run(capsys, *argv, "--preset", "fig1",
+                           "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestDeterminism:
     def test_portrait_and_drift_reruns_are_byte_identical(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

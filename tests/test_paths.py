@@ -135,6 +135,14 @@ class TestTransitTime:
     def test_vortex_level_has_no_transit(self, fig2_coeffs):
         assert transit_time_tau(0.02, fig2_coeffs) is None
 
+    def test_unbounded_family_has_no_transit(self, fig1_coeffs, fig2_coeffs):
+        # Orbits hugging a vertical asymptote keep X bounded: no transit.
+        for co, top_point in ((fig1_coeffs, "Y_P0"), (fig2_coeffs, "Y_P2")):
+            b = layer_boundaries(co)
+            Y0 = b[top_point] + 0.3
+            assert classify_layer(Y0, co, b) == "unbounded"
+            assert transit_time_tau(Y0, co) is None
+
     def test_interior_wave_slower_than_bed(self, fig2_coeffs):
         co = fig2_coeffs
         tau_bed = transit_time_tau(0.0, co)
@@ -225,6 +233,33 @@ class TestDrift:
         backward = drift_per_period(0.1, SteadyCoeffs(Ak=0.0, omega=2.0,
                                                       f=0.5, k=1.0))
         assert backward.direction == "backward"
+
+    def test_pure_shear_level_at_rest_in_the_steady_frame(self):
+        # f + omega*Y0 = 0: the level moves with the wave and never transits;
+        # the particle moves at exactly f/k.
+        co = SteadyCoeffs(Ak=0.0, omega=-2.0, f=0.5, k=1.0)
+        r = drift_per_period(0.25, co)
+        assert math.isnan(r.tau) and math.isnan(r.drift_m)
+        assert r.direction == "always_forward"
+        assert r.mean_speed == co.f / co.k
+        assert transit_time_tau(0.25, co) is None
+
+    @pytest.mark.parametrize("omega, Y0, direction", [
+        (-2.0, 0.1, "forward"),          # f + omega*Y0 > 0: leftward transit
+        (2.0, 0.1, "backward"),
+        (-2.0, 1.0, "always_forward"),   # f + omega*Y0 < 0: rightward transit
+    ])
+    def test_pure_shear_closed_forms(self, omega, Y0, direction):
+        # Without a wave the steady X-speed is -(f + omega*Y0), so a transit
+        # takes 2*pi/|f + omega*Y0|, and the particle moves at -omega*Y0/k.
+        co = SteadyCoeffs(Ak=0.0, omega=omega, f=0.5, k=2.0)
+        tau = 2 * math.pi / abs(co.f + omega * Y0)
+        r = drift_per_period(Y0, co)
+        assert r.direction == direction
+        assert r.tau == pytest.approx(tau, rel=1e-15)
+        assert transit_time_tau(Y0, co) == pytest.approx(tau, rel=1e-15)
+        assert r.drift_m == pytest.approx(-omega * Y0 * tau / co.k, rel=1e-14)
+        assert r.mean_speed == pytest.approx(-omega * Y0 / co.k, rel=1e-14)
 
     def test_direction_trichotomy_tolerance(self):
         from shearwave.paths import _trichotomy
