@@ -123,13 +123,12 @@ def resolve_params(args) -> tuple[str, WaveParams]:
 
 def _out_dir(args, name: str) -> Path:
     # The name comes from the scenario file: it must stay one directory
-    # level below --out.
+    # level below --out.  The directory is made at the first write, so a
+    # run that fails before writing leaves none behind.
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise DomainError(f"scenario name {name!r} is not a plain directory "
                           "name (no path separators, not '.' or '..')")
-    out = Path(getattr(args, "out", "out")) / name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(getattr(args, "out", "out")) / name
 
 
 def _formats(args) -> set[str]:
@@ -142,10 +141,12 @@ def _formats(args) -> set[str]:
 
 
 def _write_text(path: Path, text: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _write_rows(path: Path, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(row + "\n")

@@ -9,8 +9,8 @@ displacement is (f*tau - 2*pi)/k, so tau > 2*pi/f means forward drift.
 Orbit families and how each is handled:
 
 * bed / interior-wave orbits traverse X from pi to -pi: tau comes from
-  quadrature of dt = dX / (-dX/dt) along the H-level curve (checked
-  against event-detected time integration on request);
+  tanh-sinh quadrature of dt = dX / (-dX/dt) along the H-level curve,
+  with an error estimate;
 * vortex orbits (negative-vorticity cat's-eye) are closed in the steady
   frame: the loop period is found by integrating half a loop between the
   two crossings of the X = pi section, and the particle advances f*T/k
@@ -25,14 +25,12 @@ Orbit families and how each is handled:
 from __future__ import annotations
 
 import math
-import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.integrate is reached by attribute, so it loads on first use and
-# commands that never integrate do not pay for its import.
-import scipy
 
+from .dop853 import INTERRUPTED, contd8, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .fields import SteadyCoeffs, hamiltonian
 from .params import WaveParams
@@ -41,9 +39,6 @@ from .portrait import (CriticalPoint, bracketed_root, find_critical_points,
 
 #: Hard ceiling for |Y| during integration; beyond it cosh overflows.
 Y_GUARD = 700.0
-
-#: Relative agreement required between the two transit-time routes.
-TAU_CROSS_CHECK_RTOL = 1e-8
 
 #: Columns of the exported CSV files.
 TRAJECTORY_HEADER = "t,X,Y,x,y,H"
@@ -169,51 +164,39 @@ def _rhs(t, z, co):
         return co.H_Y(X, Y, np), -co.H_X(X, Y, np)
 
 
-def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted):
-    # Accepted-step output via the compiled 8th-order pair; the pure-Python
-    # driver is an order of magnitude slower on long horizons.
-    def rhs(t, z):
-        # The compiled driver needs a list; a tuple fails conversion.
+def _scalar_rhs(co):
+    # A stage probe may overshoot into cosh overflow; inf rejects the step.
+    def rhs(X, Y):
         try:
-            return [co.H_Y(z[0], z[1], math), -co.H_X(z[0], z[1], math)]
+            return co.H_Y(X, Y, math), -co.H_X(X, Y, math)
         except (OverflowError, ValueError):
-            return [math.inf, math.inf]
+            return math.inf, math.inf
+    return rhs
 
+
+def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted):
+    # Accepted-step output of the DOP853 port, stopped above Y_GUARD.
     ts: list[float] = []
     Xs: list[float] = []
     Ys: list[float] = []
-    escaped = [False]
 
-    def solout(t, z):
-        if ts and t == ts[-1]:
-            return 0
+    def solout(t_old, t, z, cont):
         ts.append(t)
         Xs.append(z[0])
         Ys.append(z[1])
-        if abs(z[1]) > Y_GUARD:
-            escaped[0] = True
-            return -1
-        return 0
+        return abs(z[1]) > Y_GUARD
 
-    solver = scipy.integrate.ode(rhs).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=10 ** 9)
-    solver.set_solout(solout)
-    solver.set_initial_value([float(X0), float(Y0)], 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        solver.integrate(t_end)
-    if not ts or ts[0] != 0.0:
-        ts.insert(0, 0.0)
-        Xs.insert(0, float(X0))
-        Ys.insert(0, float(Y0))
-    if not solver.successful() and not escaped[0]:
+    idid = dop853(_scalar_rhs(co), 0.0, (float(X0), float(Y0)), t_end,
+                  rtol, atol, solout)
+    escaped = idid == INTERRUPTED
+    if idid < 0:
         if max(abs(y) for y in Ys) > Y_ESCAPE_MIN:
-            escaped[0] = True
+            escaped = True
         else:
             raise NumericsError("integration step failure",
                                 diagnostics={"t_reached": ts[-1],
-                                             "t_end": t_end})
-    return _make_trajectory(ts, Xs, Ys, co, shifted, escaped[0], "adaptive")
+                                             "t_end": t_end, "idid": idid})
+    return _make_trajectory(ts, Xs, Ys, co, shifted, escaped, "adaptive")
 
 
 def _integrate_midpoint(X0, Y0, co, t_end, dt, shifted):
@@ -375,117 +358,119 @@ def classify_layer(Y0: float, co_n: SteadyCoeffs,
 # Transit time
 # ----------------------------------------------------------------------
 
-def _level_solver(co: SteadyCoeffs, H0: float, rising: bool):
-    """Y(X) on the level H(X, Y) = H0, Newton with cached warm start.
+#: Tanh-sinh quadrature of the transit time over X in [0, pi]: nodes at
+#: t = j*h for |t| <= TS_T_MAX, where the weights fall below 1e-20; h is
+#: halved from TS_H0 until two estimates agree to TS_RTOL, at most
+#: TS_MAX_HALVINGS times.
+TS_T_MAX = 3.5
+TS_H0 = 0.5
+TS_RTOL = 1e-13
+TS_MAX_HALVINGS = 7
 
-    ``rising=False`` solves on the monotone-decreasing stretch below the
-    lower isocline branch (leftward transits); ``rising=True`` on the
-    increasing stretch between branches (surface-layer transits).
+
+def _tanh_sinh_nodes(t: np.ndarray):
+    """Nodes X in [0, pi] and weights dX/dt of the map
+    X = (pi/2)(1 + tanh((pi/2) sinh t)), for t >= 0 mirrored to -t."""
+    e = np.exp(-math.pi * np.sinh(t))      # exp(-2u), u = (pi/2) sinh t
+    d = math.pi * e / (1.0 + e)             # distance of the node from 0 or pi
+    w = math.pi ** 2 * np.cosh(t) * e / (1.0 + e) ** 2
+    mirrored = t > 0.0
+    return (np.concatenate([d[mirrored], math.pi - d]),
+            np.concatenate([w[mirrored], w]))
+
+
+def _level_heights(X: np.ndarray, Y0: float, H0: float, co: SteadyCoeffs,
+                   piece: int) -> np.ndarray:
+    """Y on the level H(X, Y) = H0 at every node X, on monotone piece
+    ``piece`` of H(X, .).
+
+    Array Newton from Y0 at all nodes; a node that does not converge onto
+    its piece falls back to the piece bracket and one Brent call.
     """
-    cache = {"y": None}
     tol = 1e-14 * (1.0 + abs(H0))
-
-    def residual(X, y):
-        return float(hamiltonian(X, y, co)) - H0
-
-    def y_of_x(X: float) -> float:
-        y = cache["y"]
-        if y is not None:
-            for _ in range(50):
-                r = residual(X, y)
-                if abs(r) <= tol:
-                    cache["y"] = y
-                    return y
-                d = float(co.H_Y(X, y, np))
-                if d == 0.0:
-                    break
-                y_new = y - r / d
-                if y_new < 0.0 or not math.isfinite(y_new):
-                    break
-                y = y_new
-        fn = lambda yy: residual(X, yy)
-        bracket = _piece_bracket(fn, isocline_roots(X, co, Y_GUARD), int(rising))
+    y = np.full(X.shape, Y0)
+    with np.errstate(all="ignore"):
+        for _ in range(30):
+            r = co.H(X, y, np) - H0
+            step = r / co.H_Y(X, y, np)
+            y = y - step
+            if not np.any(np.abs(step) > 1e-15 * (1.0 + np.abs(y))):
+                break
+        r = co.H(X, y, np) - H0
+        # Falling pieces have dX/dt < 0, rising ones dX/dt > 0: Newton may
+        # converge on the level's crossing of a neighbouring piece.
+        good = (np.isfinite(y) & (np.abs(r) <= tol) & (y >= 0.0)
+                & ((co.H_Y(X, y, np) > 0.0) == bool(piece)))
+    for i in np.flatnonzero(~good):
+        x = float(X[i])
+        fn = lambda yy: co.H(x, yy, math) - H0
+        bracket = _piece_bracket(fn, isocline_roots(x, co, Y_GUARD), piece)
         if bracket is None:
             raise NumericsError("level has no bracket on its monotone piece",
-                                diagnostics={"X": X, "H0": H0, "rising": rising})
+                                diagnostics={"X": x, "H0": H0, "piece": piece})
         lo, hi = bracket
-        y = bracketed_root(fn, lo, hi, 1e-15, maxiter=300,
-                           what=f"level H = {H0:.6g} at X = {X:.6g}")
+        yy = bracketed_root(fn, lo, hi, 1e-15, maxiter=300,
+                            what=f"level H = {H0:.6g} at X = {x:.6g}")
         for _ in range(3):
-            d = float(co.H_Y(X, y, np))
+            d = co.H_Y(x, yy, math)
             if d == 0.0:
                 break
-            y = min(max(y - residual(X, y) / d, lo), hi)
-        cache["y"] = y
-        return y
-
-    return y_of_x
+            yy = min(max(yy - fn(yy) / d, lo), hi)
+        y[i] = yy
+    return y
 
 
 def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
-                    layer: str) -> tuple[float, bool] | None:
+                    layer: str) -> tuple[float, bool, float] | None:
     """Transit time over one X-period along the orbit through (pi, Y0) in
-    family ``layer``, and whether the transit runs rightward.
+    family ``layer``, whether the transit runs rightward, and an error
+    estimate of the time.
 
     None where the orbit does not transit: a vortex loop, the asymptote-bound
-    family, or a shear level at rest in the steady frame.
+    family, a shear level at rest in the steady frame, or a bed with
+    stagnation points (Ak >= f), which is a chain of saddle connections.
     """
     if co_n.Ak == 0.0:
         # Pure shear: uniform steady X-speed -(f + omega*Y0).
         speed_left = co_n.f + co_n.omega * Y0
         if speed_left == 0.0:
             return None
-        return 2.0 * math.pi / abs(speed_left), speed_left < 0.0
-    if layer in ("vortex", "unbounded"):
+        return 2.0 * math.pi / abs(speed_left), speed_left < 0.0, 0.0
+    if layer in ("vortex", "unbounded") or (Y0 == 0.0 and co_n.Ak >= co_n.f):
         return None
     rightward = layer == "surface_wave"
-    if Y0 == 0.0:
-        integrand = lambda X: 1.0 / (co_n.f - co_n.Ak * math.cos(X))
-    else:
-        H0 = float(hamiltonian(math.pi, Y0, co_n))
-        y_of_x = _level_solver(co_n, H0, rightward)
-        sign = 1.0 if rightward else -1.0
-        def integrand(X):
-            return sign / float(co_n.H_Y(X, y_of_x(X), np))
-    # The orbit is mirror-symmetric in X, so integrate a half period.  On
-    # levels hugging a separatrix the integrand steepens and quad warns of
-    # roundoff; only transit_time_tau(check=True) measures the accuracy.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, _ = scipy.integrate.quad(integrand, 0.0, math.pi, epsabs=1e-13,
-                                      epsrel=1e-12, limit=400)
-    return 2.0 * val, rightward
+    sign = 1.0 if rightward else -1.0
+    H0 = float(hamiltonian(math.pi, Y0, co_n))
+
+    def weighted_sum(t):
+        X, w = _tanh_sinh_nodes(t)
+        y = _level_heights(X, Y0, H0, co_n, int(rightward))
+        return math.fsum((w * (sign / co_n.H_Y(X, y, np))).tolist())
+
+    # The orbit is mirror-symmetric in X, so integrate a half period.  The
+    # integrand peaks where the level passes a saddle, at X = 0 or pi,
+    # where tanh-sinh clusters its nodes.
+    h = TS_H0
+    estimate = h * weighted_sum(np.arange(0.0, TS_T_MAX + h / 2, h))
+    for _ in range(TS_MAX_HALVINGS):
+        h /= 2.0
+        previous = estimate
+        estimate = 0.5 * previous + h * weighted_sum(
+            np.arange(h, TS_T_MAX + h / 2, 2.0 * h))
+        if abs(estimate - previous) <= TS_RTOL * abs(estimate):
+            break
+    return 2.0 * estimate, rightward, 2.0 * abs(estimate - previous)
 
 
-def _first_crossing(Y0, co_n, target, direction, max_periods, rtol, atol,
-                    failure, dense_output=False):
-    """Time of the first crossing of X = target in ``direction`` by the orbit
-    from (pi, Y0), and the solution; at most ``max_periods`` wave periods."""
-    def event(t, z, co):
-        return z[0] - target
-    event.terminal = True
-    event.direction = direction
-
-    t_max = max_periods * 2.0 * math.pi / co_n.f
-    sol = scipy.integrate.solve_ivp(
-        _rhs, (0.0, t_max), (math.pi, float(Y0)), args=(co_n,),
-        method="DOP853", rtol=rtol, atol=atol, events=event,
-        dense_output=dense_output)
-    if not sol.t_events[0].size:
-        raise NumericsError(failure, diagnostics={"Y0": Y0, "t_max": t_max})
-    return float(sol.t_events[0][0]), sol
-
-
-def transit_time_tau(level_or_traj, co: SteadyCoeffs, check: bool = False,
+def transit_time_tau(level_or_traj, co: SteadyCoeffs,
                      boundaries: dict | None = None) -> float | None:
     """Time for a steady orbit to cross one X-period.
 
     The orbit is given either by its height Y0 on the X = pi section or by
     a :class:`Trajectory` (whose section height is recovered from its
     H-level).  Returns None for orbits that do not transit (the vortex and
-    the asymptote-bound family, and a shear level at rest in the steady
-    frame).  With ``check=True`` the quadrature value is cross-checked
-    against an event-detected direct integration to 1e-8 relative.
+    the asymptote-bound family, a shear level at rest in the steady frame,
+    and a bed with stagnation points).
     """
     co_n, _ = co.normalized()
     if isinstance(level_or_traj, Trajectory):
@@ -496,42 +481,52 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs, check: bool = False,
     else:
         Y0 = float(level_or_traj)
     transit = _tau_quadrature(Y0, co_n, classify_layer(Y0, co_n, boundaries))
-    if transit is None:
-        return None
-    tau, rightward = transit
-    if check and co_n.Ak != 0.0:
-        direction = 1.0 if rightward else -1.0
-        tau_evt, _ = _first_crossing(Y0, co_n, math.pi + direction * 2.0 * math.pi,
-                                     direction, 10000.0, 1e-12, 1e-13,
-                                     "orbit did not complete a transit")
-        if abs(tau_evt - tau) > TAU_CROSS_CHECK_RTOL * abs(tau):
-            raise NumericsError(
-                "transit-time routes disagree",
-                diagnostics={"quadrature": tau, "integration": tau_evt})
-    return tau
+    return None if transit is None else transit[0]
 
 
 def _loop_period_and_min_xdot(Y0: float, co_n: SteadyCoeffs,
-                              rtol: float = 1e-11, atol: float = 1e-13):
+                              rtol: float = 1e-12, atol: float = 1e-14):
     """Steady-orbit period of a closed vortex loop through (pi, Y0).
 
     Integrates half a loop between the two crossings of the X = pi section
-    (the loop is time-symmetric about that section) and doubles it.  Also
-    returns the minimum of dX/dt seen along the half loop.
+    (the loop is time-symmetric about that section) and doubles it: each
+    accepted step is tested for a sign change of X - pi, and the crossing
+    is the Brent root of that step's 7th-order dense output.  Also returns
+    the minimum of dX/dt at 512 samples of the half loop's dense output.
     """
     xd0 = float(co_n.H_Y(math.pi, Y0, np))
     scale = co_n.Ak * math.cosh(Y0) + abs(co_n.omega) * Y0 + co_n.f
     if abs(xd0) <= 1e-13 * scale:
         return None, 0.0  # at the center to rounding: no loop to time
-    # The loop crosses X = pi moving left at the bottom and right at the top.
-    direction = 1.0 if xd0 < 0.0 else -1.0
-    t_half, sol = _first_crossing(Y0, co_n, math.pi, direction, 1000.0, rtol, atol,
-                                  "vortex orbit failed to return to the section",
-                                  dense_output=True)
-    ts = np.linspace(0.0, t_half, 512)
-    Z = sol.sol(ts)
-    xdots = np.asarray(co_n.H_Y(Z[0], Z[1], np), float)
-    return 2.0 * t_half, float(np.min(xdots))
+    # The loop crosses X = pi moving left at the bottom and right at the top,
+    # so the return crossing has X - pi rising (sign +1) or falling (-1).
+    sign = 1.0 if xd0 < 0.0 else -1.0
+    conts = []
+    crossing = []
+
+    def solout(t_old, t, z, cont):
+        if cont is None:
+            return False
+        conts.append(cont)
+        if not (cont[2][0][0] - math.pi) * sign <= 0.0 <= (z[0] - math.pi) * sign:
+            return False
+        fn = lambda s: (contd8(cont, s)[0] - math.pi) * sign
+        # Rounding may leave the dense output just short of X = pi at t.
+        crossing.append(t if fn(t) < 0.0 else bracketed_root(
+            fn, t_old, t, 4.0 * math.ulp(1.0), what="return to X = pi"))
+        return True
+
+    t_max = 1000.0 * 2.0 * math.pi / co_n.f
+    idid = dop853(_scalar_rhs(co_n), 0.0, (math.pi, float(Y0)), t_max,
+                  rtol, atol, solout, dense=True)
+    if not crossing:
+        raise NumericsError("vortex orbit failed to return to the section",
+                            diagnostics={"Y0": Y0, "t_max": t_max, "idid": idid})
+    t_half = crossing[0]
+    starts = [cont[0] for cont in conts]
+    xdots = [co_n.H_Y(*contd8(conts[max(bisect_right(starts, t) - 1, 0)], t), math)
+             for t in np.linspace(0.0, t_half, 512).tolist()]
+    return 2.0 * t_half, min(xdots)
 
 
 # ----------------------------------------------------------------------
@@ -548,6 +543,7 @@ class DriftReport:
     direction: str          # forward | backward | closed | always_forward
     layer: str
     mean_speed: float       # drift_m / tau, or f/k where X stays bounded
+    tau_err: float = math.nan   # quadrature error estimate of a transit tau
 
 
 def _trichotomy(tau: float, f: float) -> str:
@@ -576,18 +572,19 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
     f, k = co_n.f, co_n.k
     transit = _tau_quadrature(Y0, co_n, layer)
     if transit is not None:
-        tau, rightward = transit
+        tau, rightward, tau_err = transit
         if rightward:
             drift, direction = (f * tau + 2.0 * math.pi) / k, "always_forward"
         else:
             drift, direction = (f * tau - 2.0 * math.pi) / k, _trichotomy(tau, f)
         return DriftReport(Y0=Y0, tau=tau, drift_m=drift, direction=direction,
-                           layer=layer, mean_speed=drift / tau)
+                           layer=layer, mean_speed=drift / tau, tau_err=tau_err)
     if layer != "vortex":
-        # X confined to an asymptote band, or a shear level at rest in the
-        # steady frame, where the speed is f/k throughout.
+        # X confined to an asymptote band or between stagnation points on
+        # the bed, where the mean speed is f/k, or a shear level at rest in
+        # the steady frame, where the speed is f/k throughout.
         return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
-                           direction="forward" if layer == "unbounded"
+                           direction="forward" if layer in ("unbounded", "bed_adjacent")
                            else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.

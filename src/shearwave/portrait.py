@@ -80,13 +80,13 @@ def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,
             diagnostics={"bracket": (lo, hi), "values": (flo, fhi)}) from exc
 
 
-#: Relative tolerance of the Brent iteration, scipy's smallest allowed value.
+#: Relative tolerance of the Brent iteration, SciPy's smallest allowed value.
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
 
 
 def _brentq(fn, a: float, b: float, xtol: float, maxiter: int) -> float:
-    """Brent's method (Brent 1973), ported line for line from scipy's
-    ``brentq.c`` so every iterate, and so the root, is scipy's.
+    """Brent's method (Brent 1973), ported line for line from SciPy's
+    ``brentq.c`` so every iterate, and so the root, is SciPy's.
 
     A NaN function value or a bracket without a sign change raises
     ValueError; ``maxiter`` iterations without convergence raise

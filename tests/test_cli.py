@@ -214,6 +214,14 @@ class TestOptionRanges:
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_failed_run_leaves_no_output_directory(self, capsys, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "portrait", "--preset", "fig1", "--ymax", "0",
+                         "--out", "od")
+        assert code == EXIT_BAD_INPUT
+        assert not (tmp_path / "od" / "fig1").exists()
+
 
 class TestDeterminism:
     def test_portrait_and_drift_reruns_are_byte_identical(self, capsys, tmp_path):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from shearwave import (DomainError, SteadyCoeffs, classify_layer,
+from shearwave import (DomainError, SteadyCoeffs, WaveParams, classify_layer,
                        drift_per_period, drift_profile, find_closed_orbit,
                        find_critical_points, hamiltonian, integrate_steady,
                        layer_boundaries, read_seeds, section_height,
@@ -13,6 +13,23 @@ from shearwave.paths import (DRIFT_HEADER, TRAJECTORY_HEADER, drift_csv_rows,
                              trajectory_csv_rows)
 
 G = 9.81
+
+
+def event_crossing_time(Y0, co, target, direction, rtol, atol, periods):
+    """Oracle: first time the orbit from (pi, Y0) crosses X = target in
+    ``direction``, by scipy's DOP853 with event detection."""
+    def rhs(t, z):
+        return co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)
+
+    def event(t, z):
+        return z[0] - target
+    event.terminal = True
+    event.direction = direction
+    t_max = periods * 2.0 * math.pi / co.f
+    sol = solve_ivp(rhs, (0.0, t_max), (math.pi, Y0), method="DOP853",
+                    rtol=rtol, atol=atol, events=event)
+    assert sol.t_events[0].size, f"no crossing of X = {target} from Y0 = {Y0}"
+    return float(sol.t_events[0][0])
 
 
 class TestIntegration:
@@ -128,9 +145,24 @@ class TestTransitTime:
         assert transit_time_tau(0.0, co) == 2 * math.pi / 0.5
 
     def test_routes_agree(self, fig2_coeffs):
-        for Y0 in (0.002, 0.004):  # interior wave
-            transit_time_tau(Y0, fig2_coeffs, check=True)
-        transit_time_tau(0.5, fig2_coeffs, check=True)  # surface layer
+        # Quadrature against event-detected direct integration of one
+        # transit, leftward on the interior wave and rightward on the
+        # surface layer.
+        for Y0, direction in ((0.002, -1.0), (0.004, -1.0), (0.5, 1.0)):
+            tau = transit_time_tau(Y0, fig2_coeffs)
+            tau_evt = event_crossing_time(Y0, fig2_coeffs,
+                                          math.pi + direction * 2.0 * math.pi,
+                                          direction, 1e-12, 1e-13, 10000.0)
+            assert tau == pytest.approx(tau_evt, rel=1e-8)
+
+    def test_bed_with_stagnation_points_has_no_transit(self):
+        # With Ak >= f, dX/dt = Ak cos X - f vanishes on the bed: the bed is
+        # a chain of saddle connections, not a transit.
+        p = WaveParams.solve(G, 1.6339, 0.051125, 17.573, a=0.050703,
+                             branch="plus")
+        co, _ = SteadyCoeffs.from_params(p).normalized()
+        assert co.Ak >= co.f
+        assert transit_time_tau(0.0, co) is None
 
     def test_vortex_level_has_no_transit(self, fig2_coeffs):
         assert transit_time_tau(0.02, fig2_coeffs) is None
@@ -282,6 +314,19 @@ class TestDrift:
         assert r.layer == "vortex"
         assert r.direction in ("forward", "always_forward")
         assert r.drift_m == pytest.approx(co.f * r.tau / co.k, rel=1e-12)
+
+    def test_loop_periods_match_direct_integration(self, fig2_params):
+        # Each vortex loop of the default profile against scipy's DOP853 at
+        # rtol 1e-13: half a loop between the two X = pi crossings, doubled.
+        co, _ = SteadyCoeffs.from_params(fig2_params).normalized()
+        loops = [r for r in drift_profile(fig2_params, n=33)
+                 if r.layer == "vortex" and math.isfinite(r.tau)]
+        assert len(loops) >= 3
+        for r in loops:
+            direction = 1.0 if co.H_Y(math.pi, r.Y0, math) < 0.0 else -1.0
+            half = event_crossing_time(r.Y0, co, math.pi, direction,
+                                       1e-13, 1e-15, 1000.0)
+            assert r.tau == pytest.approx(2.0 * half, rel=1e-9)
 
     def test_surface_layer_always_forward(self, fig2_coeffs):
         r = drift_per_period(0.5, fig2_coeffs)
