@@ -4,46 +4,63 @@ Closed-form linear wave fields, the finite-depth dispersion relation with
 its two branches, steady-frame Hamiltonian phase portraits (critical
 points, isocline branching, separatrices, the vorticity bifurcation), and
 physical particle paths with per-period drift.
+
+Only ``errors`` and ``params`` (no numpy) load with the package; every
+other public name, and each of the other submodules, imports on first
+access.
 """
+
+import importlib
 
 from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
                      UnsupportedConfig)
-from .fields import (SteadyCoeffs, field_identity_residuals, hamiltonian,
-                     hamiltonian_gradient, in_fluid, nondim_solution, pressure,
-                     steady_rhs, surface, velocity, write_field_grid)
-from .params import (NondimParams, Regime, WaveParams, classify_regime,
-                     dispersion_residual, from_kv, from_json_str, from_mapping,
-                     nondimensionalize, redimensionalize, shear_profile,
-                     solve_dispersion, to_json_str, to_kv)
-from .paths import (ClosedOrbit, DriftReport, Trajectory, classify_layer,
-                    drift_per_period, drift_profile, find_closed_orbit,
-                    integrate_steady, layer_boundaries, read_seeds,
-                    section_height, to_physical, to_steady, transit_time_tau)
-from .portrait import (BifurcationScan, CriticalPoint, IsoclineBranch,
-                       PhasePortrait, SeparatrixTrace, bifurcation_scan,
-                       branching_discriminant, build_phase_portrait,
-                       classify_critical_point, find_critical_points,
-                       infinity_isocline, portrait_json, portrait_svg,
-                       trace_separatrix)
+from .params import (NondimParams, Regime, WaveParams, branching_discriminant,
+                     classify_regime, dispersion_residual, from_json_str,
+                     from_kv, from_mapping, nondimensionalize,
+                     redimensionalize, shear_profile, solve_dispersion,
+                     to_json_str, to_kv)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BifurcationScan", "ClosedOrbit", "CriticalPoint", "DomainError",
-    "DriftReport", "IsoclineBranch", "NondimParams",
-    "NumericsError", "PhasePortrait", "Regime", "SeparatrixTrace",
-    "ShearwaveError", "SteadyCoeffs", "TraceError", "Trajectory",
-    "UnsupportedConfig", "WaveParams", "bifurcation_scan",
-    "branching_discriminant", "build_phase_portrait", "classify_critical_point",
-    "classify_layer", "classify_regime", "dispersion_residual",
-    "drift_per_period", "drift_profile", "field_identity_residuals",
-    "find_closed_orbit", "find_critical_points", "from_json_str", "from_kv",
-    "from_mapping", "hamiltonian", "hamiltonian_gradient", "in_fluid",
-    "infinity_isocline", "integrate_steady", "layer_boundaries",
-    "nondim_solution", "nondimensionalize", "portrait_json", "portrait_svg",
-    "pressure", "read_seeds", "redimensionalize", "section_height",
-    "shear_profile",
-    "solve_dispersion", "steady_rhs", "surface", "to_json_str", "to_kv",
-    "to_physical", "to_steady", "trace_separatrix", "transit_time_tau",
-    "velocity", "write_field_grid",
-]
+#: Submodule of each public name that is imported on first access.
+_LAZY = {
+    **dict.fromkeys((
+        "SteadyCoeffs", "field_identity_residuals", "hamiltonian",
+        "hamiltonian_gradient", "in_fluid", "nondim_solution", "pressure",
+        "steady_rhs", "surface", "velocity", "write_field_grid"), "fields"),
+    **dict.fromkeys((
+        "ClosedOrbit", "DriftReport", "Trajectory", "classify_layer",
+        "drift_per_period", "drift_profile", "find_closed_orbit",
+        "integrate_steady", "layer_boundaries", "read_seeds",
+        "section_height", "to_physical", "to_steady", "transit_time_tau"),
+        "paths"),
+    **dict.fromkeys((
+        "BifurcationScan", "CriticalPoint", "IsoclineBranch", "PhasePortrait",
+        "SeparatrixTrace", "bifurcation_scan", "build_phase_portrait",
+        "classify_critical_point", "find_critical_points", "infinity_isocline",
+        "portrait_json", "portrait_svg", "trace_separatrix"), "portrait"),
+}
+
+_SUBMODULES = ("dop853", "fields", "paths", "portrait")
+
+__all__ = sorted([
+    "DomainError", "NondimParams", "NumericsError", "Regime", "ShearwaveError",
+    "TraceError", "UnsupportedConfig", "WaveParams", "branching_discriminant",
+    "classify_regime", "dispersion_residual", "from_json_str", "from_kv",
+    "from_mapping", "nondimensionalize", "redimensionalize", "shear_profile",
+    "solve_dispersion", "to_json_str", "to_kv", *_LAZY])
+
+
+def __getattr__(name):
+    # Not cached here: the package name always reads the submodule's current
+    # binding, so a patched or wrapped submodule function is seen through it.
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})

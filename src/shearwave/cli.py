@@ -16,14 +16,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import params as wp
-from . import paths as wpaths
-from . import portrait as wport
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
-from .fields import SteadyCoeffs, field_identity_residuals, write_field_grid
 from .params import WaveParams, classify_regime, dispersion_residual
+
+# numpy, ``fields``, ``portrait`` and ``paths`` are imported inside the
+# commands that use them, so each command loads only what it runs:
+# ``dispersion`` needs none of them.
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -177,6 +176,8 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    from . import portrait as wport
+
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
@@ -205,6 +206,9 @@ def _default_seeds(p: WaveParams) -> list[tuple[float, float]]:
 
 
 def cmd_paths(args) -> int:
+    from . import paths as wpaths
+    from .fields import SteadyCoeffs
+
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
@@ -237,6 +241,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_drift(args) -> int:
+    from . import paths as wpaths
+
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
@@ -265,6 +271,8 @@ def cmd_drift(args) -> int:
 
 
 def cmd_bifurcation(args) -> int:
+    from . import portrait as wport
+
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
@@ -296,6 +304,10 @@ def cmd_bifurcation(args) -> int:
 
 
 def _validate_report(p: WaveParams) -> list[dict]:
+    import numpy as np
+
+    from .fields import field_identity_residuals
+
     rng = np.random.default_rng(_VALIDATE_SEED)
     n = _VALIDATE_POINTS
     t = rng.uniform(0.0, 3.0 * 2.0 * math.pi / p.f, n)
@@ -324,6 +336,10 @@ def cmd_validate(args) -> int:
         print(f"{name}: {row['identity']:>20s}  max|residual| = "
               f"{row['max_residual']:.3e}  (tol {row['tolerance']:.1e})  {status}")
     if args.grid:
+        import numpy as np
+
+        from .fields import write_field_grid
+
         xg = np.linspace(0.0, p.wavelength, 25)
         yg = np.linspace(0.0, p.h + p.a, 13)
         write_field_grid(Path(args.grid), p, t=0.0, x_grid=xg, y_grid=yg)
@@ -372,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     port = subs.add_parser("portrait", help="phase portrait of one period strip")
     _add_param_source(port)
-    port.add_argument("--ymax", type=float, default=wport.Y_SEARCH_MAX)
+    port.add_argument("--ymax", type=float, default=wp.Y_SEARCH_MAX)
     port.add_argument("--resolution", type=int, default=481)
     port.set_defaults(func=cmd_portrait)
 

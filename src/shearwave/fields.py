@@ -167,6 +167,12 @@ class SteadyCoeffs:
 
 
 def _steady_args(X, Y):
+    # Scalar fast path: the same guard without a 0-d array.  The formulas
+    # still run on numpy ufuncs, so the values are the same bits.
+    if isinstance(X, float) and isinstance(Y, float):
+        if abs(Y) > HYPERBOLIC_ARG_MAX:
+            _check_hyperbolic(Y)
+        return X, Y
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     _check_hyperbolic(Y)

@@ -43,6 +43,9 @@ BRANCH_MARGIN = 1e-8
 # are not representable rather than propagate inf.
 HYPERBOLIC_ARG_MAX = 700.0
 
+#: Default vertical extent of root searches and portraits.
+Y_SEARCH_MAX = 20.0
+
 
 def _require_positive(**named):
     for name, value in named.items():
@@ -242,11 +245,24 @@ def classify_regime(params: WaveParams) -> Regime:
     crest = "X=pi" if supercritical else "X=0"
     branching = False
     if params.omega < 0 and params.a > 0:
-        from .portrait import branching_discriminant  # deferred: avoids an import cycle
         alpha = abs(params.A) * params.k
         branching = branching_discriminant(alpha, params.omega, params.f) > 0
     return Regime(vorticity_sign=vort, crest_shift=crest,
                   supercritical=supercritical, branching_positive=branching)
+
+
+def branching_discriminant(alpha: float, omega: float, f: float) -> float:
+    """Sign test for the two-branch isocline regime at negative vorticity.
+
+    Evaluates (omega/alpha)*asinh(omega/alpha) - sqrt(1 + (omega/alpha)^2)
+    - f/alpha, the scaled maximum of phi(Y; X) over Y at the vertical where
+    the cosh coefficient equals -alpha.  A positive value means phi has two
+    roots there, i.e. the upper isocline branch exists.
+    """
+    if alpha <= 0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    r = omega / alpha
+    return r * math.asinh(r) - math.hypot(1.0, r) - f / alpha
 
 
 def nondimensionalize(params: WaveParams) -> NondimParams:

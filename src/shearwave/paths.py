@@ -543,7 +543,10 @@ class DriftReport:
     direction: str          # forward | backward | closed | always_forward
     layer: str
     mean_speed: float       # drift_m / tau, or f/k where X stays bounded
-    tau_err: float = math.nan   # quadrature error estimate of a transit tau
+    #: Quadrature-only error estimate of a transit tau.  Just below a
+    #: separatrix the rounding of the level height dominates: the true error
+    #: can be 3.5-11 times larger (README, "Numerical notes").
+    tau_err: float = math.nan
 
 
 def _trichotomy(tau: float, f: float) -> str:

@@ -27,10 +27,8 @@ import numpy as np
 from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
                      UnsupportedConfig)
 from .fields import SteadyCoeffs, hamiltonian, hamiltonian_gradient, steady_rhs
-from .params import Regime, WaveParams, classify_regime
-
-#: Default vertical extent of root searches and portraits.
-Y_SEARCH_MAX = 20.0
+from .params import (Y_SEARCH_MAX, Regime, WaveParams, branching_discriminant,
+                     classify_regime)
 
 #: Tolerances of the portrait machinery.
 ROOT_XTOL = 1e-14
@@ -44,20 +42,6 @@ SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 def phi(Y, X, co: SteadyCoeffs):
     """X-velocity of the steady flow at fixed X, as a function of height."""
     return co.H_Y(X, np.asarray(Y, float), np)
-
-
-def branching_discriminant(alpha: float, omega: float, f: float) -> float:
-    """Sign test for the two-branch isocline regime at negative vorticity.
-
-    Evaluates (omega/alpha)*asinh(omega/alpha) - sqrt(1 + (omega/alpha)^2)
-    - f/alpha, the scaled maximum of phi(Y; X) over Y at the vertical where
-    the cosh coefficient equals -alpha.  A positive value means phi has two
-    roots there, i.e. the upper isocline branch exists.
-    """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    r = omega / alpha
-    return r * math.asinh(r) - math.hypot(1.0, r) - f / alpha
 
 
 def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,

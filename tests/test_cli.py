@@ -188,11 +188,11 @@ class TestExitCodes:
         assert "i/o error" in err
 
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, tmp_path):
-        import shearwave.cli as cli_mod
+        import shearwave.portrait
 
         def boom(*args, **kwargs):
             raise NumericsError("synthetic failure in component X")
-        monkeypatch.setattr(cli_mod.wport, "build_phase_portrait", boom)
+        monkeypatch.setattr(shearwave.portrait, "build_phase_portrait", boom)
         code, _, err = run(capsys, "portrait", "--preset", "fig1",
                            "--out", str(tmp_path), "--quiet")
         assert code == EXIT_NUMERICAL

@@ -1,7 +1,18 @@
-"""Every command runs on numpy alone: the README commands exit 0 with
-every scipy import blocked, and the commands that never integrate do not
-load scipy even where it is installed.  Each command runs ``cli.main`` in
-a fresh interpreter."""
+"""Each command loads only what it runs.
+
+- Every command runs on numpy alone: the README commands exit 0 with
+  every scipy import blocked, and the commands that never integrate do not
+  load scipy even where it is installed.
+- ``import shearwave`` loads no numpy, and the ``dispersion`` command
+  loads neither numpy nor the fields, portrait, paths or DOP853 modules.
+- ``validate``, ``portrait`` and ``bifurcation`` load neither the paths
+  module nor the DOP853 port.
+- Every public name still resolves from the package, through
+  ``from shearwave import *`` and in ``dir(shearwave)``.
+
+Each check runs in a fresh interpreter, since the test process itself has
+every module loaded.
+"""
 
 import json
 import os
@@ -15,14 +26,17 @@ import shearwave
 
 SRC = str(Path(shearwave.__file__).resolve().parent.parent)
 SCIPY_PARTS = ("scipy.optimize", "scipy.integrate")
+NOT_FOR_DISPERSION = ("numpy", "shearwave.fields", "shearwave.portrait",
+                      "shearwave.paths", "shearwave.dop853")
+NOT_FOR_PORTRAITS = ("shearwave.paths", "shearwave.dop853")
 
+#: Runs one CLI command, then reports its exit code and every loaded module.
 PROBE = """
 import json, sys
 from shearwave.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code,
-                  "loaded": [m for m in %r if m in sys.modules]}))
-""" % (SCIPY_PARTS,)
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+"""
 
 
 #: Makes ``import scipy`` and every ``import scipy.*`` raise ImportError.
@@ -35,41 +49,94 @@ class BlockScipy:
 sys.meta_path.insert(0, BlockScipy())
 """
 
+DISPERSION = ("dispersion", "--g", "9.81", "--h", "1", "--k", "1", "--omega",
+              "-6", "--branch", "minus")
 README_COMMANDS = [
-    ("dispersion", "--g", "9.81", "--h", "1", "--k", "1", "--omega", "-6",
-     "--branch", "minus"),
+    DISPERSION,
     ("portrait", "--preset", "fig2", "--format", "csv,json,svg", "--out", "out"),
     ("paths", "--preset", "fig1", "--periods", "20", "--out", "out"),
     ("drift", "--preset", "fig4-left", "--find-closed", "--out", "out"),
     ("bifurcation", "--preset", "fig3", "--out", "out"),
     ("validate", "--preset", "fig2"),
 ]
+NON_INTEGRATING = [
+    DISPERSION,
+    ("validate", "--preset", "fig2"),
+    ("portrait", "--preset", "fig2", "--format", "csv,json,svg"),
+    ("bifurcation", "--preset", "fig3"),
+]
 
 
-def run_fresh(tmp_path, *argv, prelude=""):
+def run_fresh(tmp_path, *argv, prelude="", probe=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", prelude + probe, *argv],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
-    ("dispersion", "--g", "9.81", "--h", "1", "--k", "1", "--omega", "-6",
-     "--branch", "minus"),
-    ("validate", "--preset", "fig2"),
-    ("portrait", "--preset", "fig2", "--format", "csv,json,svg"),
-    ("bifurcation", "--preset", "fig3"),
-], ids=lambda argv: argv[0])
+def loaded(result, names):
+    return sorted(set(names) & set(result["loaded"]))
+
+
+@pytest.mark.parametrize("argv", NON_INTEGRATING, ids=lambda argv: argv[0])
 def test_non_integrating_commands_leave_scipy_unloaded(tmp_path, argv):
     result = run_fresh(tmp_path, *argv)
-    assert result == {"code": 0, "loaded": []}
+    assert result["code"] == 0
+    assert loaded(result, SCIPY_PARTS) == []
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
 def test_readme_commands_run_with_scipy_blocked(tmp_path, argv):
     result = run_fresh(tmp_path, *argv, prelude=BLOCK_SCIPY)
-    assert result == {"code": 0, "loaded": []}
+    assert result["code"] == 0
+    assert loaded(result, SCIPY_PARTS) == []
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    result = run_fresh(tmp_path, probe="""
+import json, sys
+import shearwave
+print(json.dumps({"loaded": sorted(sys.modules)}))
+""")
+    assert loaded(result, NOT_FOR_DISPERSION) == []
+
+
+def test_dispersion_loads_no_numpy_and_no_solver_module(tmp_path):
+    result = run_fresh(tmp_path, *DISPERSION)
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_DISPERSION) == []
+
+
+@pytest.mark.parametrize("argv", NON_INTEGRATING[1:], ids=lambda argv: argv[0])
+def test_portrait_commands_load_no_path_integrator(tmp_path, argv):
+    result = run_fresh(tmp_path, *argv)
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_PORTRAITS) == []
+
+
+def test_every_public_name_resolves_from_a_fresh_package(tmp_path):
+    result = run_fresh(tmp_path, probe="""
+import json
+import shearwave
+listed = set(dir(shearwave))
+star = {}
+exec("from shearwave import *", star)
+print(json.dumps({
+    "all": shearwave.__all__,
+    "unresolved": [n for n in shearwave.__all__ if getattr(shearwave, n, None) is None],
+    "not_bound_by_star": [n for n in shearwave.__all__ if n not in star],
+    "not_in_dir": [n for n in shearwave.__all__ if n not in listed],
+    "submodules": [shearwave.portrait.__name__, shearwave.paths.__name__],
+    "unknown_name_raises": not hasattr(shearwave, "no_such_name"),
+}))
+""")
+    assert len(result["all"]) == len(set(result["all"])) == 58
+    assert result["unresolved"] == []
+    assert result["not_bound_by_star"] == []
+    assert result["not_in_dir"] == []
+    assert result["submodules"] == ["shearwave.portrait", "shearwave.paths"]
+    assert result["unknown_name_raises"]
