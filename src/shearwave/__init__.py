@@ -25,23 +25,26 @@ __version__ = "0.1.0"
 #: Submodule of each public name that is imported on first access.
 _LAZY = {
     **dict.fromkeys((
-        "SteadyCoeffs", "field_identity_residuals", "hamiltonian",
-        "hamiltonian_gradient", "in_fluid", "nondim_solution", "pressure",
-        "steady_rhs", "surface", "velocity", "write_field_grid"), "fields"),
+        "field_identity_residuals", "hamiltonian", "hamiltonian_gradient",
+        "in_fluid", "nondim_solution", "pressure", "steady_rhs", "surface",
+        "velocity", "write_field_grid"), "fields"),
     **dict.fromkeys((
-        "ClosedOrbit", "DriftReport", "Trajectory", "classify_layer",
-        "drift_per_period", "drift_profile", "find_closed_orbit",
-        "integrate_steady", "layer_boundaries", "read_seeds",
-        "section_height", "to_physical", "to_steady", "transit_time_tau"),
-        "paths"),
+        "BifurcationScan", "CriticalPoint", "SteadyCoeffs", "bifurcation_scan",
+        "classify_critical_point", "find_critical_points"), "steady"),
     **dict.fromkeys((
-        "BifurcationScan", "CriticalPoint", "IsoclineBranch", "PhasePortrait",
-        "SeparatrixTrace", "bifurcation_scan", "build_phase_portrait",
-        "classify_critical_point", "find_critical_points", "infinity_isocline",
-        "portrait_json", "portrait_svg", "trace_separatrix"), "portrait"),
+        "ClosedOrbit", "DriftReport", "classify_layer", "drift_per_period",
+        "drift_profile", "find_closed_orbit", "layer_boundaries",
+        "section_height", "transit_time_tau"), "drift"),
+    **dict.fromkeys((
+        "Trajectory", "integrate_steady", "read_seeds", "to_physical",
+        "to_steady"), "paths"),
+    **dict.fromkeys((
+        "IsoclineBranch", "PhasePortrait", "SeparatrixTrace",
+        "build_phase_portrait", "infinity_isocline", "portrait_json",
+        "portrait_svg", "trace_separatrix"), "portrait"),
 }
 
-_SUBMODULES = ("dop853", "fields", "paths", "portrait")
+_SUBMODULES = ("dop853", "drift", "fields", "paths", "portrait", "steady")
 
 __all__ = sorted([
     "DomainError", "NondimParams", "NumericsError", "Regime", "ShearwaveError",

@@ -20,9 +20,9 @@ from . import params as wp
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
 from .params import WaveParams, classify_regime, dispersion_residual
 
-# numpy, ``fields``, ``portrait`` and ``paths`` are imported inside the
-# commands that use them, so each command loads only what it runs:
-# ``dispersion`` needs none of them.
+# The solver modules are imported inside the commands that use them, so
+# each command loads only what it runs: ``dispersion`` needs none of them,
+# ``bifurcation`` and ``drift`` only the numpy-free ``steady`` and ``drift``.
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -207,7 +207,7 @@ def _default_seeds(p: WaveParams) -> list[tuple[float, float]]:
 
 def cmd_paths(args) -> int:
     from . import paths as wpaths
-    from .fields import SteadyCoeffs
+    from .steady import SteadyCoeffs
 
     name, p = resolve_params(args)
     formats = _formats(args)
@@ -241,20 +241,20 @@ def cmd_paths(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    from . import paths as wpaths
+    from . import drift as wdrift
 
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
-    reports = wpaths.drift_profile(p, n=args.levels)
+    reports = wdrift.drift_profile(p, n=args.levels)
     if "csv" in formats:
-        _write_rows(out / "drift.csv", wpaths.drift_csv_rows(reports, p.k))
+        _write_rows(out / "drift.csv", wdrift.drift_csv_rows(reports, p.k))
     counts: dict = {}
     for r in reports:
         counts[r.direction] = counts.get(r.direction, 0) + 1
     summary = {"scenario": name, "n_levels": len(reports), "directions": counts}
     if args.find_closed:
-        orbit = wpaths.find_closed_orbit(p)
+        orbit = wdrift.find_closed_orbit(p)
         if orbit is None:
             summary["closed_orbit"] = None
         else:
@@ -271,7 +271,7 @@ def cmd_drift(args) -> int:
 
 
 def cmd_bifurcation(args) -> int:
-    from . import portrait as wport
+    from . import steady as wsteady
 
     name, p = resolve_params(args)
     formats = _formats(args)
@@ -284,8 +284,8 @@ def cmd_bifurcation(args) -> int:
         scan_defaults.get("omega_stop", p.omega)
     steps = args.steps if args.steps is not None else \
         scan_defaults.get("steps", 61)
-    scan = wport.bifurcation_scan(p.g, p.h, p.k, p.a, omega_start, omega_stop,
-                                  steps, branch=p.branch, s=p.s)
+    scan = wsteady.bifurcation_scan(p.g, p.h, p.k, p.a, omega_start, omega_stop,
+                                    steps, branch=p.branch, s=p.s)
     if "csv" in formats:
         rows = ["omega,count,kinds"]
         rows += [f"{r.omega:.17g},{r.count},{'+'.join(r.kinds)}" for r in scan.rows]

@@ -8,42 +8,27 @@ Physical fields (bed-frame normalization s = 0, phase theta = k*x - f*t):
                                            - omega*sinh(k*y))
     eta = h + a*cos(theta)
 
-with A = a*(f + k*h*omega)/sinh(k*h).  In the steady frame X = k*x - f*t,
-Y = k*y the particle motion is the autonomous planar system
-
-    dX/dt = A*k*cos(X)*cosh(Y) - omega*Y - f
-    dY/dt = A*k*sin(X)*sinh(Y)
-
-which is Hamiltonian with H = A*k*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y.
+with A = a*(f + k*h*omega)/sinh(k*h).  The steady-frame system, whose
+scalar kernel is in ``steady``, is evaluated here on arrays.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedConfig
-from .params import HYPERBOLIC_ARG_MAX, WaveParams, NondimParams
+from .errors import DomainError
+from .params import WaveParams, NondimParams
+from .steady import SteadyCoeffs, _require_bed_frame, check_hyperbolic
 
 #: Columns of the field-grid CSV export.
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"
 
 
 def _check_hyperbolic(arg):
-    if np.any(np.abs(arg) > HYPERBOLIC_ARG_MAX):
-        raise DomainError(
-            f"hyperbolic argument exceeds {HYPERBOLIC_ARG_MAX:g}; "
-            "evaluation would overflow")
-
-
-def _require_bed_frame(params: WaveParams):
-    if params.s != 0.0:
-        raise UnsupportedConfig(
-            "physical field evaluation assumes the bed-frame normalization s = 0")
+    check_hyperbolic(float(np.max(np.abs(arg), initial=0.0)))
 
 
 def _phase(t, x, params):
@@ -118,60 +103,11 @@ def nondim_solution(x, y, nd: NondimParams):
 # Steady travelling frame
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SteadyCoeffs:
-    """Coefficients of the steady-frame particle system.
-
-    ``Ak`` may be negative (strong counter-current); portrait and path
-    analysis normalize it positive via the half-period shift X -> X + pi
-    and record the shift.
-    """
-
-    Ak: float
-    omega: float
-    f: float
-    k: float
-
-    @classmethod
-    def from_params(cls, params: WaveParams) -> "SteadyCoeffs":
-        _require_bed_frame(params)
-        return cls(Ak=params.A * params.k, omega=params.omega,
-                   f=params.f, k=params.k)
-
-    def normalized(self) -> tuple["SteadyCoeffs", bool]:
-        """Return coefficients with Ak >= 0 plus whether X was shifted by pi."""
-        if self.Ak < 0:
-            return dataclasses.replace(self, Ak=-self.Ak), True
-        return self, False
-
-    # The steady system, written once.  ``m`` is the arithmetic module:
-    # ``math`` for scalars, ``numpy`` for arrays.  The two differ in the
-    # last ulp of cosh/sinh, so each caller keeps the one it has always used.
-
-    def H(self, X, Y, m):
-        """H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y, unguarded."""
-        return self.Ak * m.cos(X) * m.sinh(Y) - 0.5 * self.omega * Y * Y - self.f * Y
-
-    def H_X(self, X, Y, m):
-        """dH/dX = -dY/dt, unguarded."""
-        return -self.Ak * m.sin(X) * m.sinh(Y)
-
-    def H_Y(self, X, Y, m):
-        """dH/dY = dX/dt (phi, whose roots are the X-nullcline), unguarded."""
-        return self.Ak * m.cos(X) * m.cosh(Y) - self.omega * Y - self.f
-
-    def hessian(self, X, Y, m):
-        """(Hxx, Hxy, Hyy); the flow Jacobian is [[Hxy, Hyy], [-Hxx, -Hxy]]."""
-        c = self.Ak * m.cos(X) * m.sinh(Y)
-        return -c, -self.Ak * m.sin(X) * m.cosh(Y), c - self.omega
-
-
 def _steady_args(X, Y):
     # Scalar fast path: the same guard without a 0-d array.  The formulas
     # still run on numpy ufuncs, so the values are the same bits.
     if isinstance(X, float) and isinstance(Y, float):
-        if abs(Y) > HYPERBOLIC_ARG_MAX:
-            _check_hyperbolic(Y)
+        check_hyperbolic(Y)
         return X, Y
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

@@ -207,6 +207,7 @@ class TestOptionRanges:
         ["portrait", "--resolution", "-1"],
         ["drift", "--levels", "0"],
         ["drift", "--levels", "-3"],
+        ["drift", "--a", "1.0"],  # the surface touches the bed at X = pi
     ], ids=" ".join)
     def test_out_of_range_option_exits_2_with_one_line(self, argv, capsys, tmp_path):
         code, _, err = run(capsys, *argv, "--preset", "fig1",

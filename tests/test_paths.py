@@ -240,6 +240,58 @@ class TestLayers:
         assert classify_layer(b["Y_P0"] + 1.0, co, b) == "unbounded"
 
 
+#: Sweep-sampler scenarios (``random.Random(2026)``, cases 53, 116 and 142)
+#: whose critical points lie above Y_SEARCH_MAX = 20, with the top default
+#: drift level: (h, k, a, omega, branch), Y0.
+HIGH_CRITICAL_POINTS = {
+    "case53": ((2.5708975609458276, 8.324420227820722, 0.014404693723133152,
+                -3.48819541222382, "minus"), 21.499621241413017),
+    "case116": ((3.431574006499603, 7.815082258397202, 0.0018314340874460205,
+                 -9.265758034342484, "minus"), 26.80551359867166),
+    "case142": ((4.056632526485536, 6.115289478642808, 0.00510602388664912,
+                 -21.793750950992386, "minus"), 24.81386831506682),
+}
+
+
+class TestCriticalPointsAboveTheSearchCap:
+    """The layers come from every critical point up to the integration
+    guard, not only those below the portrait's default cap."""
+
+    @pytest.mark.parametrize("case", sorted(HIGH_CRITICAL_POINTS))
+    def test_surface_layer_runs_right_as_integration_shows(self, case):
+        (h, k, a, omega, branch), Y0 = HIGH_CRITICAL_POINTS[case]
+        p = WaveParams.solve(G, h, k, omega, a=a, branch=branch)
+        co, _ = SteadyCoeffs.from_params(p).normalized()
+        (report,) = [r for r in drift_profile(p, n=33) if r.Y0 == Y0]
+        assert (report.layer, report.direction) == ("surface_wave", "always_forward")
+        # Oracle: the orbit from (pi, Y0) runs right, with physical velocity
+        # (dX/dt + f)/k > 0 throughout, and crosses X = 3*pi after tau.
+        tau = event_crossing_time(Y0, co, 3.0 * math.pi, 1, rtol=1e-12,
+                                  atol=1e-12, periods=100)
+        assert report.tau == pytest.approx(tau, rel=1e-8)
+        sol = solve_ivp(lambda t, z: (co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)),
+                        (0.0, tau), (math.pi, Y0), method="DOP853", rtol=1e-12,
+                        atol=1e-12, dense_output=True)
+        X, Y = sol.sol(np.linspace(0.0, tau, 2001))
+        assert np.min(co.H_Y(X, Y, np) + co.f) > 0.0
+
+    def test_level_above_a_high_saddle_escapes(self):
+        # Case 7: a single saddle at Y = 70.06, the top level just above its
+        # separatrix on X = pi, where the parent refused the profile.
+        p = WaveParams.solve(G, 8.521899476120227, 8.268383081214612,
+                             -0.6712305824637578, a=0.18662143492868533,
+                             branch="plus")
+        co, _ = SteadyCoeffs.from_params(p).normalized()
+        report = drift_profile(p, n=33)[-1]
+        assert (report.layer, report.direction) == ("unbounded", "forward")
+        assert math.isnan(report.tau) and report.mean_speed == co.f / co.k
+        # Oracle: the orbit never reaches X = 0 and climbs away.
+        sol = solve_ivp(lambda t, z: (co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)),
+                        (0.0, 20 * 2.0 * math.pi / co.f), (math.pi, report.Y0),
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        assert np.min(sol.y[0]) > 0.0 and np.max(sol.y[1]) > report.Y0 + 10.0
+
+
 class TestDrift:
     def test_bed_drifts_forward(self, fig1_coeffs):
         r = drift_per_period(0.0, fig1_coeffs)

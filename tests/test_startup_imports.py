@@ -3,8 +3,12 @@
 - Every command runs on numpy alone: the README commands exit 0 with
   every scipy import blocked, and the commands that never integrate do not
   load scipy even where it is installed.
-- ``import shearwave`` loads no numpy, and the ``dispersion`` command
-  loads neither numpy nor the fields, portrait, paths or DOP853 modules.
+- ``import shearwave`` loads no numpy, and the ``dispersion`` and
+  ``bifurcation`` commands load neither numpy nor the fields, portrait,
+  paths or DOP853 modules.
+- ``drift`` (with ``--find-closed``) runs on the numpy-free ``steady`` and
+  ``drift`` modules and the DOP853 port: it loads neither numpy nor the
+  fields, portrait or paths modules.
 - ``validate``, ``portrait`` and ``bifurcation`` load neither the paths
   module nor the DOP853 port.
 - Every public name still resolves from the package, through
@@ -29,6 +33,8 @@ SCIPY_PARTS = ("scipy.optimize", "scipy.integrate")
 NOT_FOR_DISPERSION = ("numpy", "shearwave.fields", "shearwave.portrait",
                       "shearwave.paths", "shearwave.dop853")
 NOT_FOR_PORTRAITS = ("shearwave.paths", "shearwave.dop853")
+NOT_FOR_DRIFT = ("numpy", "shearwave.fields", "shearwave.portrait",
+                 "shearwave.paths")
 
 #: Runs one CLI command, then reports its exit code and every loaded module.
 PROBE = """
@@ -109,6 +115,19 @@ def test_dispersion_loads_no_numpy_and_no_solver_module(tmp_path):
     result = run_fresh(tmp_path, *DISPERSION)
     assert result["code"] == 0
     assert loaded(result, NOT_FOR_DISPERSION) == []
+
+
+def test_bifurcation_loads_no_numpy_and_no_array_module(tmp_path):
+    result = run_fresh(tmp_path, *README_COMMANDS[4])
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_DISPERSION) == []
+
+
+def test_drift_loads_no_numpy_and_no_array_module(tmp_path):
+    result = run_fresh(tmp_path, *README_COMMANDS[3])
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_DRIFT) == []
+    assert "shearwave.drift" in result["loaded"]
 
 
 @pytest.mark.parametrize("argv", NON_INTEGRATING[1:], ids=lambda argv: argv[0])
