@@ -35,16 +35,16 @@ _LAZY = {
         "ClosedOrbit", "DriftReport", "classify_layer", "drift_per_period",
         "drift_profile", "find_closed_orbit", "layer_boundaries",
         "section_height", "transit_time_tau"), "drift"),
+    **dict.fromkeys(("Trajectory", "read_seeds"), "drift"),
+    **dict.fromkeys(("integrate_steady", "to_physical", "to_steady"), "paths"),
     **dict.fromkeys((
-        "Trajectory", "integrate_steady", "read_seeds", "to_physical",
-        "to_steady"), "paths"),
+        "IsoclineBranch", "PhasePortrait", "SeparatrixTrace", "portrait_json",
+        "portrait_svg"), "phase"),
     **dict.fromkeys((
-        "IsoclineBranch", "PhasePortrait", "SeparatrixTrace",
-        "build_phase_portrait", "infinity_isocline", "portrait_json",
-        "portrait_svg", "trace_separatrix"), "portrait"),
+        "build_phase_portrait", "infinity_isocline", "trace_separatrix"), "portrait"),
 }
 
-_SUBMODULES = ("dop853", "drift", "fields", "paths", "portrait", "steady")
+_SUBMODULES = ("dop853", "drift", "fields", "paths", "phase", "portrait", "steady")
 
 __all__ = sorted([
     "DomainError", "NondimParams", "NumericsError", "Regime", "ShearwaveError",

@@ -22,7 +22,8 @@ from .params import WaveParams, classify_regime, dispersion_residual
 
 # The solver modules are imported inside the commands that use them, so
 # each command loads only what it runs: ``dispersion`` needs none of them,
-# ``bifurcation`` and ``drift`` only the numpy-free ``steady`` and ``drift``.
+# ``bifurcation``, ``portrait``, ``paths`` and ``drift`` only the numpy-free
+# ``steady``, ``phase`` and ``drift``; ``validate`` alone loads numpy.
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -176,20 +177,20 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    from . import portrait as wport
+    from . import phase as wphase
 
     name, p = resolve_params(args)
     formats = _formats(args)
     out = _out_dir(args, name)
-    portrait = wport.build_phase_portrait(p, ymax=args.ymax,
+    portrait = wphase.build_phase_portrait(p, ymax=args.ymax,
                                           resolution=args.resolution)
     if "json" in formats:
-        _write_text(out / "portrait.json", wport.portrait_json(portrait))
+        _write_text(out / "portrait.json", wphase.portrait_json(portrait))
     if "csv" in formats:
-        _write_rows(out / "isoclines.csv", wport.isocline_csv_rows(portrait))
-        _write_rows(out / "separatrices.csv", wport.separatrix_csv_rows(portrait))
+        _write_rows(out / "isoclines.csv", wphase.isocline_csv_rows(portrait))
+        _write_rows(out / "separatrices.csv", wphase.separatrix_csv_rows(portrait))
     if "svg" in formats:
-        _write_text(out / "portrait.svg", wport.portrait_svg(portrait))
+        _write_text(out / "portrait.svg", wphase.portrait_svg(portrait))
     kinds = ",".join(cp.kind for cp in portrait.critical_points)
     _say(args, f"{name}: {len(portrait.critical_points)} critical point(s) "
                f"[{kinds}], {len(portrait.separatrix_groups)} separatrix(es) "
@@ -206,7 +207,7 @@ def _default_seeds(p: WaveParams) -> list[tuple[float, float]]:
 
 
 def cmd_paths(args) -> int:
-    from . import paths as wpaths
+    from . import drift as wdrift
     from .steady import SteadyCoeffs
 
     name, p = resolve_params(args)
@@ -215,20 +216,20 @@ def cmd_paths(args) -> int:
     co = SteadyCoeffs.from_params(p)
     co_n, shifted = co.normalized()
     if args.seeds:
-        seeds = wpaths.read_seeds(Path(args.seeds).read_text(encoding="utf-8"))
+        seeds = wdrift.read_seeds(Path(args.seeds).read_text(encoding="utf-8"))
     else:
         seeds = _default_seeds(p)
     t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / p.f
     summary = {"scenario": name, "t_end": t_end, "trajectories": []}
     for idx, (X0, Y0) in enumerate(seeds):
-        traj = wpaths.integrate_steady(X0, Y0, co_n, t_end, rtol=args.rtol,
-                                       shifted=shifted)
+        traj = wdrift.steady_trajectory(X0, Y0, co_n, t_end, rtol=args.rtol,
+                                        shifted=shifted)
         if "csv" in formats:
             _write_rows(out / f"trajectory_{idx:03d}.csv",
-                        wpaths.trajectory_csv_rows(traj))
+                        wdrift.trajectory_csv_rows(traj))
         summary["trajectories"].append({
             "index": idx, "X0": X0, "Y0": Y0,
-            "n_steps": int(len(traj.t)),
+            "n_steps": len(traj.t),
             "h_drift_scaled": traj.h_drift_scaled,
             "truncated": traj.truncated,
         })

@@ -21,13 +21,16 @@ Orbit families and how each is handled:
 * unbounded orbits hug a vertical asymptote, so X stays bounded and the
   mean physical velocity is f/k.
 
-Like ``steady``, this module runs on ``math`` without numpy.
+Trajectories for export are integrated here too, as lists; ``paths``
+wraps them into arrays.  Like ``steady``, this module runs on ``math``
+without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -47,6 +50,9 @@ Y_ESCAPE_MIN = 30.0
 
 #: Columns of the drift CSV.
 DRIFT_HEADER = "Y0,y0_m,tau,drift_m,direction,layer"
+
+#: Columns of the trajectory CSV.
+TRAJECTORY_HEADER = "t,X,Y,x,y,H"
 
 LAYERS = ("bed_adjacent", "internal_wave", "vortex", "surface_wave", "unbounded")
 
@@ -90,6 +96,74 @@ def physical_coords(t, X, Y, co: SteadyCoeffs, shifted: bool):
     """Physical (x, y) of steady states: inverts X = k*x - f*t, Y = k*y."""
     shift = math.pi if shifted else 0.0
     return (X - shift + co.f * t) / co.k, Y / co.k
+
+
+# ----------------------------------------------------------------------
+# Trajectories
+# ----------------------------------------------------------------------
+
+@dataclass
+class Trajectory:
+    """Time-stamped steady and physical states with a Hamiltonian audit.
+
+    The six columns are equal-length sequences: lists from
+    ``steady_trajectory``, numpy arrays from ``paths.integrate_steady``.
+    """
+
+    t: Sequence[float]
+    X: Sequence[float]
+    Y: Sequence[float]
+    x: Sequence[float]
+    y: Sequence[float]
+    H: Sequence[float]
+    co: SteadyCoeffs
+    shifted: bool = False
+    layer: str | None = None
+    truncated: bool = False
+    method: str = "adaptive"
+
+    @property
+    def h_drift(self) -> float:
+        """max |H(t) - H(0)|, the integrator-quality audit."""
+        H0 = self.H[0]
+        return float(max(abs(h - H0) for h in self.H))
+
+    @property
+    def h_drift_scaled(self) -> float:
+        return self.h_drift / (1.0 + abs(float(self.H[0])))
+
+
+def check_trajectory_start(X0: float, Y0: float, t_end: float,
+                           rtol: float, atol: float) -> None:
+    """DomainError unless the start point is finite with Y0 >= 0, the end
+    time positive and finite, and both tolerances positive and finite."""
+    if not (math.isfinite(X0) and math.isfinite(Y0)):
+        raise DomainError(f"the start point must be finite, got ({X0!r}, {Y0!r})")
+    if Y0 < 0:
+        raise DomainError("Y0 must be nonnegative")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {tol!r}")
+
+
+def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
+                      rtol: float = 1e-10, atol: float = 1e-12,
+                      shifted: bool = False) -> Trajectory:
+    """DOP853 trajectory from (X0, Y0) over [0, t_end] at every accepted
+    step, as lists, with H on the guarded math kernel; truncated when the
+    orbit escapes (see accepted_steps)."""
+    check_trajectory_start(X0, Y0, t_end, rtol, atol)
+    ts, Xs, Ys, escaped = accepted_steps(X0, Y0, co, t_end, rtol, atol)
+    xs, ys = [], []
+    for t, X, Y in zip(ts, Xs, Ys):
+        x, y = physical_coords(t, X, Y, co, shifted)
+        xs.append(x)
+        ys.append(y)
+    H = [co.H(X, Y, GUARDED) for X, Y in zip(Xs, Ys)]
+    return Trajectory(t=ts, X=Xs, Y=Ys, x=xs, y=ys, H=H, co=co, shifted=shifted,
+                      truncated=escaped, method="adaptive")
 
 
 # ----------------------------------------------------------------------
@@ -561,3 +635,26 @@ def drift_csv_rows(reports: list[DriftReport], k: float):
     for r in reports:
         yield (f"{r.Y0:.17g},{r.Y0 / k:.17g},{r.tau:.17g},{r.drift_m:.17g},"
                f"{r.direction},{r.layer}")
+
+
+def trajectory_csv_rows(traj: Trajectory):
+    yield TRAJECTORY_HEADER
+    for row in zip(traj.t, traj.X, traj.Y, traj.x, traj.y, traj.H):
+        yield ",".join(f"{v:.17g}" for v in row)
+
+
+def read_seeds(text: str) -> list[tuple[float, float]]:
+    """Parse a seeds file: one ``X0 Y0`` pair per line, ``#`` comments."""
+    seeds = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DomainError(f"malformed seed on line {lineno}: {raw!r}")
+        try:
+            seeds.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise DomainError(f"non-numeric seed on line {lineno}: {raw!r}") from None
+    return seeds

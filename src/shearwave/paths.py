@@ -1,27 +1,29 @@
 """Particle trajectories in the steady and physical frames, with a
-Hamiltonian audit.  Transit times, drift and closed orbits are in the
-numpy-free ``drift``; their names are re-exported here.
+Hamiltonian audit: the array face of ``drift``.  Adaptive trajectories,
+transit times, drift and closed orbits are computed there without numpy,
+and their names are re-exported here; this module returns trajectories as
+numpy arrays and adds the fixed-step implicit midpoint rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import (DRIFT_HEADER, LAYERS, TS_H0, TS_MAX_HALVINGS, TS_RTOL, TS_T_MAX,
-                    Y_ESCAPE_MIN, Y_GUARD, ClosedOrbit, DriftReport, _h_at_pi,
-                    _loop_period_and_min_xdot, _piece_bracket, _scalar_rhs,
-                    _tau_quadrature, _trichotomy, accepted_steps, classify_layer,
-                    drift_csv_rows, drift_per_period, drift_profile, find_closed_orbit,
-                    fluid_top_level, layer_boundaries, physical_coords,
-                    section_height, transit_time_tau)
+from .drift import (DRIFT_HEADER, LAYERS, TRAJECTORY_HEADER, TS_H0, TS_MAX_HALVINGS,
+                    TS_RTOL, TS_T_MAX, Y_ESCAPE_MIN, Y_GUARD, ClosedOrbit, DriftReport,
+                    Trajectory, _h_at_pi, _loop_period_and_min_xdot, _piece_bracket,
+                    _scalar_rhs, _tau_quadrature, _trichotomy, accepted_steps,
+                    check_trajectory_start, classify_layer, drift_csv_rows,
+                    drift_per_period, drift_profile, find_closed_orbit,
+                    fluid_top_level, layer_boundaries, physical_coords, read_seeds,
+                    section_height, steady_trajectory, trajectory_csv_rows,
+                    transit_time_tau)
 from .errors import DomainError, NumericsError
-from .fields import SteadyCoeffs, hamiltonian
-
-#: Columns of the trajectory CSV.
-TRAJECTORY_HEADER = "t,X,Y,x,y,H"
+from .fields import hamiltonian
+from .steady import SteadyCoeffs
 
 
 # ----------------------------------------------------------------------
@@ -50,44 +52,6 @@ def to_steady(t, x, y, co: SteadyCoeffs, shifted: bool = False):
 # Integration
 # ----------------------------------------------------------------------
 
-@dataclass
-class Trajectory:
-    """Time-stamped steady and physical states with a Hamiltonian audit."""
-
-    t: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    H: np.ndarray
-    co: SteadyCoeffs
-    shifted: bool = False
-    layer: str | None = None
-    truncated: bool = False
-    method: str = "adaptive"
-
-    @property
-    def h_drift(self) -> float:
-        """max |H(t) - H(0)|, the integrator-quality audit."""
-        return float(np.max(np.abs(self.H - self.H[0])))
-
-    @property
-    def h_drift_scaled(self) -> float:
-        return self.h_drift / (1.0 + abs(float(self.H[0])))
-
-
-def _make_trajectory(t, X, Y, co, shifted, truncated, method) -> Trajectory:
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    H = np.asarray(hamiltonian(X, Y, co), float)
-    traj = Trajectory(t=t, X=X, Y=Y, x=np.empty_like(t), y=np.empty_like(t),
-                      H=H, co=co, shifted=shifted, truncated=truncated,
-                      method=method)
-    traj.x, traj.y = to_physical(traj)
-    return traj
-
-
 def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                      rtol: float = 1e-10, atol: float = 1e-12,
                      method: str = "adaptive", dt: float | None = None,
@@ -101,18 +65,17 @@ def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     scheme, is the quality gate.  A trajectory escaping |Y| > 700 is
     truncated and flagged.
     """
-    if Y0 < 0:
-        raise DomainError("Y0 must be nonnegative")
-    if not t_end > 0:
-        raise DomainError("t_end must be positive")
     if method == "adaptive":
-        traj = _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted)
+        traj = steady_trajectory(X0, Y0, co, t_end, rtol, atol, shifted)
     elif method == "midpoint":
+        check_trajectory_start(X0, Y0, t_end, rtol, atol)
         if dt is None:
             dt = t_end / 2000.0
         traj = _integrate_midpoint(X0, Y0, co, t_end, dt, shifted)
     else:
         raise DomainError(f"unknown method {method!r}")
+    traj = dataclasses.replace(traj, **{name: np.asarray(getattr(traj, name), float)
+                                        for name in ("t", "X", "Y", "x", "y", "H")})
     if co.Ak >= 0:
         try:
             ysec = section_height(X0, Y0, co)
@@ -129,11 +92,6 @@ def _rhs(t, z, co):
     X, Y = z
     with np.errstate(over="ignore", invalid="ignore"):
         return co.H_Y(X, Y, np), -co.H_X(X, Y, np)
-
-
-def _integrate_adaptive(X0, Y0, co, t_end, rtol, atol, shifted):
-    ts, Xs, Ys, escaped = accepted_steps(X0, Y0, co, t_end, rtol, atol)
-    return _make_trajectory(ts, Xs, Ys, co, shifted, escaped, "adaptive")
 
 
 def _integrate_midpoint(X0, Y0, co, t_end, dt, shifted):
@@ -162,32 +120,13 @@ def _integrate_midpoint(X0, Y0, co, t_end, dt, shifted):
             Z = Z[:i + 2]
             ts = ts[:i + 2]
             Z[i + 1] = z
-            return _make_trajectory(ts, Z[:, 0], Z[:, 1], co, shifted,
-                                    True, "midpoint")
+            return _midpoint_trajectory(ts, Z, co, shifted, True)
         Z[i + 1] = z
-    return _make_trajectory(ts, Z[:, 0], Z[:, 1], co, shifted, False, "midpoint")
+    return _midpoint_trajectory(ts, Z, co, shifted, False)
 
 
-# ----------------------------------------------------------------------
-# File formats
-# ----------------------------------------------------------------------
-
-def trajectory_csv_rows(traj: Trajectory):
-    yield TRAJECTORY_HEADER
-    for i in range(len(traj.t)):
-        yield (f"{traj.t[i]:.17g},{traj.X[i]:.17g},{traj.Y[i]:.17g},"
-               f"{traj.x[i]:.17g},{traj.y[i]:.17g},{traj.H[i]:.17g}")
-
-
-def read_seeds(text: str) -> list[tuple[float, float]]:
-    """Parse a seeds file: one ``X0 Y0`` pair per line, ``#`` comments."""
-    seeds = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DomainError(f"malformed seed on line {lineno}: {raw!r}")
-        seeds.append((float(parts[0]), float(parts[1])))
-    return seeds
+def _midpoint_trajectory(ts, Z, co, shifted, truncated) -> Trajectory:
+    X, Y = Z[:, 0], Z[:, 1]
+    x, y = physical_coords(ts, X, Y, co, shifted)
+    return Trajectory(t=ts, X=X, Y=Y, x=x, y=y, H=np.asarray(hamiltonian(X, Y, co)),
+                      co=co, shifted=shifted, truncated=truncated, method="midpoint")

@@ -1,43 +1,27 @@
-"""Steady-frame phase portraits.
+"""Steady-frame phase portraits: the array face of ``phase``.
 
-The X-nullcline ("infinity isocline") of the steady system is the root set
-of phi(Y; X) = Ak*cos(X)*cosh(Y) - omega*Y - f.  For nonnegative vorticity
-it is a single convex graph over |X| < pi/2 and the portrait has exactly
-one critical point per period strip, a saddle above the crest.  For
-negative vorticity, once the amplitude is small enough that the branching
-discriminant is positive, the isocline splits into two branches over
-(pi/2, pi], three critical points appear (saddle, center, saddle ordered
-by height) and the portrait gains an interior vortex (cat's-eye) between
-two critical layers.
-
-Separatrices are traced as level sets of the Hamiltonian rather than by
-time integration: the stable/unstable manifolds of a saddle coincide with
-the H = H(saddle) level curve, and level tracking does not accumulate
-time-integration drift.
+The portrait is computed by the numpy-free ``phase`` module, whose names
+are re-exported here; this module returns its polylines as (n, 2) numpy
+arrays and adds the array helpers ``phi`` and ``infinity_isocline``.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, TraceError, UnsupportedConfig
-from .fields import SteadyCoeffs, hamiltonian, hamiltonian_gradient
-from .params import (Y_SEARCH_MAX, Regime, WaveParams, branching_discriminant,
-                     classify_regime)
+from . import phase
+from .errors import UnsupportedConfig
+from .params import Y_SEARCH_MAX
+from .phase import (LEVEL_TOL, REAPPROACH_DIST, SADDLE_OFFSET, SEPARATRIX_DIRECTIONS,
+                    SVG_STYLE, IsoclineBranch, PhasePortrait,
+                    SeparatrixTrace, isocline_csv_rows, portrait_json,
+                    portrait_summary, portrait_svg, separatrix_csv_rows)
 from .steady import (_BRENT_RTOL, ROOT_XTOL, BifurcationScan, CriticalPoint, ScanRow,
-                     _brentq, _polish_root, bifurcation_scan, bracketed_root,
-                     classify_critical_point, find_critical_points, isocline_roots)
-
-#: Tolerances of the portrait machinery.
-SADDLE_OFFSET = 1e-6
-LEVEL_TOL = 1e-10       # corrector target |H - H_level|, scaled by (1 + |H_level|)
-REAPPROACH_DIST = 1e-5  # terminate a trace this close to a critical point
-
-SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
+                     SteadyCoeffs, _brentq, _polish_root, bifurcation_scan,
+                     bracketed_root, classify_critical_point, find_critical_points,
+                     isocline_roots)
 
 
 def phi(Y, X, co: SteadyCoeffs):
@@ -57,495 +41,27 @@ def infinity_isocline(X: float, co: SteadyCoeffs, y_cap: float = 700.0) -> np.nd
     return np.asarray(isocline_roots(float(X), co, float(y_cap)), dtype=float)
 
 
-# ----------------------------------------------------------------------
-# Separatrix tracing (level-set continuation)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeparatrixTrace:
-    """One traced arm of a saddle's level set."""
-
-    saddle: CriticalPoint
-    direction: str          # one of SEPARATRIX_DIRECTIONS
-    H_level: float
-    points: np.ndarray      # (n, 2) array of (X, Y)
-    termination: str        # strip_boundary | bed | ymax | critical_point | cap
-    near_label: str = ""    # label of the critical point reached, if any
-
-
-def _saddle_arm_direction(saddle: CriticalPoint, co: SteadyCoeffs,
-                          direction: str) -> np.ndarray:
-    """Unit tangent of the requested invariant-manifold arm at the saddle.
-
-    The flow Jacobian at a critical point is [[Hxy, Hyy], [-Hxx, -Hxy]];
-    its eigenvectors are tangent to the stable/unstable manifolds, which
-    for a Hamiltonian saddle lie on the level-set asymptotes.
-    """
-    X, Y = saddle.X, saddle.Y
-    Hxx, Hxy, Hyy = co.hessian(X, Y, math)
-    disc = Hxy * Hxy - Hxx * Hyy
-    if disc <= 0:
-        raise NumericsError("no real manifold directions: not a saddle",
-                            diagnostics={"X": X, "Y": Y, "disc": disc})
-    lam = math.sqrt(disc) if direction.startswith("unstable") else -math.sqrt(disc)
-    v_row1 = np.array([Hyy, lam - Hxy])
-    v_row2 = np.array([-lam - Hxy, -Hxx])
-    v = v_row1 if np.linalg.norm(v_row1) >= np.linalg.norm(v_row2) else v_row2
-    v = v / np.linalg.norm(v)
-    if direction.endswith("-"):
-        v = -v
-    return v
-
-
-def _correct_onto_level(p, H_level, co, tol, max_iter=12):
-    """Newton along the gradient direction onto H = H_level."""
-    x, y = float(p[0]), float(p[1])
-    for _ in range(max_iter):
-        r = float(hamiltonian(x, y, co)) - H_level
-        if abs(r) <= tol:
-            return (x, y), True
-        gx, gy = hamiltonian_gradient(x, y, co)
-        g2 = float(gx) * float(gx) + float(gy) * float(gy)
-        if g2 == 0.0:
-            return (x, y), False
-        x -= r * float(gx) / g2
-        y -= r * float(gy) / g2
-    return (x, y), abs(float(hamiltonian(x, y, co)) - H_level) <= tol
+def _array_arm(arm: SeparatrixTrace) -> SeparatrixTrace:
+    return dataclasses.replace(arm, points=np.asarray(arm.points, dtype=float))
 
 
 def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
                      ymax: float = Y_SEARCH_MAX,
                      critical_points: list[CriticalPoint] | None = None,
                      max_points: int = 100000) -> SeparatrixTrace:
-    """Trace one arm of the level set H = H(saddle) from the saddle.
-
-    The trace is seeded a small offset along the chosen manifold tangent,
-    corrected onto the level set, then continued by predictor steps along
-    the level-set tangent with a Newton corrector along the gradient.
-    It terminates at the strip boundary X = +-pi, at Y = 0, at Y = ymax,
-    or on re-approach to a critical point.
-    """
-    if saddle.kind != "saddle":
-        raise DomainError(f"separatrices emanate from saddles, got {saddle.kind!r}")
-    if direction not in SEPARATRIX_DIRECTIONS:
-        raise DomainError(f"direction must be one of {SEPARATRIX_DIRECTIONS}")
-    if critical_points is None:
-        critical_points = find_critical_points(co, y_cap=max(ymax, Y_SEARCH_MAX))
-    # Proximity targets include the periodic translates at X - 2*pi.
-    targets = []
-    for cp in critical_points:
-        targets.append((cp.X, cp.Y, cp.label))
-        if cp.X != 0.0:
-            targets.append((cp.X - 2.0 * math.pi, cp.Y, cp.label))
-
-    H_level = saddle.H_value
-    tol = LEVEL_TOL * (1.0 + abs(H_level))
-    v = _saddle_arm_direction(saddle, co, direction)
-    seed = (saddle.X + SADDLE_OFFSET * v[0], saddle.Y + SADDLE_OFFSET * v[1])
-    seed, ok = _correct_onto_level(seed, H_level, co, tol)
-    if not ok:
-        raise TraceError("could not place the seed on the level set",
-                         partial=np.empty((0, 2)),
-                         diagnostics={"saddle": saddle.label, "direction": direction})
-
-    points = [(float(saddle.X), float(saddle.Y)), seed]
-    # Arms of a boundary saddle that point out of the strip are the mirror
-    # images of inward arms of the periodic translate; stop right away.
-    if abs(seed[0]) > math.pi or seed[1] < 0.0 or seed[1] > ymax:
-        status = "strip_boundary" if abs(seed[0]) > math.pi else (
-            "bed" if seed[1] < 0.0 else "ymax")
-        return SeparatrixTrace(saddle=saddle, direction=direction,
-                               H_level=H_level, points=np.asarray(points),
-                               termination=status, near_label="")
-    prev_dir = v
-    ds = 1e-4
-    ds_max = 0.05
-    ds_min = 1e-10
-    origin_active = False
-    termination = "cap"
-    near_label = ""
-
-    def boundary_cross(p_prev, p_new):
-        # Returns (point_on_boundary, status) or None.
-        x0, y0 = p_prev
-        x1, y1 = p_new
-        crossings = []
-        if y1 < 0.0 and y0 > 0.0:
-            t = y0 / (y0 - y1)
-            crossings.append((t, (x0 + t * (x1 - x0), 0.0), "bed"))
-        if y1 > ymax and y0 < ymax:
-            t = (ymax - y0) / (y1 - y0)
-            xg = x0 + t * (x1 - x0)
-            crossings.append((t, (xg, ymax), "ymax"))
-        for xb in (math.pi, -math.pi):
-            if (x1 - xb) * (x0 - xb) < 0.0:
-                t = (xb - x0) / (x1 - x0)
-                yg = y0 + t * (y1 - y0)
-                crossings.append((t, (xb, yg), "strip_boundary"))
-        if not crossings:
-            return None
-        t, p, status = min(crossings, key=lambda c: c[0])
-        if status != "bed":
-            # Newton onto the level set along the free coordinate: Y on the
-            # strip boundary, X on the ymax line.
-            axis = 1 if status == "strip_boundary" else 0
-            q = list(p)
-            for _ in range(30):
-                r = float(hamiltonian(q[0], q[1], co)) - H_level
-                if abs(r) <= tol:
-                    break
-                d = float(hamiltonian_gradient(q[0], q[1], co)[axis])
-                if d == 0.0:
-                    break
-                q[axis] -= r / d
-            p = (q[0], max(q[1], 0.0))
-        return p, status
-
-    p = seed
-    while len(points) < max_points:
-        gx, gy = hamiltonian_gradient(p[0], p[1], co)
-        tangent = np.array([float(gy), -float(gx)])
-        norm = np.linalg.norm(tangent)
-        if norm == 0.0:
-            termination = "critical_point"
-            break
-        tangent /= norm
-        if float(np.dot(tangent, prev_dir)) < 0.0:
-            tangent = -tangent
-
-        accepted = None
-        while ds >= ds_min:
-            pred = (p[0] + ds * tangent[0], p[1] + ds * tangent[1])
-            cand, ok = _correct_onto_level(pred, H_level, co, tol)
-            if ok and math.hypot(cand[0] - p[0], cand[1] - p[1]) <= 3.0 * ds:
-                accepted = cand
-                break
-            ds *= 0.5
-        if accepted is None:
-            raise TraceError("step size underflow while tracing the level set",
-                             partial=np.asarray(points),
-                             diagnostics={"saddle": saddle.label,
-                                          "direction": direction, "ds": ds})
-
-        cross = boundary_cross(p, accepted)
-        if cross is not None:
-            points.append(cross[0])
-            termination = cross[1]
-            break
-
-        dist_origin = math.hypot(accepted[0] - saddle.X, accepted[1] - saddle.Y)
-        if not origin_active and dist_origin > 5.0 * REAPPROACH_DIST:
-            origin_active = True
-        hit = None
-        for tx, ty, lbl in targets:
-            if not origin_active and tx == saddle.X and ty == saddle.Y:
-                continue
-            if math.hypot(accepted[0] - tx, accepted[1] - ty) < REAPPROACH_DIST:
-                hit = lbl
-                break
-        points.append(accepted)
-        if hit is not None:
-            termination = "critical_point"
-            near_label = hit
-            break
-
-        # Curvature-limited step adaptation.
-        step_dir = np.array([accepted[0] - p[0], accepted[1] - p[1]])
-        step_norm = np.linalg.norm(step_dir)
-        if step_norm > 0:
-            step_dir /= step_norm
-            turn = math.acos(min(1.0, max(-1.0, float(np.dot(step_dir, prev_dir)))))
-            if turn > 1e-12:
-                ds = min(ds_max, max(ds_min, ds * min(1.5, 0.05 / turn)))
-            else:
-                ds = min(ds_max, ds * 1.5)
-            prev_dir = step_dir
-        p = accepted
-
-    return SeparatrixTrace(saddle=saddle, direction=direction, H_level=H_level,
-                           points=np.asarray(points), termination=termination,
-                           near_label=near_label)
+    """``phase.trace_separatrix`` with the points as an (n, 2) array."""
+    return _array_arm(phase.trace_separatrix(saddle, co, direction, ymax=ymax,
+                                             critical_points=critical_points,
+                                             max_points=max_points))
 
 
-# ----------------------------------------------------------------------
-# Portrait assembly
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IsoclineBranch:
-    """One branch of the X-nullcline, sampled as a polyline."""
-
-    label: str              # "gamma" (single branch) | "Y1" (lower) | "Y2" (upper)
-    samples: np.ndarray     # (n, 2) array of (X, Y), ascending X
-    monotonicity: str       # trend of Y over the X >= 0 half
-
-
-@dataclass(frozen=True)
-class PhasePortrait:
-    """Isoclines, critical points and separatrices of one period strip."""
-
-    params: WaveParams
-    regime: Regime
-    coeffs: SteadyCoeffs            # as derived from params (Ak may be < 0)
-    coeffs_normalized: SteadyCoeffs # effective coefficients with Ak >= 0
-    shifted: bool                   # True when X -> X + pi was applied
-    critical_points: list[CriticalPoint]
-    isoclines: list[IsoclineBranch]
-    separatrices: list[SeparatrixTrace]
-    separatrix_groups: list[list[int]]  # indexes into separatrices, mirror pairs
-    x_range: tuple[float, float]
-    ymax: float
-    resolution: int
-
-
-def _monotonicity(samples: np.ndarray) -> str:
-    half = samples[samples[:, 0] >= 0.0]
-    if len(half) < 2:
-        half = samples
-    if len(half) < 2:
-        return "increasing"
-    return "increasing" if half[-1, 1] >= half[0, 1] else "decreasing"
-
-
-def _assemble_isoclines(co: SteadyCoeffs, ymax: float,
-                        resolution: int) -> list[IsoclineBranch]:
-    xs = np.linspace(-math.pi, math.pi, resolution)
-    y_cap = max(2.0 * ymax, Y_SEARCH_MAX)
-    lower, upper = [], []
-    for x in xs:
-        roots = isocline_roots(float(x), co, y_cap)
-        if roots and roots[0] <= ymax:
-            lower.append((x, roots[0]))
-        if len(roots) == 2 and roots[1] <= ymax:
-            upper.append((x, roots[1]))
-    branches = []
-    for label, pts in (("gamma" if co.omega >= 0 else "Y1", lower), ("Y2", upper)):
-        if pts:
-            arr = np.asarray(pts)
-            branches.append(IsoclineBranch(label=label, samples=arr,
-                                           monotonicity=_monotonicity(arr)))
-    return branches
-
-
-def _group_arms(arms: list[SeparatrixTrace]) -> list[list[int]]:
-    """Pair mirror-image arms (same saddle family) into separatrix curves."""
-    groups: list[list[int]] = []
-    used = [False] * len(arms)
-    for i, arm in enumerate(arms):
-        if used[i]:
-            continue
-        used[i] = True
-        group = [i]
-        xe, ye = arm.points[-1]
-        for j in range(i + 1, len(arms)):
-            if used[j]:
-                continue
-            other = arms[j]
-            if other.termination != arm.termination:
-                continue
-            if abs(other.H_level - arm.H_level) > 1e-9 * (1 + abs(arm.H_level)):
-                continue
-            xo, yo = other.points[-1]
-            same_y = abs(yo - ye) <= 1e-6 * (1.0 + abs(ye))
-            mirrored_x = abs(xo + xe) <= 1e-6
-            if same_y and (mirrored_x or arm.termination == "critical_point"):
-                used[j] = True
-                group.append(j)
-                break
-        groups.append(group)
-    return groups
-
-
-def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
+def build_phase_portrait(params, ymax: float = Y_SEARCH_MAX,
                          resolution: int = 481) -> PhasePortrait:
-    """Assemble the full portrait of one period strip X in [-pi, pi].
-
-    Portraits are always computed with effective Ak >= 0; when the physical
-    coefficient is negative the half-period shift is applied and recorded
-    (``shifted``), and the regime's crest position restores orientation.
-    """
-    if not 0.0 < ymax < math.inf:
-        raise DomainError(f"ymax must be positive and finite, got {ymax!r}")
-    if resolution < 2:
-        raise DomainError(f"resolution must be at least 2, got {resolution!r}")
-    regime = classify_regime(params)
-    co = SteadyCoeffs.from_params(params)
-    co_n, shifted = co.normalized()
-    critical_points = find_critical_points(co_n, y_cap=max(ymax, Y_SEARCH_MAX))
-    isoclines = _assemble_isoclines(co_n, ymax, resolution)
-
-    arms = []
-    for cp in critical_points:
-        if cp.kind != "saddle":
-            continue
-        for direction in SEPARATRIX_DIRECTIONS:
-            arm = trace_separatrix(cp, co_n, direction, ymax=ymax,
-                                   critical_points=critical_points)
-            # Arms of a boundary saddle that exit immediately are the mirror
-            # images of the inward arms; drop the stubs.
-            if len(arm.points) <= 2 and arm.termination == "strip_boundary":
-                continue
-            arms.append(arm)
-    groups = _group_arms(arms)
-
-    return PhasePortrait(params=params, regime=regime, coeffs=co,
-                         coeffs_normalized=co_n, shifted=shifted,
-                         critical_points=critical_points, isoclines=isoclines,
-                         separatrices=arms, separatrix_groups=groups,
-                         x_range=(-math.pi, math.pi), ymax=ymax,
-                         resolution=resolution)
-
-
-# ----------------------------------------------------------------------
-# Exports: JSON summary, CSV polylines, SVG rendering
-# ----------------------------------------------------------------------
-
-#: Fixed rendering styles (see README); single source of truth for the SVG.
-SVG_STYLE = {
-    "isocline": {"stroke": "#1f77b4", "width": 1.5, "dash": "6 4"},
-    "separatrix": {"stroke": "#d62728", "width": 1.8, "dash": None},
-    "surface": {"stroke": "#2ca02c", "width": 1.0, "dash": "2 3"},
-    "saddle": {"fill": "#000000", "size": 4.0},
-    "center": {"fill": "#2ca02c", "size": 4.0},
-}
-
-
-def portrait_summary(portrait: PhasePortrait) -> dict:
-    """JSON-serializable summary of a portrait."""
-    p = portrait.params
-    return {
-        "params": {"g": p.g, "h": p.h, "a": p.a, "k": p.k, "omega": p.omega,
-                   "s": p.s, "branch": p.branch, "c": p.c, "f": p.f, "A": p.A},
-        "regime": {
-            "vorticity_sign": portrait.regime.vorticity_sign,
-            "crest_shift": portrait.regime.crest_shift,
-            "supercritical": portrait.regime.supercritical,
-            "branching_positive": portrait.regime.branching_positive,
-        },
-        "shifted": portrait.shifted,
-        "domain": {"x_range": list(portrait.x_range), "ymax": portrait.ymax},
-        "n_critical_points": len(portrait.critical_points),
-        "critical_points": [
-            {"label": cp.label, "X": cp.X, "Y": cp.Y, "kind": cp.kind,
-             "hessian_eigs": list(cp.hessian_eigs), "H": cp.H_value}
-            for cp in portrait.critical_points
-        ],
-        "n_separatrices": len(portrait.separatrix_groups),
-        "separatrix_arms": [
-            {"saddle": arm.saddle.label, "direction": arm.direction,
-             "H": arm.H_level, "termination": arm.termination,
-             "near": arm.near_label, "n_points": int(len(arm.points)),
-             "end": [float(arm.points[-1, 0]), float(arm.points[-1, 1])]}
-            for arm in portrait.separatrices
-        ],
-        "isoclines": [
-            {"label": br.label, "n_samples": int(len(br.samples)),
-             "monotonicity": br.monotonicity}
-            for br in portrait.isoclines
-        ],
-    }
-
-
-def portrait_json(portrait: PhasePortrait) -> str:
-    return json.dumps(portrait_summary(portrait), indent=2)
-
-
-def isocline_csv_rows(portrait: PhasePortrait):
-    yield "branch_label,X,Y"
-    for br in portrait.isoclines:
-        for x, y in br.samples:
-            yield f"{br.label},{x:.17g},{y:.17g}"
-
-
-def separatrix_csv_rows(portrait: PhasePortrait):
-    yield "branch_label,X,Y"
-    for idx, arm in enumerate(portrait.separatrices):
-        label = f"sep{idx}_{arm.saddle.label}_{arm.direction}"
-        for x, y in arm.points:
-            yield f"{label},{x:.17g},{y:.17g}"
-
-
-def _svg_path(points, x_map, y_map) -> str:
-    cmds = []
-    for i, (x, y) in enumerate(points):
-        cmds.append(f"{'M' if i == 0 else 'L'}{x_map(x):.3f},{y_map(y):.3f}")
-    return " ".join(cmds)
-
-
-def _split_on_gaps(samples: np.ndarray, dx_max: float):
-    if len(samples) == 0:
-        return
-    start = 0
-    for i in range(1, len(samples)):
-        if samples[i, 0] - samples[i - 1, 0] > dx_max:
-            yield samples[start:i]
-            start = i
-    yield samples[start:]
-
-
-def portrait_svg(portrait: PhasePortrait, width: int = 900, height: int = 450) -> str:
-    """Render the portrait to a standalone SVG string.
-
-    Fixed viewBox [-pi, pi] x [0, ymax]; isoclines dashed, separatrices
-    solid, critical points as markers, styles from ``SVG_STYLE``.  Drawn
-    from the same polyline data as the CSV exports.
-    """
-    margin = 40.0
-    xr = portrait.x_range
-    def x_map(x):
-        return margin + (x - xr[0]) / (xr[1] - xr[0]) * (width - 2 * margin)
-    def y_map(y):
-        return height - margin - y / portrait.ymax * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#888888" stroke-width="1"/>',
-    ]
-    dx_gap = 3.0 * (xr[1] - xr[0]) / max(portrait.resolution - 1, 1)
-    style = SVG_STYLE["isocline"]
-    for br in portrait.isoclines:
-        for piece in _split_on_gaps(br.samples, dx_gap):
-            if len(piece) < 2:
-                continue
-            parts.append(
-                f'<path d="{_svg_path(piece, x_map, y_map)}" fill="none" '
-                f'stroke="{style["stroke"]}" stroke-width="{style["width"]}" '
-                f'stroke-dasharray="{style["dash"]}"/>')
-    # Fluid surface in steady coordinates: Y = k*(h + a*cos(X_physical)).
-    p = portrait.params
-    xs = np.linspace(xr[0], xr[1], 241)
-    shift = math.pi if portrait.shifted else 0.0
-    ys = p.k * (p.h + p.a * np.cos(xs - shift))
-    surf = np.column_stack([xs, ys])
-    surf = surf[surf[:, 1] <= portrait.ymax]
-    style = SVG_STYLE["surface"]
-    if len(surf) >= 2:
-        parts.append(
-            f'<path d="{_svg_path(surf, x_map, y_map)}" fill="none" '
-            f'stroke="{style["stroke"]}" stroke-width="{style["width"]}" '
-            f'stroke-dasharray="{style["dash"]}"/>')
-    style = SVG_STYLE["separatrix"]
-    for arm in portrait.separatrices:
-        # The portrait is mirror symmetric in X; draw each arm and its
-        # reflection so boundary-saddle families render completely.
-        for pts in (arm.points, arm.points * np.array([-1.0, 1.0])):
-            parts.append(
-                f'<path d="{_svg_path(pts, x_map, y_map)}" fill="none" '
-                f'stroke="{style["stroke"]}" stroke-width="{style["width"]}"/>')
-    for cp in portrait.critical_points:
-        style = SVG_STYLE[cp.kind]
-        cx, cy, r = x_map(cp.X), y_map(cp.Y), style["size"]
-        if cp.kind == "saddle":
-            parts.append(
-                f'<path d="M{cx - r:.3f},{cy - r:.3f} L{cx + r:.3f},{cy + r:.3f} '
-                f'M{cx - r:.3f},{cy + r:.3f} L{cx + r:.3f},{cy - r:.3f}" '
-                f'stroke="{style["fill"]}" stroke-width="1.5"/>')
-        else:
-            parts.append(
-                f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" '
-                f'fill="none" stroke="{style["fill"]}" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    """``phase.build_phase_portrait`` with each separatrix arm's points and
+    each isocline branch's samples as (n, 2) arrays."""
+    portrait = phase.build_phase_portrait(params, ymax=ymax, resolution=resolution)
+    return dataclasses.replace(
+        portrait,
+        isoclines=[dataclasses.replace(br, samples=np.asarray(br.samples, dtype=float))
+                   for br in portrait.isoclines],
+        separatrices=[_array_arm(arm) for arm in portrait.separatrices])

@@ -188,11 +188,11 @@ class TestExitCodes:
         assert "i/o error" in err
 
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, tmp_path):
-        import shearwave.portrait
+        import shearwave.phase
 
         def boom(*args, **kwargs):
             raise NumericsError("synthetic failure in component X")
-        monkeypatch.setattr(shearwave.portrait, "build_phase_portrait", boom)
+        monkeypatch.setattr(shearwave.phase, "build_phase_portrait", boom)
         code, _, err = run(capsys, "portrait", "--preset", "fig1",
                            "--out", str(tmp_path), "--quiet")
         assert code == EXIT_NUMERICAL
@@ -204,6 +204,8 @@ class TestOptionRanges:
         ["portrait", "--ymax", "0", "--format", "svg"],
         ["portrait", "--ymax", "-1"],
         ["portrait", "--ymax", "nan"],
+        ["portrait", "--ymax", "400"],   # the isocline search would pass cosh's range
+        ["portrait", "--ymax", "1000"],
         ["portrait", "--resolution", "-1"],
         ["drift", "--levels", "0"],
         ["drift", "--levels", "-3"],

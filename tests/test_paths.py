@@ -79,6 +79,12 @@ class TestIntegration:
             integrate_steady(0.0, 0.1, fig1_coeffs, 0.0)
         with pytest.raises(DomainError):
             integrate_steady(0.0, 0.1, fig1_coeffs, 1.0, method="euler")
+        for bad in (dict(X0=math.nan), dict(Y0=math.inf), dict(t_end=math.inf),
+                    dict(rtol=math.nan), dict(rtol=-1.0), dict(atol=0.0)):
+            for method in ("adaptive", "midpoint"):
+                args = dict(X0=0.0, Y0=0.1, co=fig1_coeffs, t_end=1.0, method=method)
+                with pytest.raises(DomainError):
+                    integrate_steady(**{**args, **bad})
 
     def test_mirror_symmetry(self, fig2_coeffs):
         # The flow commutes with (X, t) -> (-X, -t): running forward from
@@ -433,3 +439,5 @@ class TestFileFormats:
         assert read_seeds(text) == [(3.14, 0.0), (0.0, 0.5)]
         with pytest.raises(DomainError):
             read_seeds("1.0\n")
+        with pytest.raises(DomainError, match="line 2"):
+            read_seeds("0.0 0.5\n1 abc\n")

@@ -6,9 +6,12 @@
 - ``import shearwave`` loads no numpy, and the ``dispersion`` and
   ``bifurcation`` commands load neither numpy nor the fields, portrait,
   paths or DOP853 modules.
-- ``drift`` (with ``--find-closed``) runs on the numpy-free ``steady`` and
-  ``drift`` modules and the DOP853 port: it loads neither numpy nor the
-  fields, portrait or paths modules.
+- ``drift`` (with ``--find-closed``) and ``paths`` (default or file seeds)
+  run on the numpy-free ``steady`` and ``drift`` modules and the DOP853
+  port: they load neither numpy nor the fields, portrait or paths modules.
+- ``portrait`` (every format) runs on the numpy-free ``steady`` and
+  ``phase`` modules: it loads neither numpy nor the fields, portrait,
+  paths, drift or DOP853 modules.
 - ``validate``, ``portrait`` and ``bifurcation`` load neither the paths
   module nor the DOP853 port.
 - Every public name still resolves from the package, through
@@ -35,6 +38,7 @@ NOT_FOR_DISPERSION = ("numpy", "shearwave.fields", "shearwave.portrait",
 NOT_FOR_PORTRAITS = ("shearwave.paths", "shearwave.dop853")
 NOT_FOR_DRIFT = ("numpy", "shearwave.fields", "shearwave.portrait",
                  "shearwave.paths")
+NOT_FOR_PORTRAIT = NOT_FOR_DRIFT + ("shearwave.drift", "shearwave.dop853")
 
 #: Runs one CLI command, then reports its exit code and every loaded module.
 PROBE = """
@@ -125,6 +129,26 @@ def test_bifurcation_loads_no_numpy_and_no_array_module(tmp_path):
 
 def test_drift_loads_no_numpy_and_no_array_module(tmp_path):
     result = run_fresh(tmp_path, *README_COMMANDS[3])
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_DRIFT) == []
+    assert "shearwave.drift" in result["loaded"]
+
+
+def test_portrait_loads_no_numpy_and_no_array_module(tmp_path):
+    result = run_fresh(tmp_path, *README_COMMANDS[1])
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_PORTRAIT) == []
+    assert "shearwave.phase" in result["loaded"]
+
+
+@pytest.mark.parametrize("seeds", [None, "3.141592653589793 0.5\n0.0 0.2\n"],
+                         ids=["default-seeds", "seeds-file"])
+def test_paths_loads_no_numpy_and_no_array_module(tmp_path, seeds):
+    argv = README_COMMANDS[2]
+    if seeds is not None:
+        (tmp_path / "seeds.txt").write_text(seeds, encoding="utf-8")
+        argv += ("--seeds", "seeds.txt")
+    result = run_fresh(tmp_path, *argv)
     assert result["code"] == 0
     assert loaded(result, NOT_FOR_DRIFT) == []
     assert "shearwave.drift" in result["loaded"]
