@@ -5,7 +5,8 @@ Exit codes: 0 ok, 2 bad input, 3 I/O failure, 4 numerical failure.
 
 Outputs are deterministic: identical inputs produce byte-identical CSV and
 JSON files (fixed float formatting, fixed sample grids, fixed RNG seed for
-the validation sampler).
+the validation sampler, whose ``random.Random`` stream Python keeps the
+same across versions).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -21,9 +23,10 @@ from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfi
 from .params import WaveParams, classify_regime, dispersion_residual
 
 # The solver modules are imported inside the commands that use them, so
-# each command loads only what it runs: ``dispersion`` needs none of them,
-# ``bifurcation``, ``portrait``, ``paths`` and ``drift`` only the numpy-free
-# ``steady``, ``phase`` and ``drift``; ``validate`` alone loads numpy.
+# each command loads only what it runs: ``dispersion`` and ``validate`` need
+# none of them, ``bifurcation``, ``portrait``, ``paths`` and ``drift`` only
+# the numpy-free ``steady``, ``phase`` and ``drift``.  No command loads
+# numpy except ``validate --grid``, which writes through ``fields``.
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -304,24 +307,65 @@ def cmd_bifurcation(args) -> int:
     return EXIT_OK
 
 
-def _validate_report(p: WaveParams) -> list[dict]:
-    import numpy as np
-
-    from .fields import field_identity_residuals
-
-    rng = np.random.default_rng(_VALIDATE_SEED)
+def _validate_points(p: WaveParams) -> tuple[list[float], list[float], list[float]]:
+    """The validation sample: t over three periods 2*pi/|f|, x over three
+    wavelengths, y over the water column, drawn from ``_VALIDATE_SEED``."""
+    draw = random.Random(_VALIDATE_SEED).random
     n = _VALIDATE_POINTS
-    t = rng.uniform(0.0, 3.0 * 2.0 * math.pi / p.f, n)
-    x = rng.uniform(0.0, 3.0 * p.wavelength, n)
-    y = rng.uniform(0.0, p.h, n)
-    res = field_identity_residuals(t, x, y, p)
+    spans = (3.0 * 2.0 * math.pi / abs(p.f), 3.0 * p.wavelength, p.h)
+    return tuple([span * draw() for _ in range(n)] for span in spans)
+
+
+def _max_abs(values) -> float:
+    """max |v| over ``values``, NaN when any value is NaN, as numpy's max
+    gives: a sum of magnitudes is NaN only through a NaN term."""
+    mags = list(map(abs, values))
+    total = sum(mags)
+    return total if total != total else max(mags)
+
+
+def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
+    """max |residual| of the five field identities of
+    ``fields.field_identity_residuals`` (P0 = 0) over the points (t, x, y),
+    in one scalar loop with its operand order in every expression.
+
+    ``m`` is the arithmetic module of the transcendentals, as in
+    ``SteadyCoeffs.H``; numpy's cosh and sinh may differ from ``math``'s
+    in the last ulp, so ``m=numpy`` reproduces the array report's bits.
+    """
+    wp.check_hyperbolic(p.k * max(y, default=0.0))
+    A, k, f, omega = p.A, p.k, p.f, p.omega
+    a, h, g = p.a, p.h, p.g
+    sin, cos, cosh, sinh = m.sin, m.cos, m.cosh, m.sinh
+    mAk, Ak, sinh_0, sinh_kh = -A * k, A * k, math.sinh(0.0), math.sinh(k * h)
+    mak, mOh, af, A_k = -a * k, -omega * h, a * f, A / k
+    kh, P0 = k * h, 0.0
+    p_shape = (f + k * omega * h) * m.cosh(kh) - omega * m.sinh(kh)
+    div, curl, bed, kin, dyn = [], [], [], [], []
+    for tv, xv, yv in zip(t, x, y):
+        theta = k * xv - f * tv
+        sin_t, cos_t = sin(theta), cos(theta)
+        ky = k * yv
+        cosh_ky = cosh(ky)
+        div.append(mAk * sin_t * cosh_ky + Ak * sin_t * cosh_ky)     # u_x + v_y
+        v_x = Ak * cos_t * sinh(ky)
+        curl.append((v_x - (-omega + v_x)) - omega)                   # (v_x - u_y) - omega
+        bed.append(A * sin_t * sinh_0)
+        kin.append(A * sin_t * sinh_kh - (af * sin_t + mOh * (mak * sin_t)))
+        dyn.append((P0 + A_k * cos_t * p_shape) - P0 - g * ((h + a * cos_t) - h))
+    return tuple(float(_max_abs(values)) for values in (div, curl, bed, kin, dyn))
+
+
+def _validate_report(p: WaveParams) -> list[dict]:
+    wp._require_bed_frame(p)  # the field formulas assume s = 0
+    div, curl, bed, kin, dyn = _identity_maxima(*_validate_points(p), p)
     dyn_tol = 1e-9 * p.g * p.a if p.a > 0 else 1e-12
     checks = [
-        ("divergence", float(np.max(np.abs(res.div))), 1e-10),
-        ("curl_defect", float(np.max(np.abs(res.curl_defect))), 1e-10),
-        ("bed_velocity", float(np.max(np.abs(res.bed_v))), 1e-10),
-        ("kinematic_defect", float(np.max(np.abs(res.kinematic_defect))), 1e-10),
-        ("dynamic_defect", float(np.max(np.abs(res.dynamic_defect))), dyn_tol),
+        ("divergence", div, 1e-10),
+        ("curl_defect", curl, 1e-10),
+        ("bed_velocity", bed, 1e-10),
+        ("kinematic_defect", kin, 1e-10),
+        ("dynamic_defect", dyn, dyn_tol),
         ("dispersion_residual", dispersion_residual(p), 1e-10),
     ]
     return [{"identity": label, "max_residual": value, "tolerance": tol,

@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .dop853 import INTERRUPTED, contd8, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
@@ -102,8 +102,7 @@ def physical_coords(t, X, Y, co: SteadyCoeffs, shifted: bool):
 # Trajectories
 # ----------------------------------------------------------------------
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Time-stamped steady and physical states with a Hamiltonian audit.
 
     The six columns are equal-length sequences: lists from
@@ -467,8 +466,7 @@ def _loop_period_and_min_xdot(Y0: float, co_n: SteadyCoeffs,
 # Drift
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     """Per-period drift of the particle on one steady orbit."""
 
     Y0: float
@@ -573,8 +571,7 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
             for Y0 in levels]
 
 
-@dataclass(frozen=True)
-class ClosedOrbit:
+class ClosedOrbit(NamedTuple):
     """A verified closed physical particle orbit."""
 
     Y_level: float

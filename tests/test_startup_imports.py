@@ -3,6 +3,9 @@
 - Every command runs on numpy alone: the README commands exit 0 with
   every scipy import blocked, and the commands that never integrate do not
   load scipy even where it is installed.
+- None of the six README commands loads numpy, ``dataclasses`` (with its
+  ``inspect``) or the fields module, and all six exit 0 with every numpy
+  import blocked; ``validate --grid`` still writes its grid through numpy.
 - ``import shearwave`` loads no numpy, and the ``dispersion`` and
   ``bifurcation`` commands load neither numpy nor the fields, portrait,
   paths or DOP853 modules.
@@ -39,6 +42,7 @@ NOT_FOR_PORTRAITS = ("shearwave.paths", "shearwave.dop853")
 NOT_FOR_DRIFT = ("numpy", "shearwave.fields", "shearwave.portrait",
                  "shearwave.paths")
 NOT_FOR_PORTRAIT = NOT_FOR_DRIFT + ("shearwave.drift", "shearwave.dop853")
+NOT_FOR_README = ("numpy", "dataclasses", "inspect", "shearwave.fields")
 
 #: Runs one CLI command, then reports its exit code and every loaded module.
 PROBE = """
@@ -57,6 +61,16 @@ class BlockScipy:
         if name == "scipy" or name.startswith("scipy."):
             raise ImportError(f"{name} is blocked")
 sys.meta_path.insert(0, BlockScipy())
+"""
+
+#: Makes ``import numpy`` and every ``import numpy.*`` raise ImportError.
+BLOCK_NUMPY = """
+import sys
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, BlockNumpy())
 """
 
 DISPERSION = ("dispersion", "--g", "9.81", "--h", "1", "--k", "1", "--omega",
@@ -104,6 +118,27 @@ def test_readme_commands_run_with_scipy_blocked(tmp_path, argv):
     result = run_fresh(tmp_path, *argv, prelude=BLOCK_SCIPY)
     assert result["code"] == 0
     assert loaded(result, SCIPY_PARTS) == []
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_commands_load_no_numpy_dataclasses_or_fields(tmp_path, argv):
+    result = run_fresh(tmp_path, *argv)
+    assert result["code"] == 0
+    assert loaded(result, NOT_FOR_README) == []
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_commands_run_with_numpy_blocked(tmp_path, argv):
+    result = run_fresh(tmp_path, *argv, prelude=BLOCK_NUMPY)
+    assert result["code"] == 0
+    assert loaded(result, ("numpy",)) == []
+
+
+def test_validate_grid_still_writes_through_numpy(tmp_path):
+    result = run_fresh(tmp_path, "validate", "--preset", "fig2", "--grid", "grid.csv")
+    assert result["code"] == 0
+    assert loaded(result, ("numpy", "shearwave.fields")) == ["numpy", "shearwave.fields"]
+    assert (tmp_path / "grid.csv").read_text().startswith("x,y,t,u,v,P,eta_flag\n")
 
 
 def test_package_import_loads_no_numpy(tmp_path):
