@@ -377,9 +377,12 @@ def cmd_validate(args) -> int:
     report = _validate_report(p)
     failed = [row for row in report if not row["ok"]]
     for row in report:
-        status = "PASS" if row["ok"] else "FAIL"
-        print(f"{name}: {row['identity']:>20s}  max|residual| = "
-              f"{row['max_residual']:.3e}  (tol {row['tolerance']:.1e})  {status}")
+        line = (f"{name}: {row['identity']:>20s}  max|residual| = "
+                f"{row['max_residual']:.3e}  (tol {row['tolerance']:.1e})  ")
+        if row["ok"]:
+            _say(args, line + "PASS")
+        else:
+            print(line + "FAIL")  # --quiet keeps the rows that fail
     if args.grid:
         import numpy as np
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -113,6 +114,17 @@ def solve_dispersion(g: float, h: float, k: float, omega: float,
     return s * math.sqrt(g * h) - h * omega + (omega * t + signed) / (2.0 * k)
 
 
+def _caller_level() -> int:
+    """``stacklevel`` of a warning raised in ``WaveParams.__new__`` that names
+    the first frame outside this module and the named-tuple machinery
+    (``_replace`` runs in ``collections``): the line that built the set,
+    whether through ``WaveParams(...)``, ``solve`` or ``_replace``."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back and frame.f_globals.get("__name__") in (__name__, "collections"):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class _WaveParamsFields(NamedTuple):
     g: float
     h: float
@@ -163,12 +175,12 @@ class WaveParams(_WaveParamsFields):
         if self.amplitude_flag:
             warnings.warn(
                 f"a/h = {a / h:.3g} exceeds {AMPLITUDE_RATIO_MAX}; "
-                "the linear solution degrades as O(a^2)", stacklevel=2)
+                "the linear solution degrades as O(a^2)", stacklevel=_caller_level())
         if self.validity_flag:
             warnings.warn(
                 f"(a/h)*|omega_nd| = {self._vorticity_product():.3g} exceeds "
                 f"{VORTICITY_PRODUCT_MAX}; uniform validity of the linearization "
-                "is doubtful", stacklevel=2)
+                "is doubtful", stacklevel=_caller_level())
         return self
 
     @classmethod

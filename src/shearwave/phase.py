@@ -1,19 +1,14 @@
 """Steady-frame phase portraits on scalars.
 
-The X-nullcline ("infinity isocline") of the steady system is the root set
-of phi(Y; X) = Ak*cos(X)*cosh(Y) - omega*Y - f.  For nonnegative vorticity
-it is a single convex graph over |X| < pi/2 and the portrait has exactly
-one critical point per period strip, a saddle above the crest.  For
-negative vorticity, once the amplitude is small enough that the branching
-discriminant is positive, the isocline splits into two branches over
-(pi/2, pi], three critical points appear (saddle, center, saddle ordered
-by height) and the portrait gains an interior vortex (cat's-eye) between
-two critical layers.
-
-Separatrices are traced as level sets of the Hamiltonian rather than by
-time integration: the stable/unstable manifolds of a saddle coincide with
-the H = H(saddle) level curve, and level tracking does not accumulate
-time-integration drift.
+H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y is linear in cos X, so every
+portrait curve is an explicit graph over Y, sampled by arc length with no
+step loop: a separatrix, the level of a saddle that holds its stable and
+unstable manifolds, is X(Y) = +-arccos G(Y), G = (H(saddle) + omega*Y^2/2
++ f*Y)/(Ak*sinh Y), and the X-nullcline ("infinity isocline") is X(Y) =
++-arccos((omega*Y + f)/(Ak*cosh Y)).  For nonnegative vorticity the strip
+holds one critical point, a saddle above the crest; for negative vorticity
+past the branching discriminant the nullcline splits in two, and a saddle,
+a center and a saddle bound a cat's-eye vortex between two critical layers.
 
 Like ``steady``, this module runs on ``math`` without numpy: points are
 (X, Y) tuples and polylines are lists of them.  ``portrait`` re-exports
@@ -26,239 +21,188 @@ import json
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NumericsError, TraceError
+from .errors import DomainError, NumericsError
 from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, Regime, WaveParams, classify_regime
-from .steady import (GUARDED, CriticalPoint, SteadyCoeffs, find_critical_points,
-                     isocline_roots, linspace)
+from .steady import (GUARDED, ROOT_XTOL, CriticalPoint, SteadyCoeffs, _polish_root,
+                     bracketed_root, find_critical_points, linspace)
 
-#: Tolerances of the portrait machinery.
-SADDLE_OFFSET = 1e-6
-LEVEL_TOL = 1e-10       # corrector target |H - H_level|, scaled by (1 + |H_level|)
-REAPPROACH_DIST = 1e-5  # terminate a trace this close to a critical point
-
-#: Largest portrait height: the isocline search runs to 2*ymax, and cosh
-#: overflows past HYPERBOLIC_ARG_MAX.
+#: Largest portrait height, half the hyperbolic guard: the curves divide by
+#: Ak*sinh(Y), finite up to here for every admitted coefficient.
 YMAX_LIMIT = HYPERBOLIC_ARG_MAX / 2.0
+
+#: Points per graph piece of a portrait curve (``--resolution``).
+DEFAULT_RESOLUTION = 481
 
 SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 
 
-# ----------------------------------------------------------------------
-# Separatrix tracing (level-set continuation)
-# ----------------------------------------------------------------------
+def _graph(x_of, p0, p1, n: int, point_of=None) -> list:
+    """``n`` points of X = x_of(Y) from ``p0`` to ``p1``, evenly spaced in arc
+    length as measured at Chebyshev nodes in Y (which resolve an end where X ~
+    sqrt(Y - y0)), each on the curve: ``point_of(Y)``, default (x_of(Y), Y)."""
+    (x0, y0), (x1, y1) = p0, p1
+    if y0 == y1:
+        return [p0]
+    ys = [y0 + (y1 - y0) * math.sin(0.5 * math.pi * j / (n - 1)) ** 2
+          for j in range(n - 1)] + [y1]
+    xs = [x0] + [x_of(y) for y in ys[1:-1]] + [x1]
+    arc = [0.0]
+    for j in range(1, n):
+        arc.append(arc[-1] + math.hypot(xs[j] - xs[j - 1], ys[j] - ys[j - 1]))
+    points, j = [p0], 0
+    for i in range(1, n - 1):
+        target = arc[-1] * i / (n - 1)
+        while j < n - 2 and arc[j + 1] < target:
+            j += 1
+        seg = arc[j + 1] - arc[j]
+        y = ys[j] + (ys[j + 1] - ys[j]) * ((target - arc[j]) / seg if seg else 0.0)
+        points.append(point_of(y) if point_of else (x_of(y), y))
+    return points + [p1]
+
+
+def _mirrored(points) -> list:
+    return [(-x + 0.0, y) for x, y in reversed(points)]   # -0.0 + 0.0 is 0.0
+
 
 class SeparatrixTrace(NamedTuple):
-    """One traced arm of a saddle's level set."""
+    """One arm of a saddle's level set."""
 
     saddle: CriticalPoint
     direction: str          # one of SEPARATRIX_DIRECTIONS
     H_level: float
     points: list            # (X, Y) pairs; an (n, 2) array from ``portrait``
-    termination: str        # strip_boundary | bed | ymax | critical_point | cap
+    termination: str        # strip_boundary | bed | ymax | critical_point
     near_label: str = ""    # label of the critical point reached, if any
 
 
 def _saddle_arm_direction(saddle: CriticalPoint, co: SteadyCoeffs,
                           direction: str) -> tuple[float, float]:
-    """Unit tangent of the requested invariant-manifold arm at the saddle.
-
-    The flow Jacobian at a critical point is [[Hxy, Hyy], [-Hxx, -Hxy]];
-    its eigenvectors are tangent to the stable/unstable manifolds, which
-    for a Hamiltonian saddle lie on the level-set asymptotes.
-    """
-    X, Y = saddle.X, saddle.Y
-    Hxx, Hxy, Hyy = co.hessian(X, Y, math)
+    """Unit tangent of the requested invariant-manifold arm at the saddle,
+    an eigenvector of the flow Jacobian [[Hxy, Hyy], [-Hxx, -Hxy]]."""
+    Hxx, Hxy, Hyy = co.hessian(saddle.X, saddle.Y, math)
     disc = Hxy * Hxy - Hxx * Hyy
     if disc <= 0:
         raise NumericsError("no real manifold directions: not a saddle",
-                            diagnostics={"X": X, "Y": Y, "disc": disc})
+                            diagnostics={"X": saddle.X, "Y": saddle.Y, "disc": disc})
     lam = math.sqrt(disc) if direction.startswith("unstable") else -math.sqrt(disc)
-    v_row1 = (Hyy, lam - Hxy)
-    v_row2 = (-lam - Hxy, -Hxx)
-    norm1, norm2 = math.hypot(*v_row1), math.hypot(*v_row2)
-    v, norm = (v_row1, norm1) if norm1 >= norm2 else (v_row2, norm2)
-    sign = -1.0 if direction.endswith("-") else 1.0
-    return sign * (v[0] / norm), sign * (v[1] / norm)
+    v = max((Hyy, lam - Hxy), (-lam - Hxy, -Hxx), key=lambda row: math.hypot(*row))
+    scale = (-1.0 if direction.endswith("-") else 1.0) / math.hypot(*v)
+    return v[0] * scale, v[1] * scale
 
 
-def _correct_onto_level(p, H_level, co, tol, max_iter=12):
-    """Newton along the gradient direction onto H = H_level."""
-    x, y = p
-    for _ in range(max_iter):
-        r = co.H(x, y, GUARDED) - H_level
-        if abs(r) <= tol:
-            return (x, y), True
-        gx, gy = co.H_X(x, y, GUARDED), co.H_Y(x, y, GUARDED)
-        g2 = gx * gx + gy * gy
-        if g2 == 0.0:
-            return (x, y), False
-        x -= r * gx / g2
-        y -= r * gy / g2
-    return (x, y), abs(co.H(x, y, GUARDED) - H_level) <= tol
+def _level_graph(saddle: CriticalPoint, co: SteadyCoeffs):
+    """``x_of(Y)``, |X| on the level H = H(saddle) where cos X = G = u/s,
+    u = H(saddle) + omega*Y^2/2 + f*Y, s = Ak*sinh Y, and ``point_of(Y)``.
+    Where c*G > 1/2 (c = cos Xs), |X - Xs| = 2*asin(sqrt(c*D/(2s))) with
+    D = H(Xs, Y) - H(Xs, Ys) = c*Ak*2*cosh(m)*sinh(h/2) - h*(omega*m + f),
+    h = Y - Ys, m = (Y + Ys)/2: nothing cancels near the saddle.  Where the
+    curve is steep, ``point_of`` takes a Newton step in Y onto the level
+    unless it exceeds sqrt(eps) relative (the curve passes between floats)."""
+    Ys, H0, c = saddle.Y, saddle.H_value, math.cos(saddle.X)
+    Ak, omega, f, max_step = co.Ak, co.omega, co.f, math.sqrt(math.ulp(1.0))
+
+    def x_of(Y):
+        s = Ak * math.sinh(Y)
+        u = H0 + (0.5 * omega * Y + f) * Y
+        if c * u <= 0.5 * s:
+            return math.acos(min(1.0, max(-1.0, u / s)))
+        h, m = Y - Ys, 0.5 * (Y + Ys)
+        w = (Ak * math.cosh(m) * math.sinh(0.5 * h) - 0.5 * c * h * (omega * m + f)) / s
+        dx = 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, w))))
+        return dx if c > 0.0 else math.pi - dx
+
+    def point_of(Y):
+        X = x_of(Y)
+        H_Y = co.H_Y(X, Y, math)
+        if H_Y and Ak * math.sinh(Y) * math.sin(X) * math.ulp(X) > abs(H_Y) * math.ulp(Y):
+            step = (co.H(X, Y, math) - H0) / H_Y
+            if abs(step) <= max_step * (1.0 + Y):
+                Y -= step
+        return X, Y
+    return x_of, point_of
 
 
-def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
-                     ymax: float = Y_SEARCH_MAX,
-                     critical_points: list[CriticalPoint] | None = None,
-                     max_points: int = 100000) -> SeparatrixTrace:
-    """Trace one arm of the level set H = H(saddle) from the saddle.
+def _arm_end(co: SteadyCoeffs, saddle: CriticalPoint, bound: float, critical_points):
+    """(Y, axis, label) where the saddle's level, followed towards Y = ``bound``,
+    first meets X = axis (0 or pi): F = H(axis, .) - H(saddle), > 0 on X = 0
+    and < 0 on X = pi along the curve, reaches zero; (bound, None, "") if
+    nowhere.  F is monotone between the critical points on its axis, and a
+    critical point with F = 0 to rounding is met tangentially: ``label``."""
+    step, H0 = (1.0 if bound > saddle.Y else -1.0), saddle.H_value
+    end = (bound, None, "")
+    for axis, inside in ((0.0, 1.0), (math.pi, -1.0)):
+        fn = lambda y, axis=axis: co.H(axis, y, GUARDED) - H0
+        a = saddle.Y
+        for cp in sorted((cp for cp in critical_points if cp.X == axis and
+                          0.0 < step * (cp.Y - a) < step * (end[0] - a)),
+                         key=lambda cp: step * cp.Y) + [None]:
+            b = end[0] if cp is None else cp.Y
+            fb = fn(b)
+            scale = co.Ak * math.sinh(b) + abs((0.5 * co.omega * b + co.f) * b) + abs(H0)
+            if cp is not None and abs(fb) <= 8.0 * math.ulp(scale):
+                end = (b, axis, cp.label)
+                break
+            # The saddle's own axis leaves its double zero on the curve's side.
+            if inside * fb <= 0.0 and (a != saddle.Y or axis != saddle.X):
+                if fb != 0.0:
+                    lo, hi = min(a, b), max(a, b)
+                    y = bracketed_root(fn, lo, hi, ROOT_XTOL, what="separatrix end")
+                    b = _polish_root(y, lo, hi, fn, lambda y: co.H_Y(axis, y, GUARDED))
+                end = (b, axis, "")
+                break
+            a = b
+    return end
 
-    The trace is seeded a small offset along the chosen manifold tangent,
-    corrected onto the level set, then continued by predictor steps along
-    the level-set tangent with a Newton corrector along the gradient.
-    It terminates at the strip boundary X = +-pi, at Y = 0, at Y = ymax,
-    or on re-approach to a critical point.
-    """
+
+def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
+           critical_points, n: int) -> SeparatrixTrace:
+    """``trace_separatrix`` with ``n`` points per graph piece."""
     if saddle.kind != "saddle":
         raise DomainError(f"separatrices emanate from saddles, got {saddle.kind!r}")
     if direction not in SEPARATRIX_DIRECTIONS:
         raise DomainError(f"direction must be one of {SEPARATRIX_DIRECTIONS}")
+    vx, vy = _saddle_arm_direction(saddle, co, direction)
+    Xs, Ys = float(saddle.X), float(saddle.Y)
+    arm = SeparatrixTrace(saddle, direction, saddle.H_value, [(Xs, Ys)], "ymax")
+    if Xs != 0.0 and vx > 0.0:      # out of the strip: the mirror of an inward arm
+        return arm._replace(termination="strip_boundary")
+    if Ys >= ymax:
+        return arm
+    Y_end, axis, label = _arm_end(co, saddle, ymax if vy > 0.0 else 0.0, critical_points)
+    x_of, point_of = _level_graph(saddle, co)
+    if Y_end == 0.0:                # only the level H = 0 reaches the bed
+        X_end, termination = math.acos(min(1.0, max(-1.0, co.f / co.Ak))), "bed"
+    elif axis is None:
+        X_end, termination = x_of(ymax), "ymax"
+    else:
+        X_end, termination = axis, "critical_point" if label else "strip_boundary"
+    side = -1.0 if vx < 0.0 and Xs == 0.0 else 1.0
+    points = [(side * x + 0.0, y)
+              for x, y in _graph(x_of, (Xs, Ys), (X_end, Y_end), n, point_of)]
+    if termination == "strip_boundary" and axis == 0.0:
+        points += _mirrored(points[:-1])    # G = +1, G' != 0: X = 0 is crossed
+        if Xs == 0.0:
+            termination, label = "critical_point", saddle.label
+    return arm._replace(points=points, termination=termination, near_label=label)
+
+
+def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
+                     ymax: float = Y_SEARCH_MAX,
+                     critical_points: list[CriticalPoint] | None = None) -> SeparatrixTrace:
+    """One arm of the level H = H(saddle), from the saddle along the tangent
+    of ``direction``: X(Y) = +-arccos G(Y) up to G = -1 (the strip boundary),
+    a critical point met with G' = 0, ymax or the bed.  At G = +1 it crosses
+    X = 0 and returns mirrored to the saddle (``critical_point``) or, from
+    X = pi, to its image at X = -pi.  Arms leaving the strip are the saddle."""
     if critical_points is None:
         critical_points = find_critical_points(co, y_cap=max(ymax, Y_SEARCH_MAX))
-    # Proximity targets include the periodic translates at X - 2*pi.
-    targets = []
-    for cp in critical_points:
-        targets.append((cp.X, cp.Y, cp.label))
-        if cp.X != 0.0:
-            targets.append((cp.X - 2.0 * math.pi, cp.Y, cp.label))
+    return _trace(saddle, co, direction, ymax, critical_points, DEFAULT_RESOLUTION)
 
-    H_level = saddle.H_value
-    tol = LEVEL_TOL * (1.0 + abs(H_level))
-    v = _saddle_arm_direction(saddle, co, direction)
-    seed = (saddle.X + SADDLE_OFFSET * v[0], saddle.Y + SADDLE_OFFSET * v[1])
-    seed, ok = _correct_onto_level(seed, H_level, co, tol)
-    if not ok:
-        raise TraceError("could not place the seed on the level set", partial=[],
-                         diagnostics={"saddle": saddle.label, "direction": direction})
-
-    points = [(float(saddle.X), float(saddle.Y)), seed]
-    # Arms of a boundary saddle that point out of the strip are the mirror
-    # images of inward arms of the periodic translate; stop right away.
-    if abs(seed[0]) > math.pi or seed[1] < 0.0 or seed[1] > ymax:
-        status = "strip_boundary" if abs(seed[0]) > math.pi else (
-            "bed" if seed[1] < 0.0 else "ymax")
-        return SeparatrixTrace(saddle=saddle, direction=direction,
-                               H_level=H_level, points=points,
-                               termination=status, near_label="")
-    prev_dir = v
-    ds = 1e-4
-    ds_max = 0.05
-    ds_min = 1e-10
-    origin_active = False
-    termination = "cap"
-    near_label = ""
-
-    def boundary_cross(p_prev, p_new):
-        # Returns (point_on_boundary, status) or None.
-        x0, y0 = p_prev
-        x1, y1 = p_new
-        crossings = []
-        if y1 < 0.0 and y0 > 0.0:
-            t = y0 / (y0 - y1)
-            crossings.append((t, (x0 + t * (x1 - x0), 0.0), "bed"))
-        if y1 > ymax and y0 < ymax:
-            t = (ymax - y0) / (y1 - y0)
-            xg = x0 + t * (x1 - x0)
-            crossings.append((t, (xg, ymax), "ymax"))
-        for xb in (math.pi, -math.pi):
-            if (x1 - xb) * (x0 - xb) < 0.0:
-                t = (xb - x0) / (x1 - x0)
-                yg = y0 + t * (y1 - y0)
-                crossings.append((t, (xb, yg), "strip_boundary"))
-        if not crossings:
-            return None
-        t, p, status = min(crossings, key=lambda c: c[0])
-        if status != "bed":
-            # Newton onto the level set along the free coordinate: Y on the
-            # strip boundary, X on the ymax line.
-            axis = 1 if status == "strip_boundary" else 0
-            slope = (co.H_X, co.H_Y)[axis]
-            q = list(p)
-            for _ in range(30):
-                r = co.H(q[0], q[1], GUARDED) - H_level
-                if abs(r) <= tol:
-                    break
-                d = slope(q[0], q[1], GUARDED)
-                if d == 0.0:
-                    break
-                q[axis] -= r / d
-            p = (q[0], max(q[1], 0.0))
-        return p, status
-
-    p = seed
-    while len(points) < max_points:
-        gx, gy = co.H_X(p[0], p[1], GUARDED), co.H_Y(p[0], p[1], GUARDED)
-        norm = math.hypot(gy, gx)
-        if norm == 0.0:
-            termination = "critical_point"
-            break
-        tangent = (gy / norm, -gx / norm)
-        if tangent[0] * prev_dir[0] + tangent[1] * prev_dir[1] < 0.0:
-            tangent = (-tangent[0], -tangent[1])
-
-        accepted = None
-        while ds >= ds_min:
-            pred = (p[0] + ds * tangent[0], p[1] + ds * tangent[1])
-            cand, ok = _correct_onto_level(pred, H_level, co, tol)
-            if ok and math.hypot(cand[0] - p[0], cand[1] - p[1]) <= 3.0 * ds:
-                accepted = cand
-                break
-            ds *= 0.5
-        if accepted is None:
-            raise TraceError("step size underflow while tracing the level set",
-                             partial=points,
-                             diagnostics={"saddle": saddle.label,
-                                          "direction": direction, "ds": ds})
-
-        cross = boundary_cross(p, accepted)
-        if cross is not None:
-            points.append(cross[0])
-            termination = cross[1]
-            break
-
-        dist_origin = math.hypot(accepted[0] - saddle.X, accepted[1] - saddle.Y)
-        if not origin_active and dist_origin > 5.0 * REAPPROACH_DIST:
-            origin_active = True
-        hit = None
-        for tx, ty, lbl in targets:
-            if not origin_active and tx == saddle.X and ty == saddle.Y:
-                continue
-            if math.hypot(accepted[0] - tx, accepted[1] - ty) < REAPPROACH_DIST:
-                hit = lbl
-                break
-        points.append(accepted)
-        if hit is not None:
-            termination = "critical_point"
-            near_label = hit
-            break
-
-        # Curvature-limited step adaptation.
-        dx, dy = accepted[0] - p[0], accepted[1] - p[1]
-        step_norm = math.hypot(dx, dy)
-        if step_norm > 0:
-            step_dir = (dx / step_norm, dy / step_norm)
-            cos_turn = step_dir[0] * prev_dir[0] + step_dir[1] * prev_dir[1]
-            turn = math.acos(min(1.0, max(-1.0, cos_turn)))
-            if turn > 1e-12:
-                ds = min(ds_max, max(ds_min, ds * min(1.5, 0.05 / turn)))
-            else:
-                ds = min(ds_max, ds * 1.5)
-            prev_dir = step_dir
-        p = accepted
-
-    return SeparatrixTrace(saddle=saddle, direction=direction, H_level=H_level,
-                           points=points, termination=termination,
-                           near_label=near_label)
-
-
-# ----------------------------------------------------------------------
-# Portrait assembly
-# ----------------------------------------------------------------------
 
 class IsoclineBranch(NamedTuple):
     """One branch of the X-nullcline, sampled as a polyline."""
 
-    label: str              # "gamma" (single branch) | "Y1" (lower) | "Y2" (upper)
+    label: str              # "gamma" | "Y1" (below the turn of q) | "Y2" (above)
     samples: list           # (X, Y) pairs, ascending X; an (n, 2) array from ``portrait``
     monotonicity: str       # trend of Y over the X >= 0 half
 
@@ -280,98 +224,91 @@ class PhasePortrait(NamedTuple):
     resolution: int
 
 
-def _monotonicity(samples) -> str:
-    half = [s for s in samples if s[0] >= 0.0]
-    if len(half) < 2:
-        half = samples
-    if len(half) < 2:
-        return "increasing"
-    return "increasing" if half[-1][1] >= half[0][1] else "decreasing"
+def _assemble_isoclines(co: SteadyCoeffs, ymax: float, n: int,
+                        critical_points) -> list[IsoclineBranch]:
+    """The X-nullcline cos X = q(Y) = (omega*Y + f)/(Ak*cosh Y), each branch
+    as its X <= 0 mirror image, then its X >= 0 half.  q' has the sign of
+    omega*cosh Y - (omega*Y + f)*sinh Y, which changes once at most: that
+    turn splits a lower branch from an upper one, each ending at critical
+    points (q = +-1), the bed, the turn or ymax.  Ak = 0 gives Y = -f/omega."""
+    labels = ("gamma" if co.omega >= 0 else "Y1", "Y2")
+    Ak, omega, f = co.Ak, co.omega, co.f
+    if Ak == 0.0:
+        y0 = -f / omega if omega < 0 else 0.0
+        line = [(x, y0) for x in linspace(-math.pi, math.pi, n)]
+        return [IsoclineBranch(labels[0], line, "increasing")] if 0.0 < y0 <= ymax else []
 
+    def q(y):
+        return (omega * y + f) / (Ak * math.cosh(y))
 
-def _assemble_isoclines(co: SteadyCoeffs, ymax: float,
-                        resolution: int) -> list[IsoclineBranch]:
-    y_cap = max(2.0 * ymax, Y_SEARCH_MAX)
-    lower, upper = [], []
-    for x in linspace(-math.pi, math.pi, resolution):
-        roots = isocline_roots(x, co, y_cap)
-        if roots and roots[0] <= ymax:
-            lower.append((x, roots[0]))
-        if len(roots) == 2 and roots[1] <= ymax:
-            upper.append((x, roots[1]))
-    return [IsoclineBranch(label=label, samples=pts, monotonicity=_monotonicity(pts))
-            for label, pts in (("gamma" if co.omega >= 0 else "Y1", lower), ("Y2", upper))
-            if pts]
+    def x_of(y):
+        return math.acos(min(1.0, max(-1.0, q(y))))
+
+    def turn(y):
+        return omega * math.cosh(y) - (omega * y + f) * math.sinh(y)
+
+    ends = [0.0, ymax]
+    if turn(0.0) * turn(ymax) < 0.0:
+        ends.insert(1, bracketed_root(turn, 0.0, ymax, ROOT_XTOL, what="isocline turn"))
+    at = {cp.Y: cp.X for cp in critical_points if cp.Y <= ymax}
+    branches = []
+    for lo, hi in zip(ends, ends[1:]):
+        cuts = [lo] + sorted(y for y in at if lo < y < hi) + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            if abs(q(0.5 * (a + b))) <= 1.0:
+                half = _graph(x_of, (at.get(a, x_of(a)), a), (at.get(b, x_of(b)), b), n)
+                half = half if half[0][0] <= half[-1][0] else half[::-1]
+                trend = "increasing" if half[-1][1] >= half[0][1] else "decreasing"
+                samples = _mirrored(half[1:] if half[0][0] == 0.0 else half) + half
+                branches.append(IsoclineBranch(labels[len(branches)], samples, trend))
+                break
+    return branches
 
 
 def _group_arms(arms: list[SeparatrixTrace]) -> list[list[int]]:
-    """Pair mirror-image arms (same saddle family) into separatrix curves."""
+    """Pair each arm with the next arm of its saddle and termination that ends
+    at its mirror image (or, at a critical point, at the same point)."""
     groups: list[list[int]] = []
-    used = [False] * len(arms)
+    unpaired: dict = {}
     for i, arm in enumerate(arms):
-        if used[i]:
-            continue
-        used[i] = True
-        group = [i]
-        xe, ye = arm.points[-1]
-        for j in range(i + 1, len(arms)):
-            if used[j]:
-                continue
-            other = arms[j]
-            if other.termination != arm.termination:
-                continue
-            if abs(other.H_level - arm.H_level) > 1e-9 * (1 + abs(arm.H_level)):
-                continue
-            xo, yo = other.points[-1]
-            same_y = abs(yo - ye) <= 1e-6 * (1.0 + abs(ye))
-            mirrored_x = abs(xo + xe) <= 1e-6
-            if same_y and (mirrored_x or arm.termination == "critical_point"):
-                used[j] = True
-                group.append(j)
-                break
-        groups.append(group)
+        x, y = arm.points[-1]
+        key = (arm.saddle.label, arm.termination, abs(x), y)
+        if key in unpaired:
+            unpaired.pop(key).append(i)
+        else:
+            unpaired[key] = [i]
+            groups.append(unpaired[key])
     return groups
 
 
 def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
-                         resolution: int = 481) -> PhasePortrait:
+                         resolution: int = DEFAULT_RESOLUTION) -> PhasePortrait:
     """Assemble the full portrait of one period strip X in [-pi, pi].
 
     Portraits are always computed with effective Ak >= 0; when the physical
     coefficient is negative the half-period shift is applied and recorded
     (``shifted``), and the regime's crest position restores orientation.
+    ``resolution`` is the number of points per graph piece: per separatrix
+    arm (2*resolution - 1 if it returns mirrored across X = 0) and per
+    mirror half of an isocline branch.
     """
     if not 0.0 < ymax <= YMAX_LIMIT:
-        raise DomainError(f"ymax must be positive and at most {YMAX_LIMIT:g} "
-                          f"(the isocline search runs to 2*ymax), got {ymax!r}")
+        raise DomainError(f"ymax must be positive and at most {YMAX_LIMIT:g}, got {ymax!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution!r}")
     regime = classify_regime(params)
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
     critical_points = find_critical_points(co_n, y_cap=max(ymax, Y_SEARCH_MAX))
-    isoclines = _assemble_isoclines(co_n, ymax, resolution)
-
-    arms = []
-    for cp in critical_points:
-        if cp.kind != "saddle":
-            continue
-        for direction in SEPARATRIX_DIRECTIONS:
-            arm = trace_separatrix(cp, co_n, direction, ymax=ymax,
-                                   critical_points=critical_points)
-            # Arms of a boundary saddle that exit immediately are the mirror
-            # images of the inward arms; drop the stubs.
-            if len(arm.points) <= 2 and arm.termination == "strip_boundary":
-                continue
-            arms.append(arm)
-    groups = _group_arms(arms)
-
-    return PhasePortrait(params=params, regime=regime, coeffs=co,
-                         coeffs_normalized=co_n, shifted=shifted,
-                         critical_points=critical_points, isoclines=isoclines,
-                         separatrices=arms, separatrix_groups=groups,
-                         x_range=(-math.pi, math.pi), ymax=ymax,
-                         resolution=resolution)
+    arms = [_trace(cp, co_n, direction, ymax, critical_points, resolution)
+            for cp in critical_points if cp.kind == "saddle"
+            for direction in SEPARATRIX_DIRECTIONS]
+    # The outward arms of a saddle on X = pi are the saddle alone; drop them.
+    arms = [arm for arm in arms if len(arm.points) > 1 or arm.termination != "strip_boundary"]
+    isoclines = _assemble_isoclines(co_n, ymax, resolution, critical_points)
+    return PhasePortrait(params, regime, co, co_n, shifted,
+                         critical_points, isoclines, arms, _group_arms(arms),
+                         (-math.pi, math.pi), ymax, resolution)
 
 
 # ----------------------------------------------------------------------
@@ -395,12 +332,7 @@ def portrait_summary(portrait: PhasePortrait) -> dict:
     return {
         "params": {"g": p.g, "h": p.h, "a": p.a, "k": p.k, "omega": p.omega,
                    "s": p.s, "branch": p.branch, "c": p.c, "f": p.f, "A": p.A},
-        "regime": {
-            "vorticity_sign": portrait.regime.vorticity_sign,
-            "crest_shift": portrait.regime.crest_shift,
-            "supercritical": portrait.regime.supercritical,
-            "branching_positive": portrait.regime.branching_positive,
-        },
+        "regime": portrait.regime._asdict(),
         "shifted": portrait.shifted,
         "domain": {"x_range": list(portrait.x_range), "ymax": portrait.ymax},
         "n_critical_points": len(portrait.critical_points),
@@ -445,21 +377,17 @@ def separatrix_csv_rows(portrait: PhasePortrait):
 
 
 def _svg_path(points, x_map, y_map) -> str:
-    cmds = []
-    for i, (x, y) in enumerate(points):
-        cmds.append(f"{'M' if i == 0 else 'L'}{x_map(x):.3f},{y_map(y):.3f}")
-    return " ".join(cmds)
+    return "M" + " L".join(["%.3f,%.3f" % (x_map(x), y_map(y)) for x, y in points])
 
 
-def _split_on_gaps(samples, dx_max: float):
-    if len(samples) == 0:
-        return
-    start = 0
+def _split_at_gap(samples, dx_max: float):
+    """An isocline branch as its X < 0 and X > 0 halves where they do not
+    meet on X = 0 (a jump across it wider than ``dx_max``), else whole."""
     for i in range(1, len(samples)):
-        if samples[i][0] - samples[i - 1][0] > dx_max:
-            yield samples[start:i]
-            start = i
-    yield samples[start:]
+        x0, x1 = samples[i - 1][0], samples[i][0]
+        if x0 < 0.0 < x1 and x1 - x0 > dx_max:
+            return [samples[:i], samples[i:]]
+    return [samples]
 
 
 def portrait_svg(portrait: PhasePortrait, width: int = 900, height: int = 450) -> str:
@@ -471,59 +399,51 @@ def portrait_svg(portrait: PhasePortrait, width: int = 900, height: int = 450) -
     """
     margin = 40.0
     xr = portrait.x_range
+    x0, x_span, ymax = xr[0], xr[1] - xr[0], portrait.ymax
+    w, h, y_top = width - 2 * margin, height - 2 * margin, height - margin
     def x_map(x):
-        return margin + (x - xr[0]) / (xr[1] - xr[0]) * (width - 2 * margin)
+        return margin + (x - x0) / x_span * w
     def y_map(y):
-        return height - margin - y / portrait.ymax * (height - 2 * margin)
+        return y_top - y / ymax * h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#888888" stroke-width="1"/>',
+        f'<rect x="{margin}" y="{margin}" width="{w}" '
+        f'height="{h}" fill="none" stroke="#888888" stroke-width="1"/>',
     ]
+    def path(points, style):
+        dash = f' stroke-dasharray="{style["dash"]}"' if style["dash"] else ""
+        return (f'<path d="{_svg_path(points, x_map, y_map)}" fill="none" '
+                f'stroke="{style["stroke"]}" stroke-width="{style["width"]}"{dash}/>')
+
     dx_gap = 3.0 * (xr[1] - xr[0]) / max(portrait.resolution - 1, 1)
-    style = SVG_STYLE["isocline"]
-    for br in portrait.isoclines:
-        for piece in _split_on_gaps(br.samples, dx_gap):
-            if len(piece) < 2:
-                continue
-            parts.append(
-                f'<path d="{_svg_path(piece, x_map, y_map)}" fill="none" '
-                f'stroke="{style["stroke"]}" stroke-width="{style["width"]}" '
-                f'stroke-dasharray="{style["dash"]}"/>')
+    parts += [path(piece, SVG_STYLE["isocline"]) for br in portrait.isoclines
+              for piece in _split_at_gap(br.samples, dx_gap) if len(piece) >= 2]
     # Fluid surface in steady coordinates: Y = k*(h + a*cos(X_physical)).
     p = portrait.params
     shift = math.pi if portrait.shifted else 0.0
     surf = [(x, p.k * (p.h + p.a * math.cos(x - shift)))
             for x in linspace(xr[0], xr[1], 241)]
     surf = [pt for pt in surf if pt[1] <= portrait.ymax]
-    style = SVG_STYLE["surface"]
     if len(surf) >= 2:
-        parts.append(
-            f'<path d="{_svg_path(surf, x_map, y_map)}" fill="none" '
-            f'stroke="{style["stroke"]}" stroke-width="{style["width"]}" '
-            f'stroke-dasharray="{style["dash"]}"/>')
-    style = SVG_STYLE["separatrix"]
+        parts.append(path(surf, SVG_STYLE["surface"]))
     for arm in portrait.separatrices:
-        # The portrait is mirror symmetric in X; draw each arm and its
-        # reflection so boundary-saddle families render completely.
-        for pts in (arm.points, [(-x, y) for x, y in arm.points]):
-            parts.append(
-                f'<path d="{_svg_path(pts, x_map, y_map)}" fill="none" '
-                f'stroke="{style["stroke"]}" stroke-width="{style["width"]}"/>')
+        # The portrait is mirror symmetric in X.  A saddle on X = 0 keeps
+        # all four arms; one on X = pi keeps its two inward arms, so draw
+        # the reflection of those that do not cross to X < 0.
+        parts.append(path(arm.points, SVG_STYLE["separatrix"]))
+        if arm.saddle.X != 0.0 and arm.points[-1][0] >= 0.0:
+            parts.append(path([(-x, y) for x, y in arm.points], SVG_STYLE["separatrix"]))
     for cp in portrait.critical_points:
         style = SVG_STYLE[cp.kind]
         cx, cy, r = x_map(cp.X), y_map(cp.Y), style["size"]
-        if cp.kind == "saddle":
-            parts.append(
-                f'<path d="M{cx - r:.3f},{cy - r:.3f} L{cx + r:.3f},{cy + r:.3f} '
-                f'M{cx - r:.3f},{cy + r:.3f} L{cx + r:.3f},{cy - r:.3f}" '
-                f'stroke="{style["fill"]}" stroke-width="1.5"/>')
-        else:
-            parts.append(
-                f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" '
-                f'fill="none" stroke="{style["fill"]}" stroke-width="1.5"/>')
+        parts.append(
+            f'<path d="M{cx - r:.3f},{cy - r:.3f} L{cx + r:.3f},{cy + r:.3f} '
+            f'M{cx - r:.3f},{cy + r:.3f} L{cx + r:.3f},{cy - r:.3f}" '
+            f'stroke="{style["fill"]}" stroke-width="1.5"/>' if cp.kind == "saddle" else
+            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" '
+            f'fill="none" stroke="{style["fill"]}" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

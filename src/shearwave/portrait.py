@@ -12,9 +12,8 @@ import numpy as np
 from . import phase
 from .errors import UnsupportedConfig
 from .params import Y_SEARCH_MAX
-from .phase import (LEVEL_TOL, REAPPROACH_DIST, SADDLE_OFFSET, SEPARATRIX_DIRECTIONS,
-                    SVG_STYLE, IsoclineBranch, PhasePortrait,
-                    SeparatrixTrace, isocline_csv_rows, portrait_json,
+from .phase import (DEFAULT_RESOLUTION, SEPARATRIX_DIRECTIONS, SVG_STYLE, IsoclineBranch,
+                    PhasePortrait, SeparatrixTrace, isocline_csv_rows, portrait_json,
                     portrait_summary, portrait_svg, separatrix_csv_rows)
 from .steady import (_BRENT_RTOL, ROOT_XTOL, BifurcationScan, CriticalPoint, ScanRow,
                      SteadyCoeffs, _brentq, _polish_root, bifurcation_scan,
@@ -45,16 +44,14 @@ def _array_arm(arm: SeparatrixTrace) -> SeparatrixTrace:
 
 def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
                      ymax: float = Y_SEARCH_MAX,
-                     critical_points: list[CriticalPoint] | None = None,
-                     max_points: int = 100000) -> SeparatrixTrace:
+                     critical_points: list[CriticalPoint] | None = None) -> SeparatrixTrace:
     """``phase.trace_separatrix`` with the points as an (n, 2) array."""
     return _array_arm(phase.trace_separatrix(saddle, co, direction, ymax=ymax,
-                                             critical_points=critical_points,
-                                             max_points=max_points))
+                                             critical_points=critical_points))
 
 
 def build_phase_portrait(params, ymax: float = Y_SEARCH_MAX,
-                         resolution: int = 481) -> PhasePortrait:
+                         resolution: int = DEFAULT_RESOLUTION) -> PhasePortrait:
     """``phase.build_phase_portrait`` with each separatrix arm's points and
     each isocline branch's samples as (n, 2) arrays."""
     portrait = phase.build_phase_portrait(params, ymax=ymax, resolution=resolution)

@@ -183,6 +183,18 @@ class TestOtherCommands:
         assert code == 0
         assert out.count("PASS") == 6 and len(out.splitlines()) == 6
 
+    def test_quiet_validate_prints_only_failures(self, capsys):
+        code, out, _ = run(capsys, "validate", "--preset", "fig2", "--quiet")
+        assert (code, out) == (0, "")
+        with pytest.warns(UserWarning):
+            code, out, _ = run(capsys, "validate", "--preset", "fig2",
+                               "--a", "1e305", "--k", "600", "--quiet")
+        assert code == EXIT_NUMERICAL
+        rows = out.splitlines()
+        assert [row.split()[1] for row in rows] == \
+            ["divergence", "curl_defect", "kinematic_defect"]
+        assert all(row.endswith("FAIL") for row in rows)
+
     def test_validate_grid_export(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
         code, _, _ = run(capsys, "validate", "--preset", "fig1",
@@ -217,7 +229,7 @@ class TestOptionRanges:
         ["portrait", "--ymax", "0", "--format", "svg"],
         ["portrait", "--ymax", "-1"],
         ["portrait", "--ymax", "nan"],
-        ["portrait", "--ymax", "400"],   # the isocline search would pass cosh's range
+        ["portrait", "--ymax", "400"],   # above the portrait's height limit, 350
         ["portrait", "--ymax", "1000"],
         ["portrait", "--resolution", "-1"],
         ["drift", "--levels", "0"],

@@ -223,6 +223,19 @@ class TestWaveParamsConstruction:
             p = WaveParams.solve(G, 1.0, 1.0, -12.0, a=0.09, branch="minus")
         assert p.validity_flag
 
+    def test_guard_warnings_name_the_caller(self):
+        base = WaveParams.solve(G, 1.0, 1.0, 0.0, a=0.01)
+        builders = [
+            lambda: WaveParams(g=G, h=1.0, a=0.5, k=1.0, omega=0.0, c=base.c),
+            lambda: WaveParams.solve(G, 1.0, 1.0, 0.0, a=0.5),
+            lambda: base._replace(a=0.5),
+            lambda: WaveParams.solve(G, 1.0, 1.0, -12.0, a=0.09, branch="minus"),
+        ]
+        for build in builders:
+            with pytest.warns(UserWarning) as record:
+                build()
+            assert record[0].filename == __file__
+
     def test_quiet_for_moderate_parameters(self, recwarn):
         WaveParams.solve(G, 1.0, 1.0, -6.0, a=0.01, branch="minus")
         assert not recwarn.list

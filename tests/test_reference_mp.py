@@ -4,8 +4,8 @@
 Each bound records the accuracy measured when the file was made (the
 worst case over fig1, fig2, fig3 and fig4-left, in the comment next to
 it) with about a factor of two to spare, so that a change of the last ulp
-passes and a lost digit does not.  H is scaled by (1 + |H|), as
-``LEVEL_TOL`` is; everything else is relative.
+passes and a lost digit does not.  H is scaled by (1 + |H|), as the
+portrait's level checks are; everything else is relative.
 """
 
 import json
