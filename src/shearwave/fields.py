@@ -20,11 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import NondimParams, WaveParams, _require_bed_frame, check_hyperbolic
+from .params import (NondimParams, WaveParams, _require_bed_frame, _require_finite,
+                     check_hyperbolic)
 from .steady import SteadyCoeffs
 
 #: Columns of the field-grid CSV export.
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"
+#: ``eta_flag`` cells, indexed by "y <= eta".
+_FLAGS = ("outside", "inside")
 
 
 def _check_hyperbolic(arg):
@@ -233,49 +236,74 @@ def field_identity_residuals(t, x, y, params: WaveParams,
 # Grid export
 # ----------------------------------------------------------------------
 
-def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid,
-                    P0: float = 0.0):
-    """Yield CSV rows (header first) of the fields on an x (outer) by y
-    (inner) grid, floats at 17 significant digits.
+def _grid_axis(name, values):
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise DomainError(f"{name} must be one-dimensional, got shape {axis.shape}")
+    bad = axis[~np.isfinite(axis)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite, got {float(bad[0])!r}")
+    return axis
 
-    The inputs are checked before any row is yielded.  The y factors are
-    computed once per grid and the x factors once per grid line, with the
-    operand grouping of :func:`velocity`, :func:`pressure` and
-    :func:`in_fluid`, so every value equals the per-point one bit for bit.
-    """
+
+def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
+    """Check the inputs, then return an iterator of grid lines: one text per
+    x value, its rows each ending in a newline."""
     _require_bed_frame(params)
-    y = np.asarray(y_grid, dtype=float)
+    _require_finite(t=t, P0=P0)
+    x, y = _grid_axis("x_grid", x_grid), _grid_axis("y_grid", y_grid)
     if np.any(y < 0):
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     ky = params.k * y
     _check_hyperbolic(ky)
     A, k, f, omega = params.A, params.k, params.f, params.omega
-    x = np.asarray(x_grid, dtype=float)
     theta = _phase(t, x, params)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
     shear = -omega * y
     p_shape = (f + k * omega * y) * cosh_ky - omega * sinh_ky
     hydrostatic = P0 + params.g * (params.h - y)
-    y_cells = [f"{yv:.17g}" for yv in y.tolist()]
-    t_cell = f"{t:.17g}"
+    # One row per y, its y and t cells already in place: each line is one
+    # % operation over the x cell and each row's u, v, P and flag.
+    template = "".join(f"%s,{yv:.17g},{t:.17g},%.17g,%.17g,%.17g,%s\n"
+                       for yv in y.tolist())
+    ny = len(y)
 
+    def lines():
+        cells = [None] * (5 * ny)
+        for xv, ct, st in zip(x.tolist(), cos_t.tolist(), sin_t.tolist()):
+            cells[0::5] = [f"{xv:.17g}"] * ny
+            cells[1::5] = (shear + A * ct * cosh_ky).tolist()
+            cells[2::5] = (A * st * sinh_ky).tolist()
+            cells[3::5] = (hydrostatic + (A / k) * ct * p_shape).tolist()
+            cells[4::5] = [_FLAGS[inside] for inside in
+                           (y <= params.h + params.a * ct).tolist()]
+            yield template % tuple(cells)
+
+    return lines()
+
+
+def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid,
+                    P0: float = 0.0):
+    """Yield CSV rows (header first) of the fields on an x (outer) by y
+    (inner) grid, floats at 17 significant digits.
+
+    The inputs are checked before any row is yielded: the axes must be
+    one-dimensional and, like t and P0, finite.  The y factors are
+    computed once per grid and the x factors once per grid line, with the
+    operand grouping of :func:`velocity`, :func:`pressure` and
+    :func:`in_fluid`, so every value equals the per-point one bit for bit.
+    """
+    lines = _grid_lines(params, t, x_grid, y_grid, P0)
     yield GRID_HEADER
-    for xv, ct, st in zip(x.tolist(), cos_t.tolist(), sin_t.tolist()):
-        u = shear + A * ct * cosh_ky
-        v = A * st * sinh_ky
-        P = hydrostatic + (A / k) * ct * p_shape
-        inside = y <= params.h + params.a * ct
-        x_cell = f"{xv:.17g}"
-        for y_cell, uv, vv, Pv, flag in zip(y_cells, u.tolist(), v.tolist(),
-                                            P.tolist(), inside.tolist()):
-            yield (f"{x_cell},{y_cell},{t_cell},{uv:.17g},{vv:.17g},{Pv:.17g},"
-                   f"{'inside' if flag else 'outside'}")
+    for text in lines:
+        yield from text.splitlines()
 
 
 def write_field_grid(path, params: WaveParams, t: float, x_grid, y_grid,
                      P0: float = 0.0):
-    """Write the field grid CSV to ``path``."""
+    """Write the field grid CSV to ``path``, one write per grid line."""
+    lines = _grid_lines(params, t, x_grid, y_grid, P0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in field_grid_rows(params, t, x_grid, y_grid, P0=P0):
-            fh.write(row + "\n")
+        fh.write(GRID_HEADER + "\n")
+        fh.writelines(lines)

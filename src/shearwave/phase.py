@@ -85,7 +85,7 @@ def _saddle_arm_direction(saddle: CriticalPoint, co: SteadyCoeffs,
         raise NumericsError("no real manifold directions: not a saddle",
                             diagnostics={"X": saddle.X, "Y": saddle.Y, "disc": disc})
     lam = math.sqrt(disc) if direction.startswith("unstable") else -math.sqrt(disc)
-    v = max((Hyy, lam - Hxy), (-lam - Hxy, -Hxx), key=lambda row: math.hypot(*row))
+    v = max((Hyy, lam - Hxy), (-lam - Hxy, Hxx), key=lambda row: math.hypot(*row))
     scale = (-1.0 if direction.endswith("-") else 1.0) / math.hypot(*v)
     return v[0] * scale, v[1] * scale
 

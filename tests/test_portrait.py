@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
@@ -7,8 +8,10 @@ from scipy.optimize import brentq, minimize_scalar
 from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
                        WaveParams, bifurcation_scan, branching_discriminant,
                        build_phase_portrait, classify_critical_point,
-                       find_critical_points, hamiltonian, infinity_isocline,
-                       steady_rhs, trace_separatrix)
+                       find_critical_points, from_mapping, hamiltonian,
+                       infinity_isocline, steady_rhs, trace_separatrix)
+from shearwave.cli import PRESETS
+from shearwave.phase import _saddle_arm_direction
 from shearwave.portrait import phi, portrait_svg
 
 G = 9.81
@@ -204,6 +207,28 @@ class TestSeparatrixTracing:
         assert lower.points[-1][1] < p1.Y
         assert upper.points[-1][0] == pytest.approx(math.pi, abs=1e-12)
         assert p1.Y < upper.points[-1][1] < p2.Y
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_arm_labels_follow_the_flow(self, name):
+        """1e-7 from the saddle along an arm's tangent, the flow (H_Y, -H_X),
+        in 40-digit mpmath, points away along unstable arms and back along
+        stable ones; the drawn arm leaves along that tangent."""
+        port = build_phase_portrait(from_mapping(PRESETS[name]["params"]))
+        co = port.coeffs_normalized
+        with mp.workdps(40):
+            Ak, omega, f = mp.mpf(co.Ak), mp.mpf(co.omega), mp.mpf(co.f)
+            for arm in port.separatrices:
+                dx, dy = _saddle_arm_direction(arm.saddle, co, arm.direction)
+                X = mp.mpf(arm.saddle.X) + mp.mpf("1e-7") * dx
+                Y = mp.mpf(arm.saddle.Y) + mp.mpf("1e-7") * dy
+                H_X = -Ak * mp.sin(X) * mp.sinh(Y)
+                H_Y = Ak * mp.cos(X) * mp.cosh(Y) - omega * Y - f
+                along = H_Y * dx - H_X * dy
+                label = f"{name} {arm.saddle.label} {arm.direction}"
+                assert (along > 0) == arm.direction.startswith("unstable"), label
+                if len(arm.points) > 1:
+                    (x0, y0), (x1, y1) = arm.points[0], arm.points[1]
+                    assert (x1 - x0) * dx + (y1 - y0) * dy > 0, label
 
     def test_only_saddles_accepted(self, fig2_coeffs):
         center = find_critical_points(fig2_coeffs)[1]
