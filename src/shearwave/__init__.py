@@ -14,19 +14,16 @@ import importlib
 
 from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
                      UnsupportedConfig)
-from .params import (NondimParams, Regime, WaveParams, branching_discriminant,
-                     classify_regime, dispersion_residual, from_json_str,
-                     from_kv, from_mapping, nondimensionalize,
-                     redimensionalize, shear_profile, solve_dispersion,
-                     to_json_str, to_kv)
+from .params import (Regime, WaveParams, branching_discriminant, classify_regime,
+                     dispersion_residual, from_json_str, from_kv, from_mapping,
+                     solve_dispersion, to_json_str, to_kv)
 
 __version__ = "0.1.0"
 
 #: Submodule of each public name that is imported on first access.
 _LAZY = {
     **dict.fromkeys((
-        "field_identity_residuals", "hamiltonian", "hamiltonian_gradient",
-        "in_fluid", "nondim_solution", "pressure", "steady_rhs", "surface",
+        "field_identity_residuals", "in_fluid", "pressure", "surface",
         "velocity", "write_field_grid"), "fields"),
     **dict.fromkeys((
         "BifurcationScan", "CriticalPoint", "SteadyCoeffs", "bifurcation_scan",
@@ -36,21 +33,19 @@ _LAZY = {
         "drift_profile", "find_closed_orbit", "layer_boundaries",
         "section_height", "transit_time_tau"), "drift"),
     **dict.fromkeys(("Trajectory", "read_seeds"), "drift"),
-    **dict.fromkeys(("integrate_steady", "to_physical", "to_steady"), "paths"),
+    **dict.fromkeys(("integrate_steady", "to_physical"), "paths"),
     **dict.fromkeys((
         "IsoclineBranch", "PhasePortrait", "SeparatrixTrace", "portrait_json",
         "portrait_svg"), "phase"),
-    **dict.fromkeys((
-        "build_phase_portrait", "infinity_isocline", "trace_separatrix"), "portrait"),
+    **dict.fromkeys(("build_phase_portrait", "trace_separatrix"), "portrait"),
 }
 
 _SUBMODULES = ("dop853", "drift", "fields", "paths", "phase", "portrait", "steady")
 
 __all__ = sorted([
-    "DomainError", "NondimParams", "NumericsError", "Regime", "ShearwaveError",
-    "TraceError", "UnsupportedConfig", "WaveParams", "branching_discriminant",
-    "classify_regime", "dispersion_residual", "from_json_str", "from_kv",
-    "from_mapping", "nondimensionalize", "redimensionalize", "shear_profile",
+    "DomainError", "NumericsError", "Regime", "ShearwaveError", "TraceError",
+    "UnsupportedConfig", "WaveParams", "branching_discriminant", "classify_regime",
+    "dispersion_residual", "from_json_str", "from_kv", "from_mapping",
     "solve_dispersion", "to_json_str", "to_kv", *_LAZY])
 
 

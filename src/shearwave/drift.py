@@ -21,9 +21,9 @@ Orbit families and how each is handled:
 * unbounded orbits hug a vertical asymptote, so X stays bounded and the
   mean physical velocity is f/k.
 
-Trajectories for export are integrated here too, as lists; ``paths``
-wraps them into arrays.  Like ``steady``, this module runs on ``math``
-without numpy.
+Trajectories for export are integrated here too, by DOP853 or the
+implicit midpoint rule, as lists; ``paths`` wraps them into arrays.  Like
+``steady``, this module runs on ``math`` without numpy.
 """
 
 from __future__ import annotations
@@ -133,18 +133,19 @@ class Trajectory(NamedTuple):
 
 
 def check_trajectory_start(X0: float, Y0: float, t_end: float,
-                           rtol: float, atol: float) -> None:
+                           **steps: float) -> None:
     """DomainError unless the start point is finite with Y0 >= 0, the end
-    time positive and finite, and both tolerances positive and finite."""
+    time positive and finite, and each named tolerance or step size
+    positive and finite."""
     if not (math.isfinite(X0) and math.isfinite(Y0)):
         raise DomainError(f"the start point must be finite, got ({X0!r}, {Y0!r})")
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0.0 < tol < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {tol!r}")
+    for name, value in steps.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
@@ -153,8 +154,12 @@ def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     """DOP853 trajectory from (X0, Y0) over [0, t_end] at every accepted
     step, as lists, with H on the guarded math kernel; truncated when the
     orbit escapes (see accepted_steps)."""
-    check_trajectory_start(X0, Y0, t_end, rtol, atol)
+    check_trajectory_start(X0, Y0, t_end, rtol=rtol, atol=atol)
     ts, Xs, Ys, escaped = accepted_steps(X0, Y0, co, t_end, rtol, atol)
+    return _trajectory(ts, Xs, Ys, co, shifted, escaped, "adaptive")
+
+
+def _trajectory(ts, Xs, Ys, co, shifted, truncated, method) -> Trajectory:
     xs, ys = [], []
     for t, X, Y in zip(ts, Xs, Ys):
         x, y = physical_coords(t, X, Y, co, shifted)
@@ -162,7 +167,60 @@ def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
         ys.append(y)
     H = [co.H(X, Y, GUARDED) for X, Y in zip(Xs, Ys)]
     return Trajectory(t=ts, X=Xs, Y=Ys, x=xs, y=ys, H=H, co=co, shifted=shifted,
-                      truncated=escaped, method="adaptive")
+                      truncated=truncated, method=method)
+
+
+def _newton_correction(co: SteadyCoeffs, X: float, Y: float, dt: float,
+                       gX: float, gY: float) -> tuple[float, float]:
+    """Solution d of (I - dt/2*J) d = (gX, gY) by Cramer's rule, J the flow
+    Jacobian [[Hxy, Hyy], [-Hxx, -Hxy]] at (X, Y)."""
+    Hxx, Hxy, Hyy = co.hessian(X, Y, math)
+    h = 0.5 * dt
+    a, b, c, d = 1.0 - h * Hxy, -h * Hyy, h * Hxx, 1.0 + h * Hxy
+    det = a * d - b * c
+    return (d * gX - b * gY) / det, (a * gY - c * gX) / det
+
+
+def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
+                        dt: float, shifted: bool = False) -> Trajectory:
+    """Fixed-step implicit midpoint rule (symplectic) from (X0, Y0) over
+    [0, t_end], as lists, with H on the guarded math kernel.
+
+    The run takes n = max(1, round(t_end/dt)) steps of t_end/n.  Each step
+    solves z1 = z0 + dt*F((z0 + z1)/2) by Newton from the explicit midpoint
+    estimate, at most 8 corrections, until max|G| < 1e-14*(1 + max|z0|).
+    A step whose iterate is not finite or leaves |Y| <= Y_GUARD ends the
+    run, truncated, at the last completed step.
+    """
+    check_trajectory_start(X0, Y0, t_end, dt=dt)
+    n = max(1, round(t_end / dt))
+    dt = t_end / n
+    h = 0.5 * dt
+    rhs = _scalar_rhs(co)
+    X, Y = float(X0), float(Y0)
+    Xs, Ys = [X], [Y]
+    for _ in range(n):
+        fX, fY = rhs(X, Y)
+        fX, fY = rhs(X + h * fX, Y + h * fY)
+        X1, Y1 = X + dt * fX, Y + dt * fY
+        tol = 1e-14 * (1.0 + max(abs(X), abs(Y)))
+        for _ in range(8):
+            if not (math.isfinite(X1) and abs(Y1) <= Y_GUARD):
+                break
+            mX, mY = 0.5 * (X + X1), 0.5 * (Y + Y1)
+            fX, fY = rhs(mX, mY)
+            gX, gY = X1 - X - dt * fX, Y1 - Y - dt * fY
+            if abs(gX) < tol and abs(gY) < tol:
+                break
+            dX, dY = _newton_correction(co, mX, mY, dt, gX, gY)
+            X1, Y1 = X1 - dX, Y1 - dY
+        if not (math.isfinite(X1) and abs(Y1) <= Y_GUARD):
+            break
+        X, Y = X1, Y1
+        Xs.append(X)
+        Ys.append(Y)
+    ts = linspace(0.0, t_end, n + 1)[:len(Xs)]
+    return _trajectory(ts, Xs, Ys, co, shifted, len(Xs) <= n, "midpoint")
 
 
 # ----------------------------------------------------------------------

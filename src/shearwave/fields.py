@@ -1,4 +1,4 @@
-"""Closed-form evaluation of the linear wave fields and the steady system.
+"""Closed-form evaluation of the linear wave fields on numpy arrays.
 
 Physical fields (bed-frame normalization s = 0, phase theta = k*x - f*t):
 
@@ -8,8 +8,9 @@ Physical fields (bed-frame normalization s = 0, phase theta = k*x - f*t):
                                            - omega*sinh(k*y))
     eta = h + a*cos(theta)
 
-with A = a*(f + k*h*omega)/sinh(k*h).  The steady-frame system, whose
-scalar kernel is in ``steady``, is evaluated here on arrays.
+with A = a*(f + k*h*omega)/sinh(k*h).  This is the one module that
+evaluates on numpy; the steady-frame system is written once, in
+``steady.SteadyCoeffs``, and the package evaluates it on ``math``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import (NondimParams, WaveParams, _require_bed_frame, _require_finite,
-                     check_hyperbolic)
-from .steady import SteadyCoeffs
+from .params import WaveParams, _require_bed_frame, _require_finite, check_hyperbolic
 
 #: Columns of the field-grid CSV export.
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"
@@ -82,65 +81,6 @@ def in_fluid(t, x, y, params: WaveParams):
     """True where 0 <= y <= eta(t, x)."""
     y = np.asarray(y, dtype=float)
     return (y >= 0) & (y <= surface(t, x, params))
-
-
-def nondim_solution(x, y, nd: NondimParams):
-    """Dimensionless perturbation fields (u, v, p) of the steady solution.
-
-    ``x`` is measured in wavelengths, ``y`` in depths; the full horizontal
-    velocity is the shear s - omega_nd*y plus epsilon times the returned u.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    q = 2.0 * math.pi * nd.delta
-    _check_hyperbolic(q * y)
-    cos2px = np.cos(2.0 * math.pi * x)
-    u = q * nd.C * cos2px * np.cosh(q * y)
-    v = 2.0 * math.pi * nd.C * np.sin(2.0 * math.pi * x) * np.sinh(q * y)
-    p = nd.C * cos2px * (q * (nd.c_nd - nd.s_nd + nd.omega_nd * y) * np.cosh(q * y)
-                         - nd.omega_nd * np.sinh(q * y))
-    return u, v, p
-
-
-# ----------------------------------------------------------------------
-# Steady travelling frame
-# ----------------------------------------------------------------------
-
-def _steady_args(X, Y):
-    # Scalar fast path: the same guard without a 0-d array.  The formulas
-    # still run on numpy ufuncs, so the values are the same bits.
-    if isinstance(X, float) and isinstance(Y, float):
-        check_hyperbolic(Y)
-        return X, Y
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    _check_hyperbolic(Y)
-    return X, Y
-
-
-def steady_rhs(X, Y, co: SteadyCoeffs):
-    """Right-hand side (dX/dt, dY/dt) = (dH/dY, -dH/dX) of the steady system.
-
-    The bed line Y = 0 is exactly invariant: sinh(0) = 0 makes dY/dt
-    vanish identically there in floating point as well.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if np.any(Y < 0):
-        raise DomainError("Y must be nonnegative (the bed maps to Y = 0)")
-    X, Y = _steady_args(X, Y)
-    return co.H_Y(X, Y, np), -co.H_X(X, Y, np)
-
-
-def hamiltonian(X, Y, co: SteadyCoeffs):
-    """Conserved quantity H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y."""
-    X, Y = _steady_args(X, Y)
-    return co.H(X, Y, np)
-
-
-def hamiltonian_gradient(X, Y, co: SteadyCoeffs):
-    """Analytic partials (dH/dX, dH/dY); the flow is (dH/dY, -dH/dX)."""
-    X, Y = _steady_args(X, Y)
-    return co.H_X(X, Y, np), co.H_Y(X, Y, np)
 
 
 # ----------------------------------------------------------------------

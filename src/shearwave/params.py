@@ -226,22 +226,6 @@ class WaveParams(_WaveParamsFields):
         return self.a * (self.f + self.k * self.h * self.omega) / math.sinh(self.k * self.h)
 
 
-class NondimParams(NamedTuple):
-    """Dimensionless form of a parameter set.
-
-    Lengths scale with h (vertical) and the wavelength (horizontal),
-    velocities with sqrt(g*h), vorticity with sqrt(g/h).  ``C`` is the
-    coefficient of the dimensionless wave fields.
-    """
-
-    epsilon: float   # a/h, amplitude parameter
-    delta: float     # h/wavelength, shallowness parameter
-    c_nd: float      # c / sqrt(g*h)
-    s_nd: float
-    omega_nd: float  # omega * sqrt(h/g)
-    C: float         # (c_nd - s_nd + omega_nd) / sinh(2*pi*delta)
-
-
 class Regime(NamedTuple):
     """Qualitative classification of a right-going wave configuration."""
 
@@ -254,21 +238,16 @@ class Regime(NamedTuple):
 def dispersion_residual(params: WaveParams) -> float:
     """Dimensionless defect of the solvability relation.
 
-    Returns |q*(2*pi*delta*q*coth(2*pi*delta) - omega_nd) - 1| with
-    q = c_nd - s_nd + omega_nd.  Zero (to rounding) iff the stored speed
-    came from :func:`solve_dispersion` on either branch.
+    Returns |q*(kh*q*coth(kh) - omega_nd) - 1| with omega_nd =
+    omega*sqrt(h/g), q = c/sqrt(g*h) - s + omega_nd and kh = 2*pi*h over
+    the wavelength.  Zero (to rounding) iff the stored speed came from
+    :func:`solve_dispersion` on either branch.
     """
-    nd = nondimensionalize(params)
-    kh = 2.0 * math.pi * nd.delta
-    q = nd.c_nd - nd.s_nd + nd.omega_nd
-    return abs(q * (kh * q / math.tanh(kh) - nd.omega_nd) - 1.0)
-
-
-def shear_profile(y: float, params: WaveParams) -> float:
-    """Background current s*sqrt(g*h) - omega*y at height ``y`` above the bed."""
-    if not 0.0 <= y <= params.h:
-        raise DomainError(f"y = {y!r} outside the water column [0, {params.h}]")
-    return params.s * math.sqrt(params.g * params.h) - params.omega * y
+    g, h = params.g, params.h
+    kh = 2.0 * math.pi * (h / params.wavelength)
+    omega_nd = params.omega * math.sqrt(h / g)
+    q = params.c / math.sqrt(g * h) - params.s + omega_nd
+    return abs(q * (kh * q / math.tanh(kh) - omega_nd) - 1.0)
 
 
 def classify_regime(params: WaveParams) -> Regime:
@@ -313,31 +292,6 @@ def branching_discriminant(alpha: float, omega: float, f: float) -> float:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     r = omega / alpha
     return r * math.asinh(r) - math.hypot(1.0, r) - f / alpha
-
-
-def nondimensionalize(params: WaveParams) -> NondimParams:
-    """Map a physical parameter set onto its dimensionless form."""
-    sqrt_gh = math.sqrt(params.g * params.h)
-    epsilon = params.a / params.h
-    delta = params.h / params.wavelength
-    c_nd = params.c / sqrt_gh
-    omega_nd = params.omega * math.sqrt(params.h / params.g)
-    C = (c_nd - params.s + omega_nd) / math.sinh(2.0 * math.pi * delta)
-    return NondimParams(epsilon=epsilon, delta=delta, c_nd=c_nd,
-                        s_nd=params.s, omega_nd=omega_nd, C=C)
-
-
-def redimensionalize(nd: NondimParams, g: float, h: float) -> WaveParams:
-    """Invert :func:`nondimensionalize` given the dimensional scales (g, h)."""
-    _require_positive(g=g, h=h)
-    sqrt_gh = math.sqrt(g * h)
-    a = nd.epsilon * h
-    k = 2.0 * math.pi * nd.delta / h
-    c = nd.c_nd * sqrt_gh
-    omega = nd.omega_nd * math.sqrt(g / h)
-    q = nd.c_nd - nd.s_nd + nd.omega_nd
-    branch = "plus" if q > 0 else "minus"
-    return WaveParams(g=g, h=h, a=a, k=k, omega=omega, c=c, s=nd.s_nd, branch=branch)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The steady frame X = k*x - f*t, Y = k*y on scalars: particles follow
 dX/dt = dH/dY, dY/dt = -dH/dX with H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y.
-The kernel, critical points and the vorticity census run here, and transit
-and drift in ``drift``, on ``math`` without numpy; ``fields`` and
-``portrait`` re-export these names next to their array code.
+The kernel, critical points and the vorticity census run here, and transit,
+drift and trajectories in ``drift``, on ``math`` without numpy;
+``portrait`` re-exports these names next to its array wrappers.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ class SteadyCoeffs:
         return self, False
 
     # The steady system, written once.  ``m`` is the arithmetic module:
-    # ``steady`` and ``drift`` pass ``math`` (or GUARDED), ``fields``,
-    # ``portrait`` and ``paths`` pass numpy.  The two differ in the last ulp
-    # of cosh/sinh, so a value's bits follow the module that computed it.
+    # ``steady``, ``phase`` and ``drift`` pass ``math`` (or GUARDED).  numpy
+    # works too, but its cosh/sinh differ from math's in the last ulp, so a
+    # value's bits follow the module that computed it.
 
     def H(self, X, Y, m):
         """H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y, unguarded."""

@@ -15,12 +15,10 @@ from scipy.optimize import brentq, minimize_scalar
 from shearwave import (SteadyCoeffs, WaveParams, bifurcation_scan,
                        build_phase_portrait, dispersion_residual,
                        drift_per_period, field_identity_residuals,
-                       find_closed_orbit, find_critical_points, hamiltonian,
-                       hamiltonian_gradient, integrate_steady,
-                       layer_boundaries, solve_dispersion, steady_rhs,
-                       transit_time_tau)
+                       find_closed_orbit, find_critical_points, integrate_steady,
+                       layer_boundaries, solve_dispersion, transit_time_tau)
 from shearwave.cli import main
-from shearwave.portrait import phi
+from shearwave.drift import _scalar_rhs
 
 G = 9.81
 
@@ -103,8 +101,9 @@ def test_criterion_05_hamiltonian_structure(fig1_coeffs, fig2_coeffs,
     rng = np.random.default_rng(105)
     X = rng.uniform(-math.pi, math.pi, 10000)
     Y = rng.uniform(0.0, 8.0, 10000)
-    dX, dY = steady_rhs(X, Y, fig2_coeffs)
-    gX, gY = hamiltonian_gradient(X, Y, fig2_coeffs)
+    rhs = _scalar_rhs(fig2_coeffs)  # the flow both integrators step
+    dX, dY = np.array([rhs(x, y) for x, y in zip(X.tolist(), Y.tolist())]).T
+    gX, gY = fig2_coeffs.H_X(X, Y, np), fig2_coeffs.H_Y(X, Y, np)
     assert np.max(np.abs(dX - gY)) < 1e-12
     assert np.max(np.abs(dY + gX)) < 1e-12
 
@@ -128,10 +127,10 @@ def test_criterion_05_hamiltonian_structure(fig1_coeffs, fig2_coeffs,
 
 def _scan_roots(co, X):
     ys = np.arange(0.0, 50.0, 1e-4)
-    vals = np.asarray(phi(ys, X, co), float)
+    vals = np.asarray(co.H_Y(X, ys, np), float)
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        roots.append(brentq(lambda y: float(phi(y, X, co)), ys[i], ys[i + 1],
+        roots.append(brentq(lambda y: float(co.H_Y(X, y, np)), ys[i], ys[i + 1],
                             xtol=1e-13, maxiter=200))
     return roots
 
@@ -165,8 +164,8 @@ def test_criterion_07_separatrix_fidelity(fig1_params, fig2_params):
     for p in (fig1_params, fig2_params):
         port = build_phase_portrait(p)
         for arm in port.separatrices:
-            levels = np.asarray(hamiltonian(arm.points[1:, 0], arm.points[1:, 1],
-                                            port.coeffs_normalized), float)
+            levels = np.asarray(port.coeffs_normalized.H(
+                arm.points[1:, 0], arm.points[1:, 1], np), float)
             err = np.max(np.abs(levels - arm.H_level)) / (1 + abs(arm.H_level))
             worst = max(worst, float(err))
             assert err < 1e-8
@@ -281,7 +280,7 @@ def test_criterion_11_bifurcation_scan(fig2_params):
     def phi_max(omega):
         q = WaveParams.solve(p.g, p.h, p.k, omega, a=p.a, branch="plus")
         co, _ = SteadyCoeffs.from_params(q).normalized()
-        res = minimize_scalar(lambda y: -float(phi(y, math.pi, co)),
+        res = minimize_scalar(lambda y: -float(co.H_Y(math.pi, y, np)),
                               bounds=(0.0, 30.0), method="bounded",
                               options={"xatol": 1e-12})
         return -res.fun

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
-                       WaveParams, field_identity_residuals, hamiltonian,
-                       hamiltonian_gradient, in_fluid, nondim_solution,
-                       nondimensionalize, pressure, steady_rhs, surface,
-                       velocity)
+                       WaveParams, field_identity_residuals, in_fluid,
+                       pressure, surface, velocity)
+from shearwave.drift import _scalar_rhs
 from shearwave.fields import field_grid_rows
 
 G = 9.81
@@ -98,64 +97,29 @@ class TestSurface:
         assert not bool(in_fluid(0.0, 0.0, -0.01, p))
 
 
-class TestNondimSolution:
-    def test_bed_condition(self, fig2_params):
-        nd = nondimensionalize(fig2_params)
-        _, v, _ = nondim_solution(0.3, 0.0, nd)
-        assert float(v) == 0.0
-
-    def test_quarter_wavelength_nodes(self, fig2_params):
-        nd = nondimensionalize(fig2_params)
-        u, _, p = nondim_solution(0.25, 0.5, nd)
-        assert abs(float(u)) < 1e-12
-        assert abs(float(p)) < 1e-12
-
-    def test_matches_physical_fields(self, fig2_params):
-        # Rescaling the dimensionless perturbation reproduces the physical
-        # wave fields at matched points.
-        p = fig2_params
-        nd = nondimensionalize(p)
-        sqrt_gh = math.sqrt(p.g * p.h)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            t = rng.uniform(0, 5)
-            x = rng.uniform(-5, 5)
-            y = rng.uniform(0, p.h)
-            x_nd = (x - p.c * t) / p.wavelength
-            y_nd = y / p.h
-            u_nd, v_nd, p_nd = nondim_solution(x_nd, y_nd, nd)
-            u_phys, v_phys = velocity(t, x, y, p)
-            press = pressure(t, x, y, p)
-            u_back = sqrt_gh * (-nd.omega_nd * y_nd + nd.s_nd + nd.epsilon * float(u_nd))
-            v_back = nd.epsilon * float(v_nd) * p.h * sqrt_gh / p.wavelength
-            p_back = p.g * (p.h - y) + p.g * p.h * nd.epsilon * float(p_nd)
-            assert u_back == pytest.approx(float(u_phys), rel=1e-10, abs=1e-12)
-            assert v_back == pytest.approx(float(v_phys), rel=1e-10, abs=1e-12)
-            assert p_back == pytest.approx(float(press), rel=1e-10, abs=1e-10)
-
-
 class TestSteadySystem:
     def test_bed_line_invariant(self, fig2_coeffs):
-        dX, dY = steady_rhs(1.1, 0.0, fig2_coeffs)
-        assert float(dY) == 0.0
         co = fig2_coeffs
+        dX, dY = co.H_Y(1.1, 0.0, np), -co.H_X(1.1, 0.0, np)
+        assert float(dY) == 0.0
         assert float(dX) == pytest.approx(co.Ak * math.cos(1.1) - co.f, rel=1e-14)
 
     def test_rhs_is_hamiltonian_flow(self, fig2_coeffs):
         rng = np.random.default_rng(13)
         X = rng.uniform(-math.pi, math.pi, 2000)
         Y = rng.uniform(0.0, 8.0, 2000)
-        dX, dY = steady_rhs(X, Y, fig2_coeffs)
-        dHdX, dHdY = hamiltonian_gradient(X, Y, fig2_coeffs)
+        rhs = _scalar_rhs(fig2_coeffs)  # the flow both integrators step
+        dX, dY = np.array([rhs(x, y) for x, y in zip(X.tolist(), Y.tolist())]).T
+        dHdX, dHdY = fig2_coeffs.H_X(X, Y, np), fig2_coeffs.H_Y(X, Y, np)
         assert np.max(np.abs(dX - dHdY)) < 1e-12
         assert np.max(np.abs(dY + dHdX)) < 1e-12
 
     def test_hamiltonian_special_values(self, fig2_coeffs):
         co = fig2_coeffs
-        assert float(hamiltonian(0.87, 0.0, co)) == 0.0
+        assert float(co.H(0.87, 0.0, np)) == 0.0
         Y = 1.7
         expected = -0.5 * co.omega * Y * Y - co.f * Y
-        assert float(hamiltonian(math.pi / 2, Y, co)) == pytest.approx(
+        assert float(co.H(math.pi / 2, Y, np)) == pytest.approx(
             expected, rel=1e-12)
 
     def test_gradient_matches_finite_differences_second_order(self, fig2_coeffs):
@@ -163,11 +127,11 @@ class TestSteadySystem:
         X0, Y0 = 0.83, 1.21
 
         def fd_error(step):
-            gx = (float(hamiltonian(X0 + step, Y0, co))
-                  - float(hamiltonian(X0 - step, Y0, co))) / (2 * step)
-            gy = (float(hamiltonian(X0, Y0 + step, co))
-                  - float(hamiltonian(X0, Y0 - step, co))) / (2 * step)
-            ax, ay = hamiltonian_gradient(X0, Y0, co)
+            gx = (float(co.H(X0 + step, Y0, np))
+                  - float(co.H(X0 - step, Y0, np))) / (2 * step)
+            gy = (float(co.H(X0, Y0 + step, np))
+                  - float(co.H(X0, Y0 - step, np))) / (2 * step)
+            ax, ay = co.H_X(X0, Y0, np), co.H_Y(X0, Y0, np)
             return math.hypot(gx - float(ax), gy - float(ay))
 
         e1, e2 = fd_error(1e-3), fd_error(5e-4)
@@ -176,7 +140,7 @@ class TestSteadySystem:
     def test_critical_point_gradient_vanishes(self, fig2_coeffs):
         from shearwave import find_critical_points
         cp = find_critical_points(fig2_coeffs)[0]
-        gx, gy = hamiltonian_gradient(cp.X, cp.Y, fig2_coeffs)
+        gx, gy = fig2_coeffs.H_X(cp.X, cp.Y, np), fig2_coeffs.H_Y(cp.X, cp.Y, np)
         assert abs(float(gx)) < 1e-12
         assert abs(float(gy)) < 1e-12
 

@@ -6,9 +6,8 @@ import pytest
 
 from shearwave import (DomainError, UnsupportedConfig, WaveParams,
                        classify_regime, dispersion_residual, from_json_str,
-                       from_kv, from_mapping, nondimensionalize,
-                       redimensionalize, shear_profile, solve_dispersion,
-                       to_json_str, to_kv)
+                       from_kv, from_mapping, solve_dispersion, to_json_str,
+                       to_kv)
 
 G = 9.81
 
@@ -119,24 +118,6 @@ class TestSpeedBoundsAndBranchRule:
         assert np.all(np.diff(q) > 0)
 
 
-class TestShearProfile:
-    def test_bed_value_is_zero_with_stokes_normalization(self, fig2_params):
-        assert shear_profile(0.0, fig2_params) == 0.0
-
-    def test_surface_value(self, fig2_params):
-        assert shear_profile(1.0, fig2_params) == pytest.approx(6.0, rel=1e-14)
-
-    def test_mid_depth_value(self):
-        p = WaveParams.solve(G, 1.0, 1.0, -6.0, branch="minus")
-        assert shear_profile(0.5, p) == pytest.approx(3.0, rel=1e-14)
-
-    def test_out_of_range(self, fig1_params):
-        with pytest.raises(DomainError):
-            shear_profile(-0.1, fig1_params)
-        with pytest.raises(DomainError):
-            shear_profile(1.5, fig1_params)
-
-
 class TestClassifyRegime:
     def test_irrotational(self, fig1_params):
         r = classify_regime(fig1_params)
@@ -165,32 +146,6 @@ class TestClassifyRegime:
         p = WaveParams.solve(G, 1.0, 1.0, 0.0, s=0.4, branch="plus")
         with pytest.raises(UnsupportedConfig):
             classify_regime(p)
-
-
-class TestNondimensionalize:
-    def test_amplitude_and_shallowness(self):
-        p = WaveParams.solve(G, 1.0, 1.0, 0.0, a=0.01)
-        nd = nondimensionalize(p)
-        assert nd.epsilon == pytest.approx(0.01, rel=1e-15)
-        assert nd.delta == pytest.approx(1.0 / (2 * math.pi), rel=1e-15)
-        assert nd.omega_nd == 0.0
-
-    def test_scaled_speed(self, fig1_params):
-        nd = nondimensionalize(fig1_params)
-        assert nd.c_nd == pytest.approx(fig1_params.c / math.sqrt(G), rel=1e-14)
-
-    def test_coefficient_invariant(self, fig2_params):
-        nd = nondimensionalize(fig2_params)
-        expected = (nd.c_nd - nd.s_nd + nd.omega_nd) / math.sinh(2 * math.pi * nd.delta)
-        assert nd.C == pytest.approx(expected, rel=1e-15)
-
-    def test_round_trip(self, fig2_params):
-        nd = nondimensionalize(fig2_params)
-        back = redimensionalize(nd, fig2_params.g, fig2_params.h)
-        for attr in ("a", "k", "c", "omega", "s"):
-            got, want = getattr(back, attr), getattr(fig2_params, attr)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-        assert back.branch == fig2_params.branch
 
 
 class TestWaveParamsConstruction:

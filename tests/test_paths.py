@@ -6,10 +6,11 @@ from scipy.integrate import quad, solve_ivp
 
 from shearwave import (DomainError, SteadyCoeffs, WaveParams, classify_layer,
                        drift_per_period, drift_profile, find_closed_orbit,
-                       find_critical_points, hamiltonian, integrate_steady,
+                       find_critical_points, from_mapping, integrate_steady,
                        layer_boundaries, read_seeds, section_height,
-                       to_physical, to_steady, transit_time_tau)
-from shearwave.paths import (DRIFT_HEADER, TRAJECTORY_HEADER, drift_csv_rows,
+                       to_physical, transit_time_tau)
+from shearwave.cli import PRESETS
+from shearwave.paths import (DRIFT_HEADER, TRAJECTORY_HEADER, Y_GUARD, drift_csv_rows,
                              trajectory_csv_rows)
 
 G = 9.81
@@ -66,11 +67,40 @@ class TestIntegration:
         drift_b = np.max(np.abs(traj.H[half:] - traj.H[0]))
         assert drift_b < 2.0 * max(drift_a, 1e-12)
 
+    @staticmethod
+    def _midpoint_drifts(name, *steps_per_period):
+        """Scaled H drift over 10 periods from (pi, half the trough height)
+        at each step size period/m."""
+        p = from_mapping(PRESETS[name]["params"])
+        co, shifted = SteadyCoeffs.from_params(p).normalized()
+        period = 2 * math.pi / co.f
+        return [integrate_steady(math.pi, 0.5 * p.k * (p.h - p.a), co, 10 * period,
+                                 method="midpoint", dt=period / m,
+                                 shifted=shifted).h_drift_scaled
+                for m in steps_per_period]
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_midpoint_scheme_is_second_order(self, name):
+        coarse, fine = self._midpoint_drifts(name, 200, 400)
+        assert 3.5 < coarse / fine < 4.5
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4-left"])
+    def test_midpoint_drift_within_the_benchmark_audit_bound(self, name):
+        assert self._midpoint_drifts(name, 200)[0] < 1e-2
+
     def test_escape_is_truncated_and_flagged(self):
         co = SteadyCoeffs(Ak=0.5, omega=0.0, f=0.1, k=1.0)
         traj = integrate_steady(0.1, 5.0, co, 1e4)
         assert traj.truncated
         assert 30.0 < np.max(np.abs(traj.Y)) <= 701.0
+        # The midpoint run stops at the last step that stays finite and
+        # below the guard, whatever the step size.
+        for dt in (None, 5.0, 0.5, 0.05, 0.005):
+            traj = integrate_steady(0.1, 5.0, co, 1e4, method="midpoint", dt=dt)
+            assert traj.truncated
+            rows = np.column_stack([traj.t, traj.X, traj.Y, traj.x, traj.y, traj.H])
+            assert np.all(np.isfinite(rows))
+            assert np.max(np.abs(traj.Y)) <= Y_GUARD
 
     def test_preconditions(self, fig1_coeffs):
         with pytest.raises(DomainError):
@@ -85,6 +115,9 @@ class TestIntegration:
                 args = dict(X0=0.0, Y0=0.1, co=fig1_coeffs, t_end=1.0, method=method)
                 with pytest.raises(DomainError):
                     integrate_steady(**{**args, **bad})
+        for dt in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="dt"):
+                integrate_steady(0.0, 0.1, fig1_coeffs, 1.0, method="midpoint", dt=dt)
 
     def test_mirror_symmetry(self, fig2_coeffs):
         # The flow commutes with (X, t) -> (-X, -t): running forward from
@@ -100,13 +133,6 @@ class TestIntegration:
 
 
 class TestFrameConversion:
-    def test_round_trip(self, fig2_coeffs):
-        co = fig2_coeffs
-        traj = integrate_steady(2.0, 0.05, co, 3.0, shifted=True)
-        X_back, Y_back = to_steady(traj.t, traj.x, traj.y, co, shifted=True)
-        assert np.max(np.abs(X_back - traj.X)) < 1e-12
-        assert np.max(np.abs(Y_back - traj.Y)) < 1e-12
-
     def test_center_moves_in_a_straight_line(self, fig2_coeffs):
         co = fig2_coeffs
         center = find_critical_points(co)[1]
@@ -203,7 +229,7 @@ class TestSectionHeight:
             X1, Y1 = float(traj.X[-1]), float(traj.Y[-1])
             back = section_height(X1, Y1, co)
             assert back == pytest.approx(Y0, abs=1e-9)
-            level = float(hamiltonian(math.pi, back, co))
+            level = float(co.H(math.pi, back, np))
             assert level == pytest.approx(float(traj.H[0]), abs=1e-12)
 
     def test_asymptote_bound_orbit_has_no_crossing(self, fig1_coeffs):

@@ -8,11 +8,11 @@ from scipy.optimize import brentq, minimize_scalar
 from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
                        WaveParams, bifurcation_scan, branching_discriminant,
                        build_phase_portrait, classify_critical_point,
-                       find_critical_points, from_mapping, hamiltonian,
-                       infinity_isocline, steady_rhs, trace_separatrix)
+                       find_critical_points, from_mapping, trace_separatrix)
 from shearwave.cli import PRESETS
 from shearwave.phase import _saddle_arm_direction
-from shearwave.portrait import phi, portrait_svg
+from shearwave.portrait import portrait_svg
+from shearwave.steady import isocline_roots
 
 G = 9.81
 
@@ -20,10 +20,10 @@ G = 9.81
 def grid_bisect_roots(co, X, y_max=50.0, step=1e-4):
     """Brute-force oracle: sign scan of phi on a fine grid plus bisection."""
     ys = np.arange(0.0, y_max, step)
-    vals = np.asarray(phi(ys, X, co), dtype=float)
+    vals = np.asarray(co.H_Y(X, ys, np), dtype=float)
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        roots.append(brentq(lambda y: float(phi(y, X, co)), ys[i], ys[i + 1],
+        roots.append(brentq(lambda y: float(co.H_Y(X, y, np)), ys[i], ys[i + 1],
                             xtol=1e-14, maxiter=200))
     return roots
 
@@ -31,17 +31,17 @@ def grid_bisect_roots(co, X, y_max=50.0, step=1e-4):
 class TestInfinityIsocline:
     def test_irrotational_single_root_closed_form(self, fig1_coeffs):
         co = fig1_coeffs
-        roots = infinity_isocline(0.0, co)
+        roots = isocline_roots(0.0, co, 700.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(math.acosh(co.f / co.Ak), rel=1e-12)
 
     def test_no_root_behind_the_crest_for_irrotational(self, fig1_coeffs):
-        assert len(infinity_isocline(3 * math.pi / 4, fig1_coeffs)) == 0
+        assert len(isocline_roots(3 * math.pi / 4, fig1_coeffs, 700.0)) == 0
 
     def test_two_roots_against_grid_oracle(self, fig2_coeffs):
         co = fig2_coeffs
         for X in (2.0, 2.5, math.pi):
-            roots = infinity_isocline(X, co, y_cap=50.0)
+            roots = isocline_roots(X, co, 50.0)
             oracle = grid_bisect_roots(co, X)
             assert len(roots) == len(oracle) == 2
             assert roots[0] < roots[1]
@@ -49,20 +49,15 @@ class TestInfinityIsocline:
 
     def test_every_root_is_a_stagnation_of_x_velocity(self, fig2_coeffs):
         for X in np.linspace(-math.pi, math.pi, 29):
-            for Y in infinity_isocline(float(X), fig2_coeffs, y_cap=30.0):
-                dX, _ = steady_rhs(float(X), float(Y), fig2_coeffs)
+            for Y in isocline_roots(float(X), fig2_coeffs, 30.0):
+                dX = fig2_coeffs.H_Y(float(X), Y, np)
                 assert abs(float(dX)) < 1e-10
 
     def test_symmetry_in_x(self, fig2_coeffs):
         for X in (0.4, 1.9, 2.8):
-            plus = infinity_isocline(X, fig2_coeffs, y_cap=30.0)
-            minus = infinity_isocline(-X, fig2_coeffs, y_cap=30.0)
+            plus = isocline_roots(X, fig2_coeffs, 30.0)
+            minus = isocline_roots(-X, fig2_coeffs, 30.0)
             np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
-
-    def test_requires_normalized_coefficients(self, fig2_params):
-        co = SteadyCoeffs.from_params(fig2_params)  # Ak < 0
-        with pytest.raises(UnsupportedConfig):
-            infinity_isocline(0.0, co)
 
 
 class TestBranchingDiscriminant:
@@ -125,7 +120,7 @@ class TestCriticalPoints:
 
     def test_rhs_residual_at_roots(self, fig2_coeffs):
         for cp in find_critical_points(fig2_coeffs):
-            dX, dY = steady_rhs(cp.X, cp.Y, fig2_coeffs)
+            dX, dY = fig2_coeffs.H_Y(cp.X, cp.Y, np), -fig2_coeffs.H_X(cp.X, cp.Y, np)
             assert abs(float(dX)) < 1e-10
             assert abs(float(dY)) < 1e-10
 
@@ -165,7 +160,7 @@ class TestClassification:
         step = 1e-4  # second differences: balances truncation vs cancellation
         for cp in find_critical_points(co):
             X, Y = cp.X, cp.Y
-            H = lambda a, b: float(hamiltonian(a, b, co))
+            H = lambda a, b: float(co.H(a, b, np))
             hxx = (H(X + step, Y) - 2 * H(X, Y) + H(X - step, Y)) / step**2
             hyy = (H(X, Y + step) - 2 * H(X, Y) + H(X, Y - step)) / step**2
             hxy = (H(X + step, Y + step) - H(X + step, Y - step)
@@ -186,8 +181,8 @@ class TestSeparatrixTracing:
         for direction in ("unstable+", "stable+"):
             arm = trace_separatrix(saddle, fig2_coeffs, direction,
                                    critical_points=pts)
-            levels = np.asarray(hamiltonian(arm.points[1:, 0], arm.points[1:, 1],
-                                            fig2_coeffs), float)
+            levels = np.asarray(fig2_coeffs.H(arm.points[1:, 0], arm.points[1:, 1], np),
+                                float)
             assert np.max(np.abs(levels - arm.H_level)) < 1e-8 * (1 + abs(arm.H_level))
 
     def test_irrotational_bounded_arm_reaches_the_strip_edge(self, fig1_coeffs):
@@ -254,7 +249,7 @@ class TestTrajectorySlopeBound:
         X = np.linspace(0.01, math.pi - 0.01, 60)
         Y = np.linspace(y_star, y_star + delta, 25)
         XX, YY = np.meshgrid(X, Y)
-        dX, dY = steady_rhs(XX, YY, co)
+        dX, dY = co.H_Y(XX, YY, np), -co.H_X(XX, YY, np)
         slope = np.asarray(dY, float) / np.asarray(dX, float)
         assert np.all(slope > 0)
         assert np.all(slope < delta / math.pi)
@@ -285,7 +280,7 @@ class TestBifurcationScan:
         def phi_max(omega):
             p = WaveParams.solve(G, 1.0, 1.0, omega, a=0.01, branch="plus")
             co, _ = SteadyCoeffs.from_params(p).normalized()
-            res = minimize_scalar(lambda y: -float(phi(y, math.pi, co)),
+            res = minimize_scalar(lambda y: -float(co.H_Y(math.pi, y, np)),
                                   bounds=(0.0, 30.0), method="bounded",
                                   options={"xatol": 1e-12})
             return -res.fun

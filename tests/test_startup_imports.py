@@ -17,6 +17,8 @@
   paths, drift or DOP853 modules.
 - ``validate``, ``portrait`` and ``bifurcation`` load neither the paths
   module nor the DOP853 port.
+- The implicit-midpoint rule in ``drift`` runs with every numpy import
+  blocked, and ``import shearwave.paths`` does not load the fields module.
 - Every public name still resolves from the package, through
   ``from shearwave import *`` and in ``dir(shearwave)``.
 
@@ -196,6 +198,34 @@ def test_portrait_commands_load_no_path_integrator(tmp_path, argv):
     assert loaded(result, NOT_FOR_PORTRAITS) == []
 
 
+def test_midpoint_rule_runs_with_numpy_blocked(tmp_path):
+    result = run_fresh(tmp_path, prelude=BLOCK_NUMPY, probe="""
+import json, math, sys
+from shearwave import from_mapping
+from shearwave.cli import PRESETS
+from shearwave.drift import midpoint_trajectory
+from shearwave.steady import SteadyCoeffs
+co, shifted = SteadyCoeffs.from_params(from_mapping(PRESETS["fig2"]["params"])).normalized()
+period = 2.0 * math.pi / co.f
+traj = midpoint_trajectory(math.pi, 0.3, co, 10.0 * period, period / 200.0, shifted)
+print(json.dumps({"rows": len(traj.t), "truncated": traj.truncated,
+                  "drift": traj.h_drift_scaled, "loaded": sorted(sys.modules)}))
+""")
+    assert result["rows"] == 2001 and not result["truncated"]
+    assert result["drift"] < 1e-2
+    assert loaded(result, ("numpy",)) == []
+
+
+def test_paths_module_loads_no_fields(tmp_path):
+    result = run_fresh(tmp_path, probe="""
+import json, sys
+import shearwave.paths
+print(json.dumps({"loaded": sorted(sys.modules)}))
+""")
+    assert "shearwave.paths" in result["loaded"]
+    assert loaded(result, ("shearwave.fields",)) == []
+
+
 def test_every_public_name_resolves_from_a_fresh_package(tmp_path):
     result = run_fresh(tmp_path, probe="""
 import json
@@ -212,7 +242,7 @@ print(json.dumps({
     "unknown_name_raises": not hasattr(shearwave, "no_such_name"),
 }))
 """)
-    assert len(result["all"]) == len(set(result["all"])) == 58
+    assert len(result["all"]) == len(set(result["all"])) == 48
     assert result["unresolved"] == []
     assert result["not_bound_by_star"] == []
     assert result["not_in_dir"] == []
