@@ -85,12 +85,16 @@ PRESETS = {
 # Parameter sources
 # ----------------------------------------------------------------------
 
-def _load_scenario_file(path: Path) -> dict:
+def _read_utf8(path: Path, what: str) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DomainError(f"scenario file {path} is not UTF-8 "
+        raise DomainError(f"{what} {path} is not UTF-8 "
                           f"(byte {exc.start}: {exc.reason})") from None
+
+
+def _load_scenario_file(path: Path) -> dict:
+    text = _read_utf8(path, "scenario file")
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         return wp.json_mapping(text)
     return wp.kv_mapping(text)
@@ -219,7 +223,7 @@ def cmd_paths(args) -> int:
     co = SteadyCoeffs.from_params(p)
     co_n, shifted = co.normalized()
     if args.seeds:
-        seeds = wdrift.read_seeds(Path(args.seeds).read_text(encoding="utf-8"))
+        seeds = wdrift.read_seeds(_read_utf8(Path(args.seeds), "seeds file"))
     else:
         seeds = _default_seeds(p)
     t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / p.f

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from functools import cache
 from typing import NamedTuple
 
-from .dop853 import INTERRUPTED, contd8, dop853
+from .dop853 import INTERRUPTED, TOO_MANY_STEPS, contd8, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
 from .steady import (GUARDED, CriticalPoint, SteadyCoeffs, bracketed_root,
@@ -47,6 +47,11 @@ Y_GUARD = 700.0
 #: (the hyperbolic blow-up outruns the representable time resolution long
 #: before |Y| reaches the overflow guard).
 Y_ESCAPE_MIN = 30.0
+
+#: Step budget of one integration: DOP853 stops after this many steps,
+#: accepted or rejected, and the midpoint rule refuses a run that needs
+#: more.  That is 1,000 times the 2,000 steps of a default midpoint run.
+MAX_STEPS = 2_000_000
 
 #: Columns of the drift CSV.
 DRIFT_HEADER = "Y0,y0_m,tau,drift_m,direction,layer"
@@ -70,7 +75,8 @@ def _scalar_rhs(co):
 def accepted_steps(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                    rtol: float, atol: float):
     """DOP853 from (X0, Y0) over [0, t_end]: lists of the accepted (t, X, Y),
-    initial point first, and whether the orbit escaped above Y_GUARD."""
+    initial point first, and whether the orbit escaped above Y_GUARD.
+    NumericsError when the run takes more than MAX_STEPS steps."""
     ts, Xs, Ys = [], [], []
 
     def solout(t_old, t, z, cont):
@@ -80,8 +86,11 @@ def accepted_steps(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
         return abs(z[1]) > Y_GUARD
 
     idid = dop853(_scalar_rhs(co), 0.0, (float(X0), float(Y0)), t_end,
-                  rtol, atol, solout)
+                  rtol, atol, solout, nmax=MAX_STEPS)
     escaped = idid == INTERRUPTED
+    if idid == TOO_MANY_STEPS:
+        raise NumericsError(f"integration stopped at the step budget of {MAX_STEPS} steps",
+                            diagnostics={"t_reached": ts[-1], "t_end": t_end, "idid": idid})
     if idid < 0:
         if max(abs(y) for y in Ys) > Y_ESCAPE_MIN:
             escaped = True
@@ -186,13 +195,17 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     """Fixed-step implicit midpoint rule (symplectic) from (X0, Y0) over
     [0, t_end], as lists, with H on the guarded math kernel.
 
-    The run takes n = max(1, round(t_end/dt)) steps of t_end/n.  Each step
+    The run takes n = max(1, round(t_end/dt)) steps of t_end/n; a t_end/dt
+    above MAX_STEPS is refused with a DomainError.  Each step
     solves z1 = z0 + dt*F((z0 + z1)/2) by Newton from the explicit midpoint
     estimate, at most 8 corrections, until max|G| < 1e-14*(1 + max|z0|).
     A step whose iterate is not finite or leaves |Y| <= Y_GUARD ends the
     run, truncated, at the last completed step.
     """
     check_trajectory_start(X0, Y0, t_end, dt=dt)
+    if t_end / dt > MAX_STEPS:
+        raise DomainError(f"t_end/dt = {t_end / dt:.6g} exceeds the step budget "
+                          f"of {MAX_STEPS} steps")
     n = max(1, round(t_end / dt))
     dt = t_end / n
     h = 0.5 * dt
@@ -509,7 +522,7 @@ def _loop_period_and_min_xdot(Y0: float, co_n: SteadyCoeffs,
 
     t_max = 1000.0 * 2.0 * math.pi / co_n.f
     idid = dop853(_scalar_rhs(co_n), 0.0, (math.pi, float(Y0)), t_max,
-                  rtol, atol, solout, dense=True)
+                  rtol, atol, solout, dense=True, nmax=MAX_STEPS)
     if not crossing:
         raise NumericsError("vortex orbit failed to return to the section",
                             diagnostics={"Y0": Y0, "t_max": t_max, "idid": idid})

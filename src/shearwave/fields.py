@@ -33,6 +33,16 @@ def _check_hyperbolic(arg):
     check_hyperbolic(float(np.max(np.abs(arg), initial=0.0)))
 
 
+def _heights(y, params):
+    """``y`` as an array and ``k*y``, after the y >= 0 and hyperbolic checks."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
+        raise DomainError("y must be nonnegative (the bed is at y = 0)")
+    ky = params.k * y
+    _check_hyperbolic(ky)
+    return y, ky
+
+
 def _phase(t, x, params):
     return params.k * np.asarray(x, dtype=float) - params.f * np.asarray(t, dtype=float)
 
@@ -45,13 +55,9 @@ def velocity(t, x, y, params: WaveParams):
     flag points outside the fluid domain.
     """
     _require_bed_frame(params)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("y must be nonnegative (the bed is at y = 0)")
-    _check_hyperbolic(params.k * y)
+    y, ky = _heights(y, params)
     theta = _phase(t, x, params)
     A = params.A
-    ky = params.k * y
     u = -params.omega * y + A * np.cos(theta) * np.cosh(ky)
     v = A * np.sin(theta) * np.sinh(ky)
     return u, v
@@ -60,12 +66,8 @@ def velocity(t, x, y, params: WaveParams):
 def pressure(t, x, y, params: WaveParams, P0: float = 0.0):
     """Pressure per unit density (m^2/s^2) at time t and position (x, y)."""
     _require_bed_frame(params)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("y must be nonnegative (the bed is at y = 0)")
-    _check_hyperbolic(params.k * y)
+    y, ky = _heights(y, params)
     theta = _phase(t, x, params)
-    ky = params.k * y
     wave = (params.A / params.k) * np.cos(theta) * (
         (params.f + params.k * params.omega * y) * np.cosh(ky)
         - params.omega * np.sinh(ky))
@@ -110,66 +112,23 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     ky = params.k * y
     _check_hyperbolic(ky)
     A, k, f, omega = params.A, params.k, params.f, params.omega
-    a, h = params.a, params.h
-    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    phase_shape = np.broadcast_shapes(t.shape, x.shape)
-    full_shape = np.broadcast_shapes(phase_shape, y.shape)
-
-    # Each expression keeps the operand order of the per-term formulas
-    # (noted on the right), with its arithmetic evaluated into reused
-    # buffers: the temporaries are as large as the inputs, and allocating
-    # one per operation costs more than the arithmetic on 10^4-point
-    # reports.  Transcendentals never write over their input.
-    tmp = np.multiply(f, t, out=np.empty(phase_shape))
-    theta = np.multiply(k, x, out=np.empty(phase_shape))
-    np.subtract(theta, tmp, out=theta)                 # _phase(t, x)
-    sin_t = np.sin(theta, out=np.empty(phase_shape))
-    cos_t = np.cos(theta, out=np.empty(phase_shape))
-    cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
-    full = np.empty(full_shape)
-
-    np.multiply(-A * k, sin_t, out=tmp)
-    np.multiply(tmp, cosh_ky, out=full)                # u_x
-    np.multiply(A * k, sin_t, out=tmp)
-    div = np.multiply(tmp, cosh_ky, out=np.empty(full_shape))  # v_y
-    np.add(full, div, out=div)                         # u_x + v_y
-
-    np.multiply(A * k, cos_t, out=tmp)
-    np.multiply(tmp, sinh_ky, out=full)                # v_x
-    curl_defect = np.add(-omega, full, out=np.empty(full_shape))  # u_y
-    np.subtract(full, curl_defect, out=curl_defect)
-    np.subtract(curl_defect, omega, out=curl_defect)   # (v_x - u_y) - omega
-
-    bed_v = np.multiply(A, sin_t, out=np.empty(phase_shape))
-    np.multiply(bed_v, math.sinh(0.0), out=bed_v)      # A*sin_t*sinh(0)
-
-    kinematic_defect = np.multiply(A, sin_t, out=np.empty(phase_shape))
-    np.multiply(kinematic_defect, math.sinh(k * h),
-                out=kinematic_defect)                  # v_surf
-    np.multiply(-a * k, sin_t, out=tmp)                # eta_x
-    np.multiply(-omega * h, tmp, out=tmp)              # U(h)*eta_x
-    eta_t = np.multiply(a * f, sin_t, out=sin_t)
-    np.add(eta_t, tmp, out=tmp)
-    np.subtract(kinematic_defect, tmp, out=kinematic_defect)
-
-    # pressure(t, x, h) and surface(t, x) on the shared cos(theta); the
-    # hydrostatic term g*(h - y) vanishes at y = h.
+    a, h, g = params.a, params.h, params.g
+    theta = _phase(t, x, params)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    cosh_ky = np.cosh(ky)
+    v_x = A * k * cos_t * np.sinh(ky)
     kh = k * h
-    dynamic_defect = np.multiply(A / k, cos_t, out=np.empty(phase_shape))
-    np.multiply(dynamic_defect,
-                (f + k * omega * h) * np.cosh(kh) - omega * np.sinh(kh),
-                out=dynamic_defect)
-    np.add(P0, dynamic_defect, out=dynamic_defect)     # P_surf
-    np.subtract(dynamic_defect, P0, out=dynamic_defect)
-    np.multiply(a, cos_t, out=cos_t)
-    eta = np.add(h, cos_t, out=cos_t)                  # h + a*cos_t
-    np.subtract(eta, h, out=eta)
-    np.multiply(params.g, eta, out=eta)
-    np.subtract(dynamic_defect, eta, out=dynamic_defect)
-
-    # 0-d results come back as numpy scalars, as plain arithmetic gives.
-    return FieldResiduals(*(r if r.ndim else r[()] for r in (
-        div, curl_defect, bed_v, kinematic_defect, dynamic_defect)))
+    # Each residual keeps the operand order of the per-term formulas, which
+    # fixes its bits; at y = h the hydrostatic term of pressure() vanishes.
+    P_surf = P0 + (A / k) * cos_t * (
+        (f + k * omega * h) * np.cosh(kh) - omega * np.sinh(kh))
+    return FieldResiduals(
+        -A * k * sin_t * cosh_ky + A * k * sin_t * cosh_ky,    # u_x + v_y
+        (v_x - (-omega + v_x)) - omega,                         # (v_x - u_y) - omega
+        A * sin_t * math.sinh(0.0),                             # v at y = 0
+        # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h
+        A * sin_t * math.sinh(kh) - (a * f * sin_t + -omega * h * (-a * k * sin_t)),
+        P_surf - P0 - g * ((h + a * cos_t) - h))                # P(h) - P0 - g*(eta - h)
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +150,8 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
     x value, its rows each ending in a newline."""
     _require_bed_frame(params)
     _require_finite(t=t, P0=P0)
-    x, y = _grid_axis("x_grid", x_grid), _grid_axis("y_grid", y_grid)
-    if np.any(y < 0):
-        raise DomainError("y must be nonnegative (the bed is at y = 0)")
-    ky = params.k * y
-    _check_hyperbolic(ky)
+    x = _grid_axis("x_grid", x_grid)
+    y, ky = _heights(_grid_axis("y_grid", y_grid), params)
     A, k, f, omega = params.A, params.k, params.f, params.omega
     theta = _phase(t, x, params)
     cos_t, sin_t = np.cos(theta), np.sin(theta)

@@ -109,7 +109,11 @@ def solve_dispersion(g: float, h: float, k: float, omega: float,
     if branch not in BRANCHES:
         raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
     t = math.tanh(k * h)
-    root = math.sqrt(4.0 * g * k * t + (omega * t) ** 2)
+    try:
+        root = math.sqrt(4.0 * g * k * t + (omega * t) ** 2)
+    except OverflowError:
+        raise DomainError(f"omega = {omega!r} is too large: (omega*tanh(k*h))**2 "
+                          "overflows") from None
     signed = root if branch == "plus" else -root
     return s * math.sqrt(g * h) - h * omega + (omega * t + signed) / (2.0 * k)
 

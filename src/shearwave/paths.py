@@ -1,23 +1,23 @@
 """Particle trajectories in the steady and physical frames, with a
 Hamiltonian audit: the array face of ``drift``.  Trajectories, transit
-times, drift and closed orbits are computed there without numpy, and their
-names are re-exported here; this module returns trajectories as numpy
-arrays.
+times, drift and closed orbits are computed there without numpy; this
+module returns trajectories as numpy arrays.  Every other path name is
+imported from ``drift``, where it is defined.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .drift import (DRIFT_HEADER, LAYERS, TRAJECTORY_HEADER, TS_H0, TS_MAX_HALVINGS,
-                    TS_RTOL, TS_T_MAX, Y_ESCAPE_MIN, Y_GUARD, ClosedOrbit, DriftReport,
-                    Trajectory, _h_at_pi, _loop_period_and_min_xdot, _piece_bracket,
-                    _scalar_rhs, _tau_quadrature, _trichotomy, accepted_steps,
-                    check_trajectory_start, classify_layer, drift_csv_rows,
-                    drift_per_period, drift_profile, find_closed_orbit,
-                    fluid_top_level, layer_boundaries, midpoint_trajectory,
-                    physical_coords, read_seeds, section_height, steady_trajectory,
-                    trajectory_csv_rows, transit_time_tau)
+# LAYERS, TRAJECTORY_HEADER, the two CSV writers, drift_per_period,
+# drift_profile, find_closed_orbit and layer_boundaries are here only for
+# perfbench, which binds them on this module (``TARGETS`` in
+# ``perfbench/tracing.py``, and ``perfbench/workloads.py``).
+from .drift import (LAYERS, TRAJECTORY_HEADER, Trajectory, check_trajectory_start,
+                    classify_layer, drift_csv_rows, drift_per_period, drift_profile,
+                    find_closed_orbit, layer_boundaries, midpoint_trajectory,
+                    physical_coords, section_height, steady_trajectory,
+                    trajectory_csv_rows)
 from .errors import DomainError, NumericsError
 from .steady import SteadyCoeffs
 

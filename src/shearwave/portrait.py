@@ -1,8 +1,9 @@
 """Steady-frame phase portraits: the array face of ``phase``.
 
-The portrait is computed by the numpy-free ``phase`` module, whose names
-are re-exported here; this module returns its polylines as (n, 2) numpy
-arrays and evaluates nothing itself.
+The portrait is computed by the numpy-free ``phase`` module; this module
+returns its polylines as (n, 2) numpy arrays and evaluates nothing
+itself.  Every other portrait name is imported from ``phase`` or
+``steady``, where it is defined.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ import numpy as np
 
 from . import phase
 from .params import Y_SEARCH_MAX
-from .phase import (DEFAULT_RESOLUTION, SEPARATRIX_DIRECTIONS, SVG_STYLE, IsoclineBranch,
-                    PhasePortrait, SeparatrixTrace, isocline_csv_rows, portrait_json,
-                    portrait_summary, portrait_svg, separatrix_csv_rows)
-from .steady import (_BRENT_RTOL, ROOT_XTOL, BifurcationScan, CriticalPoint, ScanRow,
-                     SteadyCoeffs, _brentq, _polish_root, bifurcation_scan,
-                     bracketed_root, classify_critical_point, find_critical_points,
-                     isocline_roots)
+# The four exporters, bifurcation_scan and find_critical_points are here
+# only for perfbench's tracer, which binds them on this module
+# (``TARGETS`` in ``perfbench/tracing.py``).
+from .phase import (DEFAULT_RESOLUTION, PhasePortrait, SeparatrixTrace, isocline_csv_rows,
+                    portrait_json, portrait_svg, separatrix_csv_rows)
+from .steady import CriticalPoint, SteadyCoeffs, bifurcation_scan, find_critical_points
 
 
 def _array_arm(arm: SeparatrixTrace) -> SeparatrixTrace:

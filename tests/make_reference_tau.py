@@ -27,7 +27,7 @@ import numpy as np
 
 from shearwave import SteadyCoeffs, classify_layer, from_mapping, layer_boundaries
 from shearwave.cli import PRESETS
-from shearwave.paths import fluid_top_level
+from shearwave.drift import fluid_top_level
 
 OUT = Path(__file__).with_name("reference_tau.json")
 DPS = 45

@@ -11,9 +11,9 @@ import pytest
 
 from shearwave import SteadyCoeffs, build_phase_portrait, from_mapping, integrate_steady
 from shearwave.cli import PRESETS, _default_seeds, main
+from shearwave.drift import trajectory_csv_rows
 from shearwave.phase import (isocline_csv_rows, portrait_json, portrait_svg,
                              separatrix_csv_rows)
-from shearwave.paths import trajectory_csv_rows
 
 
 def rows_text(rows) -> str:

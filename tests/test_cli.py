@@ -50,6 +50,12 @@ class TestDispersionCommand:
         assert code == EXIT_BAD_INPUT
         assert err == "error: omega must be finite, got nan\n"
 
+    def test_huge_vorticity_is_named(self, capsys):
+        code, _, err = run(capsys, "dispersion", "--g", "9.81", "--h", "1",
+                           "--k", "1", "--omega", "1e200")
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: omega = 1e+200 is too large: (omega*tanh(k*h))**2 overflows\n"
+
 
 class TestPortraitCommand:
     def test_irrotational_summary(self, capsys, tmp_path):
@@ -142,6 +148,25 @@ class TestOtherCommands:
         assert code == 0
         summary = json.loads((tmp_path / "fig1" / "paths.json").read_text())
         assert len(summary["trajectories"]) == 1
+
+    def test_non_utf8_seeds_file_exits_2(self, capsys, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_bytes(b"\xff3.14 0.0\n")
+        code, _, err = run(capsys, "paths", "--preset", "fig1",
+                           "--seeds", str(seeds), "--out", str(tmp_path / "out"))
+        assert code == EXIT_BAD_INPUT
+        assert err == f"error: seeds file {seeds} is not UTF-8 (byte 0: invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_paths_stop_at_the_step_budget(self, capsys, monkeypatch, tmp_path):
+        import shearwave.drift
+        monkeypatch.setattr(shearwave.drift, "MAX_STEPS", 1000)
+        code, _, err = run(capsys, "paths", "--preset", "fig1", "--t-end", "1e308",
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL
+        assert err == ("numerical failure: integration stopped at the step budget "
+                       "of 1000 steps\n")
+        assert not (tmp_path / "out").exists()
 
     def test_drift_outputs(self, capsys, tmp_path):
         code, _, _ = run(capsys, "drift", "--preset", "fig2", "--levels", "9",
@@ -237,6 +262,7 @@ class TestOptionRanges:
         ["drift", "--a", "1.0"],  # the surface touches the bed at X = pi
         ["validate", "--omega", "nan"],
         ["validate", "--g", "inf"],
+        ["validate", "--omega", "1e155"],  # (omega*tanh(kh))**2 overflows
         ["portrait", "--omega", "nan"],
     ], ids=" ".join)
     def test_out_of_range_option_exits_2_with_one_line(self, argv, capsys, tmp_path):

@@ -24,7 +24,7 @@ import pytest
 
 from shearwave import SteadyCoeffs, from_mapping, integrate_steady
 from shearwave.cli import PRESETS, main
-from shearwave.paths import trajectory_csv_rows
+from shearwave.drift import trajectory_csv_rows
 
 MANIFEST = Path(__file__).with_name("digests.json")
 

@@ -13,7 +13,7 @@ from shearwave import SteadyCoeffs, from_mapping
 from shearwave.cli import PRESETS
 from shearwave.dop853 import (INTERRUPTED, STEP_TOO_SMALL, STIFF, SUCCESS,
                               TOO_MANY_STEPS, contd8, dop853)
-from shearwave.paths import Y_GUARD, _scalar_rhs
+from shearwave.drift import Y_GUARD, _scalar_rhs
 
 FUZZ_SEED = 20261018
 FUZZ_CASES = 120

@@ -59,6 +59,16 @@ class TestSolveDispersion:
         with pytest.raises(DomainError):
             solve_dispersion(G, 1.0, 1.0, 0.0, branch="middle")
 
+    def test_huge_vorticity_is_refused_by_name(self):
+        # (omega*tanh(kh))**2 overflows above about 1.3e154; below that the
+        # speed is finite.
+        assert math.isfinite(solve_dispersion(G, 1.0, 1.0, 1e154))
+        for omega in (1e155, -1e200, 1.7e308):
+            with pytest.raises(DomainError, match="omega"):
+                solve_dispersion(G, 1.0, 1.0, omega)
+        with pytest.raises(DomainError, match="omega"):
+            WaveParams.solve(G, 1.0, 1.0, -1e200, a=0.01, branch="minus")
+
 
 class TestDispersionResidual:
     def test_solved_parameters_have_tiny_residual(self):

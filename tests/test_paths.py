@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from shearwave import (DomainError, SteadyCoeffs, WaveParams, classify_layer,
-                       drift_per_period, drift_profile, find_closed_orbit,
-                       find_critical_points, from_mapping, integrate_steady,
-                       layer_boundaries, read_seeds, section_height,
-                       to_physical, transit_time_tau)
+from shearwave import (DomainError, NumericsError, SteadyCoeffs, WaveParams,
+                       classify_layer, drift, drift_per_period, drift_profile,
+                       find_closed_orbit, find_critical_points, from_mapping,
+                       integrate_steady, layer_boundaries, read_seeds,
+                       section_height, to_physical, transit_time_tau)
 from shearwave.cli import PRESETS
-from shearwave.paths import (DRIFT_HEADER, TRAJECTORY_HEADER, Y_GUARD, drift_csv_rows,
+from shearwave.dop853 import TOO_MANY_STEPS
+from shearwave.drift import (DRIFT_HEADER, TRAJECTORY_HEADER, Y_GUARD, drift_csv_rows,
                              trajectory_csv_rows)
 
 G = 9.81
@@ -115,7 +116,8 @@ class TestIntegration:
                 args = dict(X0=0.0, Y0=0.1, co=fig1_coeffs, t_end=1.0, method=method)
                 with pytest.raises(DomainError):
                     integrate_steady(**{**args, **bad})
-        for dt in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        # 5e-324 asks for more steps than drift.MAX_STEPS (t_end/dt = inf).
+        for dt in (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324):
             with pytest.raises(DomainError, match="dt"):
                 integrate_steady(0.0, 0.1, fig1_coeffs, 1.0, method="midpoint", dt=dt)
 
@@ -132,6 +134,32 @@ class TestIntegration:
         assert float(back.Y[-1]) == pytest.approx(0.03, abs=1e-9)
 
 
+class TestStepBudget:
+    """Both integrators stop at ``drift.MAX_STEPS``, patched small here."""
+
+    def test_midpoint_refuses_a_run_beyond_the_budget(self, fig1_coeffs, monkeypatch):
+        monkeypatch.setattr(drift, "MAX_STEPS", 100)
+        assert len(integrate_steady(0.1, 0.5, fig1_coeffs, 1.0, method="midpoint",
+                                    dt=0.01).t) == 101
+        with pytest.raises(DomainError, match="step budget"):
+            integrate_steady(0.1, 0.5, fig1_coeffs, 1.0, method="midpoint", dt=0.005)
+
+    def test_dop853_stops_at_the_budget(self, fig1_coeffs, monkeypatch):
+        t_end = 20 * 2.0 * math.pi / fig1_coeffs.f
+        steps = len(integrate_steady(math.pi, 0.5, fig1_coeffs, t_end).t) - 1
+        monkeypatch.setattr(drift, "MAX_STEPS", steps // 2)
+        with pytest.raises(NumericsError, match="step budget") as exc:
+            integrate_steady(math.pi, 0.5, fig1_coeffs, t_end)
+        assert exc.value.diagnostics["idid"] == TOO_MANY_STEPS
+        assert exc.value.diagnostics["t_reached"] < t_end
+
+    def test_vortex_loop_stops_at_the_budget(self, fig2_coeffs, monkeypatch):
+        monkeypatch.setattr(drift, "MAX_STEPS", 3)
+        with pytest.raises(NumericsError, match="return to the section") as exc:
+            drift_per_period(0.02, fig2_coeffs)
+        assert exc.value.diagnostics["idid"] == TOO_MANY_STEPS
+
+
 class TestFrameConversion:
     def test_center_moves_in_a_straight_line(self, fig2_coeffs):
         co = fig2_coeffs
@@ -146,7 +174,7 @@ class TestFrameConversion:
 
     def test_zero_frequency_frame_is_identity(self):
         co = SteadyCoeffs(Ak=0.0, omega=0.0, f=0.0, k=2.0)
-        from shearwave.paths import Trajectory
+        from shearwave.drift import Trajectory
         t = np.linspace(0, 1, 5)
         X = np.full(5, 0.7)
         Y = np.full(5, 0.4)
@@ -378,7 +406,7 @@ class TestDrift:
         assert r.mean_speed == pytest.approx(-omega * Y0 / co.k, rel=1e-14)
 
     def test_direction_trichotomy_tolerance(self):
-        from shearwave.paths import _trichotomy
+        from shearwave.drift import _trichotomy
         f = 0.5
         period = 2 * math.pi / f
         assert _trichotomy(period * (1 + 1e-13), f) == "closed"

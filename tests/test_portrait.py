@@ -10,8 +10,7 @@ from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
                        build_phase_portrait, classify_critical_point,
                        find_critical_points, from_mapping, trace_separatrix)
 from shearwave.cli import PRESETS
-from shearwave.phase import _saddle_arm_direction
-from shearwave.portrait import portrait_svg
+from shearwave.phase import _saddle_arm_direction, portrait_svg
 from shearwave.steady import isocline_roots
 
 G = 9.81

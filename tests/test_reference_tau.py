@@ -19,7 +19,7 @@ import pytest
 from shearwave import (SteadyCoeffs, classify_layer, drift_per_period, from_mapping,
                        layer_boundaries)
 from shearwave.cli import PRESETS
-from shearwave.paths import fluid_top_level, transit_time_tau
+from shearwave.drift import fluid_top_level, transit_time_tau
 
 REFERENCE = json.loads(Path(__file__).with_name("reference_tau.json")
                        .read_text(encoding="utf-8"))

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from shearwave import DomainError, NumericsError
-from shearwave.portrait import bracketed_root
+from shearwave.steady import bracketed_root
 
 XTOLS = (1e-14, 1e-12, 1e-8)
 

@@ -12,7 +12,7 @@ import pytest
 
 from shearwave import NumericsError, ShearwaveError, WaveParams, drift_profile
 from shearwave.cli import EXIT_NUMERICAL, main
-from shearwave.portrait import bracketed_root
+from shearwave.steady import bracketed_root
 
 G = 9.81
 
