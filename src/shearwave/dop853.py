@@ -1,20 +1,20 @@
 """Hairer's DOP853 for an autonomous system of two equations.
 
 An explicit Runge-Kutta method of order 8 with embedded error estimators
-of orders 5 and 3 and a dense output of order 7 (Dormand & Prince;
-Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
-2nd ed., Springer 1993, section II.10).  ``dop853`` ports the step loop
-``dp86co`` and the initial step ``hinit`` of Hairer's ``dop853.f`` line
-for line, in scalar ``math`` arithmetic, with the settings that SciPy's
-``integrate.ode`` uses for it: scalar tolerances, safety factor 0.9,
-step ratios in [0.3, 6], no Lund stabilization, no maximum step and a
-stiffness test every 1000 accepted steps.  Each accepted step therefore
-equals SciPy's bit for bit.  Two details follow SciPy's C translation
-rather than the printed Fortran: a rejected step retries with
-``h / facc1``, and the rounding unit of the step-size floor is the
-machine epsilon, not 2.3e-16.  A stop requested at the initial point
-ends INTERRUPTED, as in Hairer's code, where SciPy reports a step-size
-failure.
+of orders 5 and 3 (Dormand & Prince; Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, 2nd ed., Springer 1993, section
+II.10).  ``dop853`` ports the step loop ``dp86co`` and the initial step
+``hinit`` of Hairer's ``dop853.f`` line for line, in scalar ``math``
+arithmetic, with the settings that SciPy's ``integrate.ode`` uses for it:
+scalar tolerances, safety factor 0.9, step ratios in [0.3, 6], no Lund
+stabilization, no maximum step and a stiffness test every 1000 accepted
+steps.  Each accepted step therefore equals SciPy's bit for bit.  Two
+details follow SciPy's C translation rather than the printed Fortran: a
+rejected step retries with ``h / facc1``, and the rounding unit of the
+step-size floor is the machine epsilon, not 2.3e-16.  A stop requested at
+the initial point ends INTERRUPTED, as in Hairer's code, where SciPy
+reports a step-size failure.  Every caller reads the accepted steps, so
+the dense output is not ported.
 """
 
 from __future__ import annotations
@@ -104,80 +104,6 @@ A129 = -8.87285693353062954433549289258e0
 A1210 = 1.23605671757943030647266201528e1
 A1211 = 6.43392746015763530355970484046e-1
 
-A141 = 5.61675022830479523392909219681e-2
-A147 = 2.53500210216624811088794765333e-1
-A148 = -2.46239037470802489917441475441e-1
-A149 = -1.24191423263816360469010140626e-1
-A1410 = 1.5329179827876569731206322685e-1
-A1411 = 8.20105229563468988491666602057e-3
-A1412 = 7.56789766054569976138603589584e-3
-A1413 = -8.298e-3
-A151 = 3.18346481635021405060768473261e-2
-A156 = 2.83009096723667755288322961402e-2
-A157 = 5.35419883074385676223797384372e-2
-A158 = -5.49237485713909884646569340306e-2
-A1511 = -1.08347328697249322858509316994e-4
-A1512 = 3.82571090835658412954920192323e-4
-A1513 = -3.40465008687404560802977114492e-4
-A1514 = 1.41312443674632500278074618366e-1
-A161 = -4.28896301583791923408573538692e-1
-A166 = -4.69762141536116384314449447206e0
-A167 = 7.68342119606259904184240953878e0
-A168 = 4.06898981839711007970213554331e0
-A169 = 3.56727187455281109270669543021e-1
-A1613 = -1.39902416515901462129418009734e-3
-A1614 = 2.9475147891527723389556272149e0
-A1615 = -9.15095847217987001081870187138e0
-
-D41 = -0.84289382761090128651353491142e+01
-D46 = 0.56671495351937776962531783590e+00
-D47 = -0.30689499459498916912797304727e+01
-D48 = 0.23846676565120698287728149680e+01
-D49 = 0.21170345824450282767155149946e+01
-D410 = -0.87139158377797299206789907490e+00
-D411 = 0.22404374302607882758541771650e+01
-D412 = 0.63157877876946881815570249290e+00
-D413 = -0.88990336451333310820698117400e-01
-D414 = 0.18148505520854727256656404962e+02
-D415 = -0.91946323924783554000451984436e+01
-D416 = -0.44360363875948939664310572000e+01
-D51 = 0.10427508642579134603413151009e+02
-D56 = 0.24228349177525818288430175319e+03
-D57 = 0.16520045171727028198505394887e+03
-D58 = -0.37454675472269020279518312152e+03
-D59 = -0.22113666853125306036270938578e+02
-D510 = 0.77334326684722638389603898808e+01
-D511 = -0.30674084731089398182061213626e+02
-D512 = -0.93321305264302278729567221706e+01
-D513 = 0.15697238121770843886131091075e+02
-D514 = -0.31139403219565177677282850411e+02
-D515 = -0.93529243588444783865713862664e+01
-D516 = 0.35816841486394083752465898540e+02
-D61 = 0.19985053242002433820987653617e+02
-D66 = -0.38703730874935176555105901742e+03
-D67 = -0.18917813819516756882830838328e+03
-D68 = 0.52780815920542364900561016686e+03
-D69 = -0.11573902539959630126141871134e+02
-D610 = 0.68812326946963000169666922661e+01
-D611 = -0.10006050966910838403183860980e+01
-D612 = 0.77771377980534432092869265740e+00
-D613 = -0.27782057523535084065932004339e+01
-D614 = -0.60196695231264120758267380846e+02
-D615 = 0.84320405506677161018159903784e+02
-D616 = 0.11992291136182789328035130030e+02
-D71 = -0.25693933462703749003312586129e+02
-D76 = -0.15418974869023643374053993627e+03
-D77 = -0.23152937917604549567536039109e+03
-D78 = 0.35763911791061412378285349910e+03
-D79 = 0.93405324183624310003907691704e+02
-D710 = -0.37458323136451633156875139351e+02
-D711 = 0.10409964950896230045147246184e+03
-D712 = 0.29840293426660503123344363579e+02
-D713 = -0.43533456590011143754432175058e+02
-D714 = 0.96324553959188282948394950600e+02
-D715 = -0.39177261675615439165231486172e+02
-D716 = -0.14972683625798562581422125276e+03
-
 
 def hinit(fcn, y, f0, posneg, hmax, rtol, atol):
     """Initial step: h**8 * max(|f0|, |y''|) = 0.01 in the error norm."""
@@ -210,14 +136,12 @@ def hinit(fcn, y, f0, posneg, hmax, rtol, atol):
     return math.copysign(min(100 * abs(h), h1, hmax), posneg)
 
 
-def dop853(fcn, x, y, xend, rtol, atol, solout, dense=False, nmax=10 ** 9):
+def dop853(fcn, x, y, xend, rtol, atol, solout, nmax=10 ** 9):
     """Integrate y' = fcn(*y) for the pair ``y`` from ``x`` towards ``xend``.
 
-    ``solout(xold, x, y, cont)`` is called at the start and after every
-    accepted step; a true return stops the integration (INTERRUPTED).
-    With ``dense=True``, ``cont`` holds the step's dense output for
-    :func:`contd8`, else it is None.  Returns ``idid``: SUCCESS,
-    INTERRUPTED, TOO_MANY_STEPS, STEP_TOO_SMALL or STIFF.
+    ``solout(xold, x, y)`` is called at the start and after every accepted
+    step; a true return stops the integration (INTERRUPTED).  Returns
+    ``idid``: SUCCESS, INTERRUPTED, TOO_MANY_STEPS, STEP_TOO_SMALL or STIFF.
     """
     facc1, facc2 = 1.0 / FAC1, 1.0 / FAC2
     posneg = math.copysign(1.0, xend - x)
@@ -227,7 +151,7 @@ def dop853(fcn, x, y, xend, rtol, atol, solout, dense=False, nmax=10 ** 9):
     h = hinit(fcn, (y0, y1), (k10, k11), posneg, hmax, rtol, atol)
     last = reject = False
     hlamb, iasti, nonsti, nstep, naccpt = 0.0, 0, 0, 0, 0
-    if solout(x, x, (y0, y1), None):
+    if solout(x, x, (y0, y1)):
         return INTERRUPTED
     while True:
         if nstep > nmax:
@@ -329,15 +253,10 @@ def dop853(fcn, x, y, xend, rtol, atol, solout, dense=False, nmax=10 ** 9):
                 nonsti += 1
                 if nonsti == 6:
                     iasti = 0
-        cont = None
-        if dense:
-            cont = (x, h, _dense(fcn, h, (y0, y1), (n0, n1), (f0, f1), (k10, k11),
-                                 (k60, k61), (k70, k71), (k80, k81), (k90, k91),
-                                 (ka0, ka1), (kb0, kb1), (kc0, kc1)))
         k10, k11 = f0, f1
         y0, y1 = n0, n1
         xold, x = x, xph
-        if solout(xold, x, (y0, y1), cont):
+        if solout(xold, x, (y0, y1)):
             return INTERRUPTED
         if last:
             return SUCCESS
@@ -348,45 +267,3 @@ def dop853(fcn, x, y, xend, rtol, atol, solout, dense=False, nmax=10 ** 9):
         reject = False
         h = hnew
 
-
-def _dense(fcn, h, y, n, f, k1, k6, k7, k8, k9, k10, k11, k12):
-    """Dense-output coefficients of an accepted step from y to n, one tuple
-    per component; every argument but ``fcn`` and ``h`` is a pair."""
-    def stage(a):
-        return fcn(*[y[i] + h * a(i) for i in (0, 1)])
-    # The next three function evaluations.
-    k14 = stage(lambda i: A141 * k1[i] + A147 * k7[i] + A148 * k8[i] + A149 * k9[i]
-                + A1410 * k10[i] + A1411 * k11[i] + A1412 * k12[i] + A1413 * f[i])
-    k15 = stage(lambda i: A151 * k1[i] + A156 * k6[i] + A157 * k7[i] + A158 * k8[i]
-                + A1511 * k11[i] + A1512 * k12[i] + A1513 * f[i] + A1514 * k14[i])
-    k16 = stage(lambda i: A161 * k1[i] + A166 * k6[i] + A167 * k7[i] + A168 * k8[i]
-                + A169 * k9[i] + A1613 * f[i] + A1614 * k14[i] + A1615 * k15[i])
-    out = []
-    for i in (0, 1):
-        ydiff = n[i] - y[i]
-        bspl = h * k1[i] - ydiff
-        out.append((
-            y[i], ydiff, bspl, ydiff - h * f[i] - bspl,
-            h * (D41 * k1[i] + D46 * k6[i] + D47 * k7[i] + D48 * k8[i] + D49 * k9[i]
-                 + D410 * k10[i] + D411 * k11[i] + D412 * k12[i] + D413 * f[i]
-                 + D414 * k14[i] + D415 * k15[i] + D416 * k16[i]),
-            h * (D51 * k1[i] + D56 * k6[i] + D57 * k7[i] + D58 * k8[i] + D59 * k9[i]
-                 + D510 * k10[i] + D511 * k11[i] + D512 * k12[i] + D513 * f[i]
-                 + D514 * k14[i] + D515 * k15[i] + D516 * k16[i]),
-            h * (D61 * k1[i] + D66 * k6[i] + D67 * k7[i] + D68 * k8[i] + D69 * k9[i]
-                 + D610 * k10[i] + D611 * k11[i] + D612 * k12[i] + D613 * f[i]
-                 + D614 * k14[i] + D615 * k15[i] + D616 * k16[i]),
-            h * (D71 * k1[i] + D76 * k6[i] + D77 * k7[i] + D78 * k8[i] + D79 * k9[i]
-                 + D710 * k10[i] + D711 * k11[i] + D712 * k12[i] + D713 * f[i]
-                 + D714 * k14[i] + D715 * k15[i] + D716 * k16[i])))
-    return out
-
-
-def contd8(cont, x):
-    """Dense output (component 0, component 1) of a step at ``x``."""
-    xold, h, coeffs = cont
-    s = (x - xold) / h
-    s1 = 1.0 - s
-    return tuple(c0 + s * (c1 + s1 * (c2 + s * (c3 + s1 * (
-        c4 + s * (c5 + s1 * (c6 + s * c7))))))
-        for c0, c1, c2, c3, c4, c5, c6, c7 in coeffs)

@@ -12,9 +12,9 @@ Orbit families and how each is handled:
   tanh-sinh quadrature of dt = dX / (-dX/dt) along the H-level curve,
   with an error estimate;
 * vortex orbits (negative-vorticity cat's-eye) are closed in the steady
-  frame: the loop period is found by integrating half a loop between the
-  two crossings of the X = pi section, and the particle advances f*T/k
-  per loop;
+  frame: the loop is the graph cos X = G(Y) between its two crossings of
+  the X = pi section, its period T comes from the same quadrature over Y,
+  and the particle advances f*T/k per loop;
 * surface-layer orbits between the two isocline branches move with
   dX/dt > 0, so the physical velocity (dX/dt + f)/k is positive
   throughout: constant forward motion;
@@ -29,12 +29,11 @@ implicit midpoint rule, as lists; ``paths`` wraps them into arrays.  Like
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cache
 from typing import NamedTuple
 
-from .dop853 import INTERRUPTED, TOO_MANY_STEPS, contd8, dop853
+from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
 from .steady import (GUARDED, CriticalPoint, SteadyCoeffs, bracketed_root,
@@ -79,7 +78,7 @@ def accepted_steps(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     NumericsError when the run takes more than MAX_STEPS steps."""
     ts, Xs, Ys = [], [], []
 
-    def solout(t_old, t, z, cont):
+    def solout(t_old, t, z):
         ts.append(t)
         Xs.append(z[0])
         Ys.append(z[1])
@@ -232,7 +231,10 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
         X, Y = X1, Y1
         Xs.append(X)
         Ys.append(Y)
-    ts = linspace(0.0, t_end, n + 1)[:len(Xs)]
+    # The times of the kept rows, as linspace(0, t_end, n + 1) gives them.
+    ts = [i * dt for i in range(len(Xs))]
+    if len(Xs) > n:
+        ts[-1] = t_end
     return _trajectory(ts, Xs, Ys, co, shifted, len(Xs) <= n, "midpoint")
 
 
@@ -361,13 +363,13 @@ def classify_layer(Y0: float, co_n: SteadyCoeffs,
 
 
 # ----------------------------------------------------------------------
-# Transit time
+# Transit times and loop periods
 # ----------------------------------------------------------------------
 
-#: Tanh-sinh quadrature of the transit time over X in [0, pi]: nodes at
-#: t = j*h for |t| <= TS_T_MAX, where the weights fall below 1e-20; h is
-#: halved from TS_H0 until two estimates agree to TS_RTOL, at most
-#: TS_MAX_HALVINGS times.
+#: Tanh-sinh quadrature of transit times and loop periods over [0, pi]:
+#: nodes at t = j*h for |t| <= TS_T_MAX, where the weights fall below
+#: 1e-20; h is halved from TS_H0 until two estimates agree to TS_RTOL, at
+#: most TS_MAX_HALVINGS times.
 TS_T_MAX = 3.5
 TS_H0 = 0.5
 TS_RTOL = 1e-13
@@ -445,15 +447,20 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
     rightward = layer == "surface_wave"
     sign, piece = (1.0 if rightward else -1.0), int(rightward)
     H0 = _h_at_pi(Y0, co_n)
-
-    def weighted_sum(halving):
-        return math.fsum(
-            w * (sign / co_n.H_Y(X, _level_height(X, Y0, H0, co_n, piece), math))
-            for X, w in zip(*_tanh_sinh_nodes(halving)))
-
     # The orbit is mirror-symmetric in X, so integrate a half period.  The
     # integrand peaks where the level passes a saddle, at X = 0 or pi,
     # where tanh-sinh clusters its nodes.
+    half, err = _tanh_sinh(
+        lambda X: sign / co_n.H_Y(X, _level_height(X, Y0, H0, co_n, piece), math))
+    return 2.0 * half, rightward, 2.0 * err
+
+
+def _tanh_sinh(fn) -> tuple[float, float]:
+    """Integral of ``fn`` over [0, pi] on the ``_tanh_sinh_nodes`` table and
+    the difference of its last two estimates, the error estimate."""
+    def weighted_sum(halving):
+        return math.fsum(w * fn(X) for X, w in zip(*_tanh_sinh_nodes(halving)))
+
     h = TS_H0
     estimate = h * weighted_sum(0)
     for halving in range(1, TS_MAX_HALVINGS + 1):
@@ -462,7 +469,7 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
         estimate = 0.5 * previous + h * weighted_sum(halving)
         if abs(estimate - previous) <= TS_RTOL * abs(estimate):
             break
-    return 2.0 * estimate, rightward, 2.0 * abs(estimate - previous)
+    return estimate, abs(estimate - previous)
 
 
 def transit_time_tau(level_or_traj, co: SteadyCoeffs,
@@ -488,49 +495,77 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs,
     return None if transit is None else transit[0]
 
 
-def _loop_period_and_min_xdot(Y0: float, co_n: SteadyCoeffs,
-                              rtol: float = 1e-12, atol: float = 1e-14):
-    """Steady-orbit period of a closed vortex loop through (pi, Y0).
+def _loop_period(Y0: float, co_n: SteadyCoeffs,
+                 boundaries: dict) -> tuple[float, float, float] | None:
+    """Period of the closed vortex loop through (pi, Y0), an error estimate
+    of it and the least dX/dt on the loop; None at the center to rounding.
 
-    Integrates half a loop between the two crossings of the X = pi section
-    (the loop is time-symmetric about that section) and doubles it: each
-    accepted step is tested for a sign change of X - pi, and the crossing
-    is the Brent root of that step's 7th-order dense output.  Also returns
-    the minimum of dX/dt at 512 samples of the half loop's dense output.
+    The loop is the graph cos X = G(Y) = (H0 + omega*Y^2/2 + f*Y)/(Ak sinh Y)
+    between its two crossings Ya < Yb of X = pi, run once on each side of
+    that section, so T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))).
+    The other end solves H(pi, .) = H(pi, Y0) on the monotone piece across
+    the center Yc, written as drops from Yc, which keep their digits on a
+    small loop.  The integral is split at the saddle height Y_P0 where it
+    lies inside [Ya, Yb], else at Yc.  Each half runs from its end Ye and
+    takes its level from there, so (1 + G) Ak sinh Y = drop(Ye, Y - Ye); the
+    substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes the
+    1/sqrt singularity at Ye.
     """
+    Ak, omega, f = co_n.Ak, co_n.omega, co_n.f
     xd0 = co_n.H_Y(math.pi, Y0, math)
-    scale = co_n.Ak * math.cosh(Y0) + abs(co_n.omega) * Y0 + co_n.f
-    if abs(xd0) <= 1e-13 * scale:
-        return None, 0.0  # at the center to rounding: no loop to time
-    # The loop crosses X = pi moving left at the bottom and right at the top,
-    # so the return crossing has X - pi rising (sign +1) or falling (-1).
-    sign = 1.0 if xd0 < 0.0 else -1.0
-    conts = []
-    crossing = []
+    if abs(xd0) <= 1e-13 * (Ak * math.cosh(Y0) + abs(omega) * Y0 + f):
+        return None  # at the center to rounding: no loop to time
 
-    def solout(t_old, t, z, cont):
-        if cont is None:
-            return False
-        conts.append(cont)
-        if not (cont[2][0][0] - math.pi) * sign <= 0.0 <= (z[0] - math.pi) * sign:
-            return False
-        fn = lambda s: (contd8(cont, s)[0] - math.pi) * sign
-        # Rounding may leave the dense output just short of X = pi at t.
-        crossing.append(t if fn(t) < 0.0 else bracketed_root(
-            fn, t_old, t, 4.0 * math.ulp(1.0), what="return to X = pi"))
-        return True
+    def drop(Ye, d):
+        """H(pi, Ye) - H(pi, Ye + d), without cancellation."""
+        return (2.0 * Ak * math.cosh(Ye + 0.5 * d) * math.sinh(0.5 * d)
+                + (omega * (Ye + 0.5 * d) + f) * d)
 
-    t_max = 1000.0 * 2.0 * math.pi / co_n.f
-    idid = dop853(_scalar_rhs(co_n), 0.0, (math.pi, float(Y0)), t_max,
-                  rtol, atol, solout, dense=True, nmax=MAX_STEPS)
-    if not crossing:
-        raise NumericsError("vortex orbit failed to return to the section",
-                            diagnostics={"Y0": Y0, "t_max": t_max, "idid": idid})
-    t_half = crossing[0]
-    starts = [cont[0] for cont in conts]
-    xdots = [co_n.H_Y(*contd8(conts[max(bisect_right(starts, t) - 1, 0)], t), math)
-             for t in linspace(0.0, t_half, 512)]
-    return 2.0 * t_half, min(xdots)
+    roots = [boundaries["Y_P1"], boundaries["Y_P2"]]
+    Yc = roots[0]
+    level = drop(Yc, Y0 - Yc)
+    fn = lambda Y: level - drop(Yc, Y - Yc)  # H(pi, Y) - H(pi, Y0)
+    Y1 = bracketed_root(fn, *_piece_bracket(fn, roots, int(Y0 < Yc)), 1e-15,
+                        what="other end of the vortex loop on X = pi")
+    Ya, Yb = sorted((Y0, Y1))
+    Ym = boundaries["Y_P0"] if Ya < boundaries["Y_P0"] < Yb else Yc
+
+    def half(Ye):
+        c = (Ym - Ye) / math.pi ** 2
+
+        def dt_dX(X):
+            d = c * X * X
+            p = drop(Ye, d)
+            q = p * (2.0 * Ak * math.sinh(Ye + d) - p)
+            if not q > 0.0:
+                raise NumericsError("vortex loop level within rounding of its "
+                                    "separatrix", diagnostics={"Y0": Y0, "Y": Ye + d})
+            return 2.0 * abs(c) * X / math.sqrt(q)
+        return _tanh_sinh(dt_dX)
+
+    (Ta, err_a), (Tb, err_b) = half(Ya), half(Yb)
+    H0 = _h_at_pi(Y0, co_n)
+    xdot = lambda Y: (H0 + (0.5 * omega * Y + f) * Y) / math.tanh(Y) - omega * Y - f
+    return 2.0 * (Ta + Tb), 2.0 * (err_a + err_b), _least_value(xdot, Ya, Yb)
+
+
+def _least_value(fn, lo: float, hi: float) -> float:
+    """Least value of ``fn`` on [lo, hi]: 44 golden-section steps, which
+    narrow the bracket to 1e-9 of the interval, and the two ends."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(44):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = fn(d)
+    return min(fn(lo), fn(hi), fc, fd)
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +581,10 @@ class DriftReport(NamedTuple):
     direction: str          # forward | backward | closed | always_forward
     layer: str
     mean_speed: float       # drift_m / tau, or f/k where X stays bounded
-    #: Quadrature-only error estimate of a transit tau.  Just below a
-    #: separatrix the rounding of the level height dominates: the true error
-    #: can be 3.5-11 times larger (README, "Numerical notes").
+    #: Quadrature-only error estimate of tau, a transit or a loop.  Next to
+    #: a separatrix the rounding of the level dominates: the true error can
+    #: be 3.5-11 times larger for a transit and up to 23 times for a loop
+    #: (README, "Numerical notes").
     tau_err: float = math.nan
 
 
@@ -594,8 +630,8 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
                            else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.
-    T, min_xdot = _loop_period_and_min_xdot(Y0, co_n)
-    if T is None:
+    loop = _loop_period(Y0, co_n, boundaries)
+    if loop is None:
         # The center itself: straight-line forward motion at speed f/k,
         # measured from an actual integration rather than asserted.
         ts, Xs, Ys, _ = accepted_steps(math.pi, Y0, co_n, 10.0 * (2.0 * math.pi / f),
@@ -605,10 +641,11 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
         return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
                            direction="always_forward", layer=layer,
                            mean_speed=(x_end - x_start) / (ts[-1] - ts[0]))
+    T, tau_err, min_xdot = loop
     drift = f * T / k
     direction = "always_forward" if min_xdot > -f else "forward"
     return DriftReport(Y0=Y0, tau=T, drift_m=drift, direction=direction,
-                       layer=layer, mean_speed=f / k)
+                       layer=layer, mean_speed=f / k, tau_err=tau_err)
 
 
 def fluid_top_level(params: WaveParams, shifted: bool) -> float:
@@ -633,8 +670,9 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
         if n < 1:
             raise DomainError(f"the number of drift levels must be at least 1, got {n}")
         top = 0.999 * fluid_top_level(params, shifted)
-        if not top > 0.0:
-            raise DomainError("the surface reaches the bed over X = pi: no drift levels")
+        if not 1e-5 * top > 0.0:
+            raise DomainError(f"no drift levels: 1e-5 of the surface height over X = pi "
+                              f"({top:.6g}) must be positive")
         logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
         levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
     boundaries = layer_boundaries(co_n)

@@ -1,4 +1,5 @@
-"""Write ``reference_tau.json``: transit times at 45 significant digits.
+"""Write ``reference_tau.json``: transit times and vortex loop periods at
+45 significant digits.
 
 For each level Y0 on the X = pi section the transit time is
 
@@ -11,6 +12,12 @@ its monotone piece of H(X, .), bracketed by the roots of dX/dt = 0 in Y.
 The package supplies only the inputs: the preset coefficients, the
 default drift levels (``drift_profile(n=33)``), their layers, and the
 separatrix height ``Y_lower`` for the levels just below it.
+
+The vortex levels of the fig2 and fig4-right profiles get their loop
+periods by a different route from the package's (see ``loop_period_mp``):
+Gauss-Legendre in the cosine substitution over the loop's height range,
+with the other end from ``findroot``.  The package's saddle height Y_P0
+only splits that range.
 
 Generation takes a few minutes, so tier 1 only reads the file.  Rebuild it
 on purpose with::
@@ -35,6 +42,8 @@ PRESET_NAMES = ("fig1", "fig2", "fig4-left", "fig4-right")
 LEVELS_N = 33
 NEAR_SEPARATRIX = {"fig1": (1e-3, 1e-6, 1e-8), "fig2": (1e-3, 1e-6, 1e-8)}
 TRANSIT_LAYERS = {"bed_adjacent": 0, "internal_wave": 0, "surface_wave": 1}
+LOOP_PRESETS = ("fig2", "fig4-right")
+LOOP_DIGITS = 40
 
 
 def default_levels(params, shifted):
@@ -113,6 +122,54 @@ def tau_mp(co, Y0, piece):
     return 2 * value
 
 
+def loop_period_mp(co, Y0, split):
+    """Period of the vortex loop through (pi, Y0): the loop is the graph
+    cos X = G(Y) over [Ya, Yb], its crossings of X = pi, run once on each
+    side of that section, so T = 2 * integral dY / (Ak sinh Y sqrt(1 - G^2)).
+    The other end is the ``findroot`` of H(pi, .) = H(pi, Y0) across the
+    center, and Y = (Ya + Yb)/2 - (Yb - Ya)/2 cos(theta) removes both end
+    singularities.  ``split`` (a height inside the loop) only splits the
+    theta range where the integrand peaks near a saddle."""
+    Ak, om, f = mp.mpf(co.Ak), mp.mpf(co.omega), mp.mpf(co.f)
+    Y0 = mp.mpf(Y0)
+
+    def H_pi(Y):
+        return -Ak * mp.sinh(Y) - om * Y * Y / 2 - f * Y
+
+    def HY_pi(Y):
+        return -Ak * mp.cosh(Y) - om * Y - f
+
+    H0 = H_pi(Y0)
+    # dX/dt on X = pi is concave in Y with its maximum at ym: its roots, the
+    # center and the upper saddle, lie on either side, and the other end
+    # lies across the center.
+    ym = mp.asinh(-om / Ak)
+    center = _bracketed(HY_pi, mp.mpf(0), ym)
+    g = lambda Y: H_pi(Y) - H0
+    if Y0 < center:
+        other = _bracketed(g, center, _bracketed(HY_pi, ym, _grow(HY_pi, ym, 1)))
+    else:
+        other = _bracketed(g, mp.mpf(0), center)
+    Ya, Yb = min(Y0, other), max(Y0, other)
+    mid, rad = (Ya + Yb) / 2, (Yb - Ya) / 2
+
+    def integrand(theta):
+        Y = mid - rad * mp.cos(theta)
+        s = Ak * mp.sinh(Y)
+        G = (H0 + om * Y * Y / 2 + f * Y) / s
+        return rad * mp.sin(theta) / (s * mp.sqrt((1 - G) * (1 + G)))
+
+    points = [0, mp.pi]
+    if Ya < split < Yb:
+        points.insert(1, mp.acos((mid - split) / rad))
+    # The integrand is analytic in theta; Gauss-Legendre keeps its nodes
+    # far enough from the ends that 1 + G keeps most of its digits.
+    value, err = mp.quad(integrand, points, method="gauss-legendre", error=True,
+                         maxdegree=10)
+    assert err < mp.mpf(10) ** -LOOP_DIGITS * value, (float(Y0), err, value)
+    return 2 * value
+
+
 def coeffs(name):
     params = from_mapping(PRESETS[name]["params"])
     co, shifted = SteadyCoeffs.from_params(params).normalized()
@@ -121,7 +178,8 @@ def coeffs(name):
 
 def main():
     mp.mp.dps = DPS
-    out = {"dps": DPS, "levels_n": LEVELS_N, "presets": {}, "near_separatrix": []}
+    out = {"dps": DPS, "levels_n": LEVELS_N, "presets": {}, "near_separatrix": [],
+           "loops": {}}
     memo = {}
     for name in PRESET_NAMES:
         params, co, shifted = coeffs(name)
@@ -149,6 +207,19 @@ def main():
             out["near_separatrix"].append({"preset": name, "eps": eps, "Y0": Y0,
                                            "tau": tau})
             print(f"{name} eps={eps:g} Y0={Y0!r} tau={tau}", file=sys.stderr)
+    for name in LOOP_PRESETS:
+        params, co, shifted = coeffs(name)
+        b = layer_boundaries(co)
+        rows = []
+        for Y0 in default_levels(params, shifted).tolist():
+            if classify_layer(Y0, co, b) != "vortex":
+                continue
+            key = (co, Y0, "loop")
+            if key not in memo:
+                memo[key] = loop_period_mp(co, Y0, b["Y_P0"])
+            rows.append({"Y0": Y0, "tau": mp.nstr(memo[key], LOOP_DIGITS)})
+            print(f"{name} Y0={Y0:.6g} loop tau={rows[-1]['tau']}", file=sys.stderr)
+        out["loops"][name] = rows
     OUT.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUT}", file=sys.stderr)
 

@@ -271,6 +271,14 @@ class TestOptionRanges:
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_underflowing_drift_levels_exit_2_with_one_line(self, capsys, tmp_path):
+        # k = 5e-324: the surface height over X = pi is positive, but 1e-5 of
+        # it, the lowest default drift level, underflows to zero.
+        code, _, err = run(capsys, "drift", "--preset", "fig4-right", "--k", "5e-324",
+                           "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_failed_run_leaves_no_output_directory(self, capsys, tmp_path,
                                                    monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ from scipy.integrate import ode
 from shearwave import SteadyCoeffs, from_mapping
 from shearwave.cli import PRESETS
 from shearwave.dop853 import (INTERRUPTED, STEP_TOO_SMALL, STIFF, SUCCESS,
-                              TOO_MANY_STEPS, contd8, dop853)
+                              TOO_MANY_STEPS, dop853)
 from shearwave.drift import Y_GUARD, _scalar_rhs
 
 FUZZ_SEED = 20261018
@@ -40,7 +40,7 @@ def scipy_steps(fcn, y0, t_end, rtol, atol, guard=math.inf, nsteps=10 ** 9):
 def port_steps(fcn, y0, t_end, rtol, atol, guard=math.inf, nmax=10 ** 9):
     steps = []
 
-    def solout(t_old, t, z, cont):
+    def solout(t_old, t, z):
         steps.append((t, z[0], z[1]))
         return abs(z[1]) > guard
 
@@ -117,22 +117,3 @@ def test_stiff_and_step_limit_outcomes_match_scipy(nmax, outcome):
     assert idid == istate == outcome
     assert got == want
 
-
-def test_dense_output_interpolates_the_steps():
-    # fig2 vortex loop: the 7th-order interpolant hits both step ends and
-    # agrees mid-step with a run that stops exactly there.
-    co, _ = SteadyCoeffs.from_params(from_mapping(PRESETS["fig2"]["params"])).normalized()
-    fcn = _scalar_rhs(co)
-    steps = []
-    dop853(fcn, 0.0, (math.pi, 0.02), 20.0, 1e-11, 1e-13,
-           lambda t_old, t, z, cont: steps.append((t_old, t, z, cont)), dense=True)
-    assert len(steps) > 10 and steps[0][3] is None
-    for (_, _, z_old, _), (t_old, t, z, cont) in zip(steps, steps[1:]):
-        assert contd8(cont, t_old) == pytest.approx(z_old, abs=1e-15)
-        assert contd8(cont, t) == pytest.approx(z, abs=1e-14)
-    for t_old, t, z, cont in steps[1::9]:
-        mid = 0.5 * (t_old + t)
-        end = []
-        dop853(fcn, 0.0, (math.pi, 0.02), mid, 1e-13, 1e-15,
-               lambda t0, t1, zz, c: end.append(zz))
-        assert contd8(cont, mid) == pytest.approx(end[-1], abs=1e-9)

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from shearwave import (DomainError, NumericsError, SteadyCoeffs, WaveParams,
                        classify_layer, drift, drift_per_period, drift_profile,
@@ -144,6 +146,17 @@ class TestStepBudget:
         with pytest.raises(DomainError, match="step budget"):
             integrate_steady(0.1, 0.5, fig1_coeffs, 1.0, method="midpoint", dt=0.005)
 
+    def test_truncated_midpoint_run_times_only_its_rows(self):
+        # The orbit escapes above Y_GUARD after 8 of 2,000,000 planned steps;
+        # the times of the 9 kept rows are those of the full time grid.
+        start = time.perf_counter()
+        traj = integrate_steady(0.1, 5.0, SteadyCoeffs(0.5, 0.0, 0.1, 1.0), 1e4,
+                                method="midpoint", dt=0.005)
+        elapsed = time.perf_counter() - start
+        assert traj.truncated and len(traj.t) == 9
+        assert np.array_equal(traj.t, np.linspace(0.0, 1e4, 2_000_001)[:9])
+        assert elapsed < 0.05
+
     def test_dop853_stops_at_the_budget(self, fig1_coeffs, monkeypatch):
         t_end = 20 * 2.0 * math.pi / fig1_coeffs.f
         steps = len(integrate_steady(math.pi, 0.5, fig1_coeffs, t_end).t) - 1
@@ -152,12 +165,6 @@ class TestStepBudget:
             integrate_steady(math.pi, 0.5, fig1_coeffs, t_end)
         assert exc.value.diagnostics["idid"] == TOO_MANY_STEPS
         assert exc.value.diagnostics["t_reached"] < t_end
-
-    def test_vortex_loop_stops_at_the_budget(self, fig2_coeffs, monkeypatch):
-        monkeypatch.setattr(drift, "MAX_STEPS", 3)
-        with pytest.raises(NumericsError, match="return to the section") as exc:
-            drift_per_period(0.02, fig2_coeffs)
-        assert exc.value.diagnostics["idid"] == TOO_MANY_STEPS
 
 
 class TestFrameConversion:
@@ -439,6 +446,33 @@ class TestDrift:
             half = event_crossing_time(r.Y0, co, math.pi, direction,
                                        1e-13, 1e-15, 1000.0)
             assert r.tau == pytest.approx(2.0 * half, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4-right"])
+    def test_loop_least_speed_and_direction_labels(self, name):
+        # Each vortex loop of the 64-level profile: the least dX/dt is no
+        # larger than a scan of the loop's graph finds, up to rounding, and
+        # the label is always_forward exactly when a scipy run of one loop
+        # keeps the physical velocity (dX/dt + f)/k positive.
+        p = from_mapping(PRESETS[name]["params"])
+        co, _ = SteadyCoeffs.from_params(p).normalized()
+        b = layer_boundaries(co)
+        loops = [r for r in drift_profile(p, n=64) if r.layer == "vortex"]
+        assert len(loops) == 14
+        for r in loops:
+            T, _, least = drift._loop_period(r.Y0, co, b)
+            H0 = co.H(math.pi, r.Y0, np)
+            piece = (b["Y_P1"], b["Y_P2"]) if r.Y0 < b["Y_P1"] else (0.0, b["Y_P1"])
+            other = brentq(lambda Y: co.H(math.pi, Y, np) - H0, *piece, xtol=1e-15)
+            Y = np.linspace(min(r.Y0, other), max(r.Y0, other), 20_001)
+            G = (H0 + 0.5 * co.omega * Y * Y + co.f * Y) / (co.Ak * np.sinh(Y))
+            scan = co.H_Y(np.arccos(np.clip(G, -1.0, 1.0)), Y, np)
+            assert least <= scan.min() + 1e-14 * co.f
+            sol = solve_ivp(lambda t, z: (co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)),
+                            (0.0, T), (math.pi, r.Y0), method="DOP853", rtol=1e-12,
+                            atol=1e-12, dense_output=True)
+            X, Y = sol.sol(np.linspace(0.0, T, 4001))
+            forward_throughout = np.min(co.H_Y(X, Y, np)) > -co.f
+            assert r.direction == ("always_forward" if forward_throughout else "forward")
 
     def test_surface_layer_always_forward(self, fig2_coeffs):
         r = drift_per_period(0.5, fig2_coeffs)
