@@ -6,20 +6,21 @@ particle drifts with or against the wave is decided by the transit time
 tau of its steady orbit across one period: over a transit the physical
 displacement is (f*tau - 2*pi)/k, so tau > 2*pi/f means forward drift.
 
-Orbit families and how each is handled:
+Along every orbit dY/dt = Ak sin X sinh Y, so Y is monotone between the
+X = 0 and X = pi sections and each piece of an orbit there is a graph
+cos X = G(Y).  The orbit through (pi, Y0) leaves that section upward where
+dX/dt < 0, else downward, and its family is where its graph first meets a
+section (the bed, Y0 = 0, is invariant: bed_adjacent):
 
-* bed / interior-wave orbits traverse X from pi to -pi: tau comes from
-  tanh-sinh quadrature of dt = dX / (-dX/dt) along the H-level curve,
-  with an error estimate;
-* vortex orbits (negative-vorticity cat's-eye) are closed in the steady
-  frame: the loop is the graph cos X = G(Y) between its two crossings of
-  the X = pi section, its period T comes from the same quadrature over Y,
-  and the particle advances f*T/k per loop;
-* surface-layer orbits between the two isocline branches move with
-  dX/dt > 0, so the physical velocity (dX/dt + f)/k is positive
-  throughout: constant forward motion;
-* unbounded orbits hug a vertical asymptote, so X stays bounded and the
-  mean physical velocity is f/k.
+* X = 0: a transit, internal_wave running left or surface_wave running
+  right; tau comes from tanh-sinh quadrature of dt = dX / (-dX/dt) along
+  the H-level curve, with an error estimate.  A leftward transit drifts
+  forward or backward; a rightward one moves forward throughout;
+* X = pi again: a closed vortex loop (negative-vorticity cat's eye), whose
+  period T comes from the same quadrature over Y; the particle advances
+  f*T/k per loop;
+* neither below Y_GUARD: unbounded, hugging a vertical asymptote, so X
+  stays bounded and the mean physical velocity is f/k.
 
 Trajectories for export are integrated here too, by DOP853 or the
 implicit midpoint rule, as lists; ``paths`` wraps them into arrays.  Like
@@ -37,7 +38,7 @@ from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
 from .steady import (GUARDED, CriticalPoint, SteadyCoeffs, bracketed_root,
-                     find_critical_points, isocline_roots, linspace)
+                     find_critical_points, linspace)
 
 #: Hard ceiling for |Y| during integration; beyond it cosh overflows.
 Y_GUARD = 700.0
@@ -242,124 +243,127 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
 # Layer classification
 # ----------------------------------------------------------------------
 
-def _h_at_pi(Y, co):
-    return co.H(math.pi, Y, GUARDED)
+def _drop(co: SteadyCoeffs, Ye: float, d: float) -> float:
+    """H(pi, Ye) - H(pi, Ye + d), without cancellation."""
+    return (2.0 * co.Ak * math.cosh(Ye + 0.5 * d) * math.sinh(0.5 * d)
+            + (co.omega * (Ye + 0.5 * d) + co.f) * d)
 
 
-def _piece_bracket(fn, roots: list[float], piece: int):
-    """Bracket [lo, hi] of monotone piece ``piece`` of a column, or None.
-
-    ``fn`` is H(X, .) minus a level and ``roots`` are the isocline roots at
-    X, which split the column into monotone pieces: piece i runs from
-    roots[i - 1] (the bed for i = 0) to roots[i].  With dX/dt < 0 at the
-    bed, even pieces fall and odd pieces rise.  The open top piece is grown
-    by doubling from one unit above its floor while the crossing lies above.
-    None when the piece does not exist or its growth passes Y_GUARD.
-    """
-    if piece > len(roots):
-        return None
-    lo = roots[piece - 1] if piece else 0.0
-    if piece < len(roots):
-        return lo, roots[piece]
-    sign, hi = (-1.0 if piece % 2 else 1.0), lo + 1.0
-    while sign * fn(hi) > 0:
-        hi *= 2.0
-        if hi > Y_GUARD:
+def _first_crossing(fn, y0: float, up: bool, cuts: list[float], sign: float,
+                    stop: float | None = None) -> float | None:
+    """First root of ``fn`` above or below ``y0``, where sign*fn > 0 just
+    beyond it; None if there is none before ``stop``, the bed or Y_GUARD.  The
+    critical heights ``cuts`` split the column into pieces where fn is
+    monotone: Brent runs on the first piece whose far end changed sign, and
+    the open top piece grows by doubling from one unit above its floor."""
+    ends = [c for c in cuts if c > y0] if up else [c for c in cuts[::-1] if c < y0] + [0.0]
+    if stop is not None:
+        ends = [c for c in ends if (c < stop) == up] + [stop]
+    lo = y0
+    for end in ends:
+        if sign * fn(end) <= 0.0:
+            break
+        lo = end
+    else:
+        if not up or stop is not None:
             return None
-    return lo, hi
+        end = lo + 1.0
+        while end <= Y_GUARD and sign * fn(end) > 0.0:
+            end *= 2.0
+        if end > Y_GUARD:
+            return None
+    return bracketed_root(fn, *sorted((lo, end)), 1e-15, maxiter=300,
+                          what="level crossing of a section")
+
+
+def _graph_end(Y0: float, up: bool, at_pi, H0: float, co: SteadyCoeffs,
+               cps: list[CriticalPoint]) -> tuple[bool, float] | None:
+    """Where the graph of the level H0 from height Y0 first meets X = pi or
+    X = 0, as (at pi, height), or None; ``at_pi`` is H(pi, .) - H0."""
+    Y_pi = _first_crossing(at_pi, Y0, up, [cp.Y for cp in cps if cp.X != 0.0], -1.0)
+    Y_zero = _first_crossing(lambda Y: co.H(0.0, Y, math) - H0, Y0, up,
+                             [cp.Y for cp in cps if cp.X == 0.0], 1.0, stop=Y_pi)
+    if Y_zero is not None:
+        return False, Y_zero
+    return None if Y_pi is None else (True, Y_pi)
 
 
 def layer_boundaries(co_n: SteadyCoeffs,
                      cps: list[CriticalPoint] | None = None) -> dict:
-    """Heights on the X = pi section separating the orbit families.
-
-    For the three-point regime, returns the saddle/center heights plus the
-    two crossings of the vortex-bounding level H = H(P0) on that section;
-    critical points count up to Y_GUARD.  Only the topologies of the paper's
-    figures are classified: a set whose bounding point at X = 0 is missing
-    or is a center raises NumericsError.
-    """
-    if cps is None:
-        cps = find_critical_points(co_n, y_cap=Y_GUARD)
+    """The critical set up to Y_GUARD, which the layers are read from, and,
+    in the paper's topologies (a saddle P0 lowest at X = 0, none or two
+    points P1 < P2 at X = pi), H0 = H(P0), Y_P0, Y_P1, Y_P2 and the crossings
+    Y_lower (below P1) and Y_upper (between P1 and P2) of H0 on X = pi."""
+    cps = sorted(find_critical_points(co_n, y_cap=Y_GUARD) if cps is None else cps,
+                 key=lambda cp: (cp.X, cp.Y))  # the walks read each column upward
     out = {"critical_points": cps}
     at_zero = [cp for cp in cps if cp.X == 0.0]
-    at_pi = sorted((cp for cp in cps if cp.X != 0.0), key=lambda cp: cp.Y)
-    if not at_zero and len(at_pi) != 2:
-        return out  # no bounding level: every height transits
-    if not at_zero or at_zero[0].kind != "saddle":
-        topology = ", ".join(f"{cp.kind} at ({cp.X:.4g}, {cp.Y:.4g})" for cp in cps)
-        raise NumericsError(
-            f"unclassified critical-point topology [{topology}]: the layers "
-            "need a saddle as the lowest critical point at X = 0",
-            diagnostics={"critical_points": [(cp.label, cp.kind, cp.X, cp.Y)
-                                             for cp in cps]})
+    roots = [cp.Y for cp in cps if cp.X != 0.0]
+    if not at_zero or at_zero[0].kind != "saddle" or len(roots) not in (0, 2):
+        return out
     H0 = out["H0"] = at_zero[0].H_value
     out["Y_P0"] = at_zero[0].Y
-    # The critical points on the section split it into monotone pieces.
-    roots = [cp.Y for cp in at_pi]
-    fn = lambda Y: _h_at_pi(Y, co_n) - H0
-
-    def level_root(piece):
-        bracket = _piece_bracket(fn, roots, piece)
-        if bracket is None:
-            raise NumericsError("failed to bracket the bounding level")
-        return bracketed_root(fn, *bracket, 1e-15, what="bounding level on X = pi")
-
-    out["Y_lower"] = level_root(0)
-    if len(roots) == 2:
-        out["Y_P1"], out["Y_P2"] = roots
-        out["Y_upper"] = level_root(1)
+    out.update(zip(("Y_P1", "Y_P2"), roots))
+    fn = lambda Y: co_n.H(math.pi, Y, GUARDED) - H0
+    bounds = [0.0, *roots, None]
+    for key, start, stop in zip(("Y_lower", "Y_upper"), bounds, bounds[1:]):
+        Y = _first_crossing(fn, start, True, roots, math.copysign(1.0, fn(start)), stop)
+        if Y is not None:
+            out[key] = Y
     return out
 
 
 def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
-    """Height at which the orbit through (X0, Y0) crosses the X = pi section.
-
-    The orbit is the H-level curve through the point; which monotone piece
-    of H(pi, .) it crosses is decided by the point's position relative to
-    the isocline branches at X0 (below the lower branch, between branches,
-    or above the upper one).  Returns None for orbits that never reach the
-    section (e.g. the unbounded family hugging a vertical asymptote).
-    """
+    """Height at which the orbit through (X0, Y0) crosses the X = pi section:
+    the first meeting of its level graph with either section, followed down
+    where dX/dt < 0 and up where dX/dt > 0.  None for orbits that meet X = 0
+    there or nothing (the unbounded family hugging a vertical asymptote)."""
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0 or co_n.Ak == 0.0:
         return Y0
     H0 = co_n.H(X0, Y0, GUARDED)
-    region = sum(1 for r in isocline_roots(float(X0), co_n, Y_GUARD) if r < Y0)
-    crits = isocline_roots(math.pi, co_n, Y_GUARD)
-    if region and len(crits) < 2:
-        return None  # no rising piece on the section: asymptote-bound orbit
-    fn = lambda y: _h_at_pi(y, co_n) - H0
-    bracket = _piece_bracket(fn, crits, region)
-    if bracket is None or fn(bracket[0]) * fn(bracket[1]) > 0:
-        return None
-    return bracketed_root(fn, *bracket, 1e-15, maxiter=300,
-                          what="section height on X = pi")
+    end = _graph_end(Y0, co_n.H_Y(X0, Y0, math) > 0.0, lambda Y: co_n.H(math.pi, Y, math) - H0,
+                     H0, co_n, find_critical_points(co_n, y_cap=Y_GUARD))
+    return end[1] if end is not None and end[0] else None
 
 
-def classify_layer(Y0: float, co_n: SteadyCoeffs,
-                   boundaries: dict | None = None) -> str:
-    """Orbit family of the trajectory through (pi, Y0), by H-level comparison."""
+def _orbit(Y0: float, co_n: SteadyCoeffs,
+           boundaries: dict | None = None) -> tuple[str, float | None]:
+    """Orbit family of the trajectory through (pi, Y0) and the other end of
+    its level graph: the return height on X = pi of a loop, the height on
+    X = 0 of a transit, None for the unbounded family.
+
+    The graph leaves the section upward where dX/dt < 0, else downward.  It
+    is a vortex loop if it meets X = pi again first, a leftward (internal)
+    or rightward (surface) transit if it meets X = 0 first, and unbounded if
+    it meets neither below Y_GUARD.  H(pi, .) is written as drops from the
+    first critical height passed, a loop's center, to keep a small loop's
+    digits."""
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0:
-        return "bed_adjacent"
-    if boundaries is None:
-        boundaries = layer_boundaries(co_n)
-    if "Y_P1" in boundaries:
-        H0 = boundaries["H0"]
-        if _h_at_pi(Y0, co_n) < H0 and Y0 < boundaries["Y_P2"]:
-            return "vortex"
-        if Y0 < boundaries["Y_P1"]:
-            return "internal_wave"
-        if Y0 <= boundaries["Y_P2"]:
-            return "surface_wave"
-        return "unbounded"
-    if "Y_lower" in boundaries:
-        return "internal_wave" if Y0 < boundaries["Y_lower"] else "unbounded"
-    # No bounding level (wave-free or degenerate flow): every height transits.
-    return "internal_wave"
+        return "bed_adjacent", 0.0
+    if co_n.Ak == 0.0:
+        return "internal_wave", None  # wave-free shear: every level moves uniformly
+    cps = (boundaries or layer_boundaries(co_n))["critical_points"]
+    up = co_n.H_Y(math.pi, Y0, math) < 0.0
+    cuts = [cp.Y for cp in cps if cp.X != 0.0]
+    Yc = next((Y for Y in (cuts if up else cuts[::-1]) if (Y > Y0 if up else Y < Y0)), Y0)
+    level, H0 = _drop(co_n, Yc, Y0 - Yc), co_n.H(math.pi, Y0, GUARDED)
+    end = _graph_end(Y0, up, lambda Y: level - _drop(co_n, Yc, Y - Yc), H0, co_n, cps)
+    if end is None and not up:
+        raise NumericsError(f"the level through (pi, {Y0!r}) meets neither section "
+                            "above the bed", diagnostics={"Y0": Y0})
+    if end is None:
+        return "unbounded", None
+    return ("vortex" if end[0] else "internal_wave" if up else "surface_wave"), end[1]
+
+
+def classify_layer(Y0: float, co_n: SteadyCoeffs, boundaries: dict | None = None) -> str:
+    """Orbit family of the trajectory through (pi, Y0): bed_adjacent,
+    internal_wave, vortex, surface_wave or unbounded (see ``_orbit``)."""
+    return _orbit(Y0, co_n, boundaries)[0]
 
 
 # ----------------------------------------------------------------------
@@ -393,9 +397,11 @@ def _tanh_sinh_nodes(halving: int) -> tuple[tuple[float, ...], tuple[float, ...]
 
 
 def _level_height(X: float, Y0: float, H0: float, co: SteadyCoeffs,
-                  piece: int) -> float:
-    """Y on the level H(X, Y) = H0, on monotone piece ``piece`` of H(X, .):
-    Newton from Y0, else the piece bracket and one Brent call."""
+                  rightward: bool, Y_end: float) -> float:
+    """Y on the transit's level H(X, Y) = H0 at X: Newton from Y0, else one
+    Brent call on [Y0, Y_end], the heights of its ends on X = pi and X = 0,
+    where H(X, .) - H0 is Ak sinh Y0 (1 + cos X) > 0 and
+    Ak sinh Y_end (cos X - 1) < 0."""
     y = Y0
     try:
         for _ in range(30):
@@ -403,19 +409,17 @@ def _level_height(X: float, Y0: float, H0: float, co: SteadyCoeffs,
             y -= step
             if not abs(step) > 1e-15 * (1.0 + abs(y)):
                 break
-        # Falling pieces have dX/dt < 0, rising ones dX/dt > 0: Newton may
-        # converge on the level's crossing of a neighbouring piece.
+        # Leftward transits have dX/dt < 0, rightward ones dX/dt > 0: Newton
+        # may converge on another crossing of the level.
         if (y >= 0.0 and abs(co.H(X, y, math) - H0) <= 1e-14 * (1.0 + abs(H0))
-                and (co.H_Y(X, y, math) > 0.0) == bool(piece)):
+                and (co.H_Y(X, y, math) > 0.0) == rightward):
             return y
     except (OverflowError, ZeroDivisionError):
         pass
     fn = lambda yy: co.H(X, yy, math) - H0
-    bracket = _piece_bracket(fn, isocline_roots(X, co, Y_GUARD), piece)
-    if bracket is None:
-        raise NumericsError("level has no bracket on its monotone piece",
-                            diagnostics={"X": X, "H0": H0, "piece": piece})
-    lo, hi = bracket
+    if not fn(Y_end) < 0.0:
+        return Y_end  # X within rounding of 0: the level is at its end
+    lo, hi = sorted((Y0, Y_end))
     y = bracketed_root(fn, lo, hi, 1e-15, maxiter=300,
                        what=f"level H = {H0:.6g} at X = {X:.6g}")
     for _ in range(3):
@@ -426,16 +430,14 @@ def _level_height(X: float, Y0: float, H0: float, co: SteadyCoeffs,
     return y
 
 
-def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
-                    layer: str) -> tuple[float, bool, float] | None:
+def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, layer: str,
+                    Y_end: float | None) -> tuple[float, bool, float] | None:
     """Transit time over one X-period along the orbit through (pi, Y0) in
-    family ``layer``, whether the transit runs rightward, and an error
-    estimate of the time.
-
-    None where the orbit does not transit: a vortex loop, the asymptote-bound
-    family, a shear level at rest in the steady frame, or a bed with
-    stagnation points (Ak >= f), which is a chain of saddle connections.
-    """
+    family ``layer`` and with height Y_end on X = 0, whether it runs
+    rightward, and an error estimate of the time.  None where the orbit does
+    not transit: a vortex loop, the asymptote-bound family, a shear level at
+    rest in the steady frame, or a bed with stagnation points (Ak >= f),
+    which is a chain of saddle connections."""
     if co_n.Ak == 0.0:
         # Pure shear: uniform steady X-speed -(f + omega*Y0).
         speed_left = co_n.f + co_n.omega * Y0
@@ -445,14 +447,18 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs,
     if layer in ("vortex", "unbounded") or (Y0 == 0.0 and co_n.Ak >= co_n.f):
         return None
     rightward = layer == "surface_wave"
-    sign, piece = (1.0 if rightward else -1.0), int(rightward)
-    H0 = _h_at_pi(Y0, co_n)
+    sign = 1.0 if rightward else -1.0
+    H0 = co_n.H(math.pi, Y0, GUARDED)
     # The orbit is mirror-symmetric in X, so integrate a half period.  The
     # integrand peaks where the level passes a saddle, at X = 0 or pi,
-    # where tanh-sinh clusters its nodes.
-    half, err = _tanh_sinh(
-        lambda X: sign / co_n.H_Y(X, _level_height(X, Y0, H0, co_n, piece), math))
-    return 2.0 * half, rightward, 2.0 * err
+    # where tanh-sinh clusters its nodes, and, with Ak > f, over the bed's
+    # saddle at cos X = f/Ak, where the half period is split.
+    integrand = lambda X: sign / co_n.H_Y(
+        X, _level_height(X, Y0, H0, co_n, rightward, Y_end), math)
+    Xs = math.acos(co_n.f / co_n.Ak) if co_n.Ak > co_n.f else 0.0
+    halves = [_tanh_sinh(lambda u, a=a, s=s: s * integrand(a + s * u))
+              for a, s in ((0.0, Xs / math.pi), (Xs, 1.0 - Xs / math.pi)) if s > 0.0]
+    return 2.0 * sum(h for h, _ in halves), rightward, 2.0 * sum(e for _, e in halves)
 
 
 def _tanh_sinh(fn) -> tuple[float, float]:
@@ -484,67 +490,51 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs,
     stagnation points).
     """
     co_n, _ = co.normalized()
-    if hasattr(level_or_traj, "X"):
-        Y0 = section_height(float(level_or_traj.X[0]),
-                            float(level_or_traj.Y[0]), co_n)
-        if Y0 is None:
-            return None
-    else:
-        Y0 = float(level_or_traj)
-    transit = _tau_quadrature(Y0, co_n, classify_layer(Y0, co_n, boundaries))
+    traj = level_or_traj
+    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n) if hasattr(traj, "X")
+          else float(traj))
+    if Y0 is None:
+        return None
+    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n, boundaries))
     return None if transit is None else transit[0]
 
 
-def _loop_period(Y0: float, co_n: SteadyCoeffs,
-                 boundaries: dict) -> tuple[float, float, float] | None:
-    """Period of the closed vortex loop through (pi, Y0), an error estimate
-    of it and the least dX/dt on the loop; None at the center to rounding.
+def _loop_period(Y0: float, Y1: float, co_n: SteadyCoeffs,
+                 cps: list[CriticalPoint]) -> tuple[float, float, float] | None:
+    """Period of the vortex loop from (pi, Y0) back to (pi, Y1), an error
+    estimate of it and the least dX/dt on the loop; None at the center.
 
     The loop is the graph cos X = G(Y) = (H0 + omega*Y^2/2 + f*Y)/(Ak sinh Y)
-    between its two crossings Ya < Yb of X = pi, run once on each side of
-    that section, so T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))).
-    The other end solves H(pi, .) = H(pi, Y0) on the monotone piece across
-    the center Yc, written as drops from Yc, which keep their digits on a
-    small loop.  The integral is split at the saddle height Y_P0 where it
-    lies inside [Ya, Yb], else at Yc.  Each half runs from its end Ye and
-    takes its level from there, so (1 + G) Ak sinh Y = drop(Ye, Y - Ye); the
+    between Ya < Yb, run once on each side of X = pi, so
+    T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))), split at a
+    critical height inside (Ya, Yb): the saddle at X = 0 of the paper's cat's
+    eye where there is one, else the loop's center.  Each half takes its level
+    from its end Ye, so (1 + G) Ak sinh Y = _drop(Ye, Y - Ye), and the
     substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes the
     1/sqrt singularity at Ye.
     """
     Ak, omega, f = co_n.Ak, co_n.omega, co_n.f
-    xd0 = co_n.H_Y(math.pi, Y0, math)
-    if abs(xd0) <= 1e-13 * (Ak * math.cosh(Y0) + abs(omega) * Y0 + f):
-        return None  # at the center to rounding: no loop to time
-
-    def drop(Ye, d):
-        """H(pi, Ye) - H(pi, Ye + d), without cancellation."""
-        return (2.0 * Ak * math.cosh(Ye + 0.5 * d) * math.sinh(0.5 * d)
-                + (omega * (Ye + 0.5 * d) + f) * d)
-
-    roots = [boundaries["Y_P1"], boundaries["Y_P2"]]
-    Yc = roots[0]
-    level = drop(Yc, Y0 - Yc)
-    fn = lambda Y: level - drop(Yc, Y - Yc)  # H(pi, Y) - H(pi, Y0)
-    Y1 = bracketed_root(fn, *_piece_bracket(fn, roots, int(Y0 < Yc)), 1e-15,
-                        what="other end of the vortex loop on X = pi")
     Ya, Yb = sorted((Y0, Y1))
-    Ym = boundaries["Y_P0"] if Ya < boundaries["Y_P0"] < Yb else Yc
+    Ym = next((cp.Y for cp in cps if Ya < cp.Y < Yb), None)  # X = 0 points come first
+    scale = Ak * math.cosh(Y0) + abs(omega) * Y0 + f
+    if Ym is None or abs(co_n.H_Y(math.pi, Y0, math)) <= 1e-13 * scale:
+        return None  # at the center to rounding: no loop to time
 
     def half(Ye):
         c = (Ym - Ye) / math.pi ** 2
 
         def dt_dX(X):
             d = c * X * X
-            p = drop(Ye, d)
+            p = _drop(co_n, Ye, d)
             q = p * (2.0 * Ak * math.sinh(Ye + d) - p)
             if not q > 0.0:
-                raise NumericsError("vortex loop level within rounding of its "
-                                    "separatrix", diagnostics={"Y0": Y0, "Y": Ye + d})
+                raise NumericsError(f"vortex loop level Y0 = {Y0!r} within rounding of "
+                                    "its separatrix", diagnostics={"Y0": Y0, "Y": Ye + d})
             return 2.0 * abs(c) * X / math.sqrt(q)
         return _tanh_sinh(dt_dX)
 
     (Ta, err_a), (Tb, err_b) = half(Ya), half(Yb)
-    H0 = _h_at_pi(Y0, co_n)
+    H0 = co_n.H(math.pi, Y0, GUARDED)
     xdot = lambda Y: (H0 + (0.5 * omega * Y + f) * Y) / math.tanh(Y) - omega * Y - f
     return 2.0 * (Ta + Tb), 2.0 * (err_a + err_b), _least_value(xdot, Ya, Yb)
 
@@ -605,14 +595,11 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
     reported always_forward.  Vortex loops advance f*T/k per loop (always
     forward; the center moves in a straight line at speed f/k).
     """
-    if Y0 < 0:
-        raise DomainError("Y0 must be nonnegative")
     co_n, _ = co.normalized()
-    if boundaries is None:
-        boundaries = layer_boundaries(co_n)
-    layer = classify_layer(Y0, co_n, boundaries)
+    boundaries = boundaries or layer_boundaries(co_n)
+    layer, Y_end = _orbit(Y0, co_n, boundaries)
     f, k = co_n.f, co_n.k
-    transit = _tau_quadrature(Y0, co_n, layer)
+    transit = _tau_quadrature(Y0, co_n, layer, Y_end)
     if transit is not None:
         tau, rightward, tau_err = transit
         if rightward:
@@ -630,7 +617,7 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
                            else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.
-    loop = _loop_period(Y0, co_n, boundaries)
+    loop = _loop_period(Y0, Y_end, co_n, boundaries["critical_points"])
     if loop is None:
         # The center itself: straight-line forward motion at speed f/k,
         # measured from an actual integration rather than asserted.
@@ -648,6 +635,16 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
                        layer=layer, mean_speed=f / k, tau_err=tau_err)
 
 
+def _drift_coeffs(params: WaveParams) -> tuple[SteadyCoeffs, bool]:
+    """``normalized()`` coefficients of a right-going wave whose surface
+    stays above the bed (a < h)."""
+    if params.c <= 0:
+        raise UnsupportedConfig("drift analysis assumes a right-going wave (c > 0)")
+    if params.a >= params.h:
+        raise DomainError(f"the surface reaches the bed: a = {params.a:g} >= h = {params.h:g}")
+    return SteadyCoeffs.from_params(params).normalized()
+
+
 def fluid_top_level(params: WaveParams, shifted: bool) -> float:
     """Steady height of the free surface over the X = pi sampling column."""
     x_phys = 0.0 if shifted else math.pi
@@ -662,17 +659,12 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
     near-bed layers; numpy's ``geomspace`` to one ulp).  Heights are
     steady-frame (Y = k*y) and invariant under the normalization shift.
     """
-    if params.c <= 0:
-        raise UnsupportedConfig("drift analysis assumes a right-going wave (c > 0)")
-    co = SteadyCoeffs.from_params(params)
-    co_n, shifted = co.normalized()
+    co_n, shifted = _drift_coeffs(params)
     if levels is None:
         if n < 1:
             raise DomainError(f"the number of drift levels must be at least 1, got {n}")
+        # Positive: a < h, and WaveParams keeps k*h >= 1e-300.
         top = 0.999 * fluid_top_level(params, shifted)
-        if not 1e-5 * top > 0.0:
-            raise DomainError(f"no drift levels: 1e-5 of the surface height over X = pi "
-                              f"({top:.6g}) must be positive")
         logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
         levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
     boundaries = layer_boundaries(co_n)
@@ -707,24 +699,21 @@ def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     verified by integrating one full period and measuring the closure
     error directly (``verified``: 1e-10 of the wavelength and the depth).
     """
-    co = SteadyCoeffs.from_params(params)
-    co_n, shifted = co.normalized()
+    co_n, shifted = _drift_coeffs(params)
     boundaries = layer_boundaries(co_n)
     if Y_bracket is None:
         Y_bracket = (0.0, 0.98 * fluid_top_level(params, shifted))
     lo, hi = float(Y_bracket[0]), float(Y_bracket[1])
 
-    def drift(Y0):
-        return drift_per_period(Y0, co_n, boundaries=boundaries).drift_m
-
+    drift = lambda Y0: drift_per_period(Y0, co_n, boundaries=boundaries).drift_m
     d_lo, d_hi = drift(lo), drift(hi)
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)) or d_lo * d_hi > 0:
         return None
     Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
                             what="closed-orbit level")
-    residual = abs(drift(Y_star))
-    tau = transit_time_tau(Y_star, co_n, boundaries=boundaries)
-    if tau is None:
+    report = drift_per_period(Y_star, co_n, boundaries=boundaries)
+    residual, tau = abs(report.drift_m), report.tau
+    if report.layer == "vortex" or math.isnan(tau):
         raise NumericsError("closed-orbit candidate does not transit",
                             diagnostics={"Y": Y_star})
     ts, Xs, Ys, _ = accepted_steps(math.pi, Y_star, co_n, tau, 1e-13, 1e-15)

@@ -47,6 +47,11 @@ HYPERBOLIC_ARG_MAX = 700.0
 #: Default vertical extent of root searches and portraits.
 Y_SEARCH_MAX = 20.0
 
+#: Least k (1/m), k*h and |f| (1/s), below which the wavelength, depth ratio
+#: or period leaves the float range, and largest |omega| (1/s): the steady
+#: flow's critical-point test squares Hessian entries of order omega.
+SCALE_MIN, OMEGA_MAX = 1e-300, 1e150
+
 
 def _require_finite(**named):
     for name, value in named.items():
@@ -166,6 +171,11 @@ class WaveParams(_WaveParamsFields):
         if k * h > HYPERBOLIC_ARG_MAX:
             raise UnsupportedConfig(
                 f"k*h = {k * h:.3g} overflows the hyperbolic factors")
+        if min(k, k * h, abs(k * c)) < SCALE_MIN:
+            raise DomainError(f"k, k*h and |f| = |k*c| must be at least {SCALE_MIN:g}, "
+                              f"got {k:.3g}, {k * h:.3g} and {abs(k * c):.3g}")
+        if abs(omega) > OMEGA_MAX:
+            raise DomainError(f"|omega| must be at most {OMEGA_MAX:g}, got {abs(omega):.3g}")
         sqrt_gh = math.sqrt(g * h)
         q = c - s * sqrt_gh + h * omega
         if abs(q) <= BRANCH_MARGIN * sqrt_gh:

@@ -272,10 +272,35 @@ class TestOptionRanges:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_underflowing_drift_levels_exit_2_with_one_line(self, capsys, tmp_path):
-        # k = 5e-324: the surface height over X = pi is positive, but 1e-5 of
-        # it, the lowest default drift level, underflows to zero.
+        # k = 5e-324: 1e-5 of the surface height over X = pi, the lowest
+        # default drift level, would underflow to zero; WaveParams refuses a
+        # k below 1e-300.
         code, _, err = run(capsys, "drift", "--preset", "fig4-right", "--k", "5e-324",
                            "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["drift", "--preset", "fig1", "--a", "1.0"],         # the trough touches the bed
+        ["drift", "--preset", "fig4-right", "--a", "1.0"],   # shifted: the crest column
+        ["drift", "--preset", "fig4-left", "--a", "1.5", "--find-closed"],
+    ], ids=" ".join)
+    def test_surface_reaching_the_bed_exits_2_with_one_line(self, argv, capsys, tmp_path):
+        with pytest.warns(UserWarning):
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        a = float(argv[4])
+        assert err == f"error: the surface reaches the bed: a = {a:g} >= h = 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--preset", "fig1", "--h", "5e-324"],       # k*h underflows
+        ["validate", "--preset", "fig4-left", "--k", "5e-324"],  # the wavelength overflows
+        ["validate", "--preset", "fig4-left", "--h", "1e-8", "--omega", "1",
+         "--g", "1e-300"],                                        # f = k*c rounds to 0
+        ["bifurcation", "--preset", "fig3", "--omega-start", "1e154"],
+    ], ids=" ".join)
+    def test_degenerate_scales_exit_2_with_one_line(self, argv, capsys, tmp_path):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path), "--quiet")
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

@@ -459,10 +459,12 @@ class TestDrift:
         loops = [r for r in drift_profile(p, n=64) if r.layer == "vortex"]
         assert len(loops) == 14
         for r in loops:
-            T, _, least = drift._loop_period(r.Y0, co, b)
             H0 = co.H(math.pi, r.Y0, np)
             piece = (b["Y_P1"], b["Y_P2"]) if r.Y0 < b["Y_P1"] else (0.0, b["Y_P1"])
             other = brentq(lambda Y: co.H(math.pi, Y, np) - H0, *piece, xtol=1e-15)
+            layer, Y1 = drift._orbit(r.Y0, co, b)
+            assert (layer, Y1) == ("vortex", pytest.approx(other, rel=1e-13))
+            T, _, least = drift._loop_period(r.Y0, Y1, co, b["critical_points"])
             Y = np.linspace(min(r.Y0, other), max(r.Y0, other), 20_001)
             G = (H0 + 0.5 * co.omega * Y * Y + co.f * Y) / (co.Ak * np.sinh(Y))
             scan = co.H_Y(np.arccos(np.clip(G, -1.0, 1.0)), Y, np)

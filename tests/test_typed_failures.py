@@ -1,72 +1,131 @@
-"""Parameter sets outside the classified topologies end in typed errors.
+"""Flows outside the paper's critical-point layouts get drift profiles, and
+every label and time agrees with direct integration.
 
-Each set lies in the box h in [0.1, 10], k in [0.03, 10], a/h in
-[1e-4, 0.06], |omega*sqrt(h/g)| <= 15 (g = 9.81), and once ended the drift
-code in a bare KeyError or ValueError.  Layer classification for these
-topologies is not implemented; what is pinned here is that the failure is
-a NumericsError and that ``shearwave drift`` exits 4 with a single stderr
-line.
+The first six sets lie in the box h in [0.1, 10], k in [0.03, 10], a/h in
+[1e-4, 0.06], |omega*sqrt(h/g)| <= 15 (g = 9.81); the other seven are
+sweep-box cases (``make_reference_portrait.sweep_cases``).  Their drift
+profiles once ended in typed errors, because the layers were read from a
+table of the paper's layouts: a center near the bed with Ak > f, or the
+three points placed where the table did not expect them.  The layers now
+come from where each level graph first meets X = 0 or X = pi, and the
+oracle here is scipy's DOP853 with event detection, which knows nothing of
+level graphs.  ``bracketed_root``'s typed failures are pinned at the end.
 """
 
-import pytest
+import math
 
-from shearwave import NumericsError, ShearwaveError, WaveParams, drift_profile
-from shearwave.cli import EXIT_NUMERICAL, main
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from make_reference_portrait import sweep_cases
+from shearwave import (NumericsError, ShearwaveError, SteadyCoeffs, WaveParams,
+                       drift_profile)
+from shearwave.cli import main
 from shearwave.steady import bracketed_root
 
 G = 9.81
 
-#: (h, k, a, omega, branch, the untyped failure it used to raise)
-CASES = [
-    (4.944, 0.030583, 0.081321, 10.491, "plus", "ValueError, single-saddle layer bound"),
-    (7.919, 6.0518, 0.14531, -12.264, "minus", "ValueError, level solver"),
-    (8.3892, 0.038624, 0.28815, -6.017, "minus", "KeyError 'H0'"),
-    (4.5627, 2.2629, 0.16707, -5.9001, "plus", "ValueError, three-point layer bound"),
-    (1.2688, 0.10534, 0.018075, -36.260, "minus", "KeyError 'H0'"),
-    (2.4330, 0.066482, 0.045724, 17.262, "plus", "ValueError, single-saddle layer bound"),
-]
-IDS = [f"h{c[0]}-omega{c[3]}-{c[4]}" for c in CASES]
+#: (h, k, a, omega, branch) by test id.
+CASES = {f"h{c[0]}-omega{c[3]}-{c[4]}": c for c in [
+    (4.944, 0.030583, 0.081321, 10.491, "plus"),
+    (7.919, 6.0518, 0.14531, -12.264, "minus"),
+    (8.3892, 0.038624, 0.28815, -6.017, "minus"),
+    (4.5627, 2.2629, 0.16707, -5.9001, "plus"),
+    (1.2688, 0.10534, 0.018075, -36.260, "minus"),
+    (2.4330, 0.066482, 0.045724, 17.262, "plus"),
+]}
+CASES.update({f"sweep{i:03d}": sweep_cases()[i] for i in (42, 54, 60, 93, 107, 108, 130)})
+
+#: Climb above the start at which the oracle calls an orbit unbounded.
+ESCAPE_CLIMB = 20.0
+
+
+def _params(case):
+    h, k, a, omega, branch = case
+    return WaveParams.solve(G, h, k, omega, a=a, branch=branch)
 
 
 def _argv(case):
-    h, k, a, omega, branch, _ = case
+    h, k, a, omega, branch = case
     return ["--g", str(G), "--h", str(h), "--k", str(k), "--a", str(a),
             "--omega", str(omega), "--branch", branch]
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_drift_profile_raises_numerics_error(case):
-    h, k, a, omega, branch, _ = case
-    p = WaveParams.solve(G, h, k, omega, a=a, branch=branch)
-    with pytest.raises(NumericsError) as exc:
-        drift_profile(p, n=33)
-    assert isinstance(exc.value, ShearwaveError)
-    assert "\n" not in str(exc.value)
+def event_oracle(Y0, co):
+    """Family and period of the orbit from (pi, Y0) by direct integration:
+    the first of a crossing of X = 0 (leftward) or X = 2*pi (rightward), a
+    return to X = pi, or a climb of ESCAPE_CLIMB; the period is twice the
+    time of that event."""
+    def rhs(t, z):
+        return co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)
+
+    def crossing(target, direction):
+        def event(t, z):
+            return z[0] - target
+        event.terminal, event.direction = True, direction
+        return event
+
+    def escape(t, z):
+        return z[1] - (Y0 + ESCAPE_CLIMB)
+    escape.terminal, escape.direction = True, 1
+
+    if co.H_Y(math.pi, Y0, math) < 0.0:
+        events = {"internal_wave": crossing(0.0, -1), "vortex": crossing(math.pi, 1)}
+    else:
+        events = {"surface_wave": crossing(2.0 * math.pi, 1),
+                  "vortex": crossing(math.pi, -1)}
+    events["unbounded"] = escape
+    sol = solve_ivp(rhs, (0.0, 1e4 * 2.0 * math.pi / co.f), (math.pi, Y0),
+                    method="DOP853", rtol=1e-12, atol=1e-12, events=list(events.values()))
+    hits = [(t[0], name) for t, name in zip(sol.t_events, events) if t.size]
+    assert hits, f"the orbit from Y0 = {Y0} meets no event"
+    t, name = min(hits)
+    return name, math.nan if name == "unbounded" else 2.0 * t
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_drift_command_exits_4_with_one_line(case, capsys, tmp_path):
-    code = main(["drift", *_argv(case), "--out", str(tmp_path), "--quiet"])
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL
-    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+@pytest.mark.parametrize("name", CASES)
+def test_drift_profile_matches_the_event_oracle(name):
+    p = _params(CASES[name])
+    co, _ = SteadyCoeffs.from_params(p).normalized()
+    reports = drift_profile(p, n=17)
+    assert len(reports) == 17
+    bed, *levels = reports
+    assert bed.layer == "bed_adjacent"
+    assert math.isnan(bed.tau) == (co.Ak >= co.f)
+    oracle = {r.Y0: event_oracle(r.Y0, co) for r in levels}
+    assert [r.layer for r in levels] == [oracle[r.Y0][0] for r in levels]
+    transits = [r for r in levels if r.layer in ("internal_wave", "surface_wave")]
+    loops = [r for r in levels if r.layer == "vortex"]
+    assert transits
+    for r in transits[:1] + loops[len(loops) // 2:][:1]:
+        assert r.tau == pytest.approx(oracle[r.Y0][1], rel=1e-8)
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if "KeyError" in c[5]],
-                         ids=[i for i, c in zip(IDS, CASES) if "KeyError" in c[5]])
-def test_paths_command_leaves_the_layer_unclassified(case, capsys, tmp_path):
-    code = main(["paths", *_argv(case), "--t-end", "10", "--out", str(tmp_path),
+@pytest.mark.parametrize("name", CASES)
+def test_drift_command_exits_0(name, capsys, tmp_path):
+    code = main(["drift", *_argv(CASES[name]), "--levels", "17", "--out", str(tmp_path),
+                 "--quiet"])
+    assert code == 0 and capsys.readouterr().err == ""
+    (csv,) = tmp_path.glob("*/drift.csv")
+    assert len(csv.read_text().splitlines()) == 18
+
+
+@pytest.mark.parametrize("name", ["h8.3892-omega-6.017-minus", "h1.2688-omega-36.26-minus"])
+def test_paths_command_exits_0(name, capsys, tmp_path):
+    code = main(["paths", *_argv(CASES[name]), "--t-end", "10", "--out", str(tmp_path),
                  "--quiet"])
     capsys.readouterr()
     assert code == 0
 
 
-def test_layer_error_names_the_topology():
-    p = WaveParams.solve(G, 8.3892, 0.038624, -6.017, a=0.28815, branch="minus")
-    with pytest.raises(NumericsError, match="center at .* saddle at") as exc:
-        drift_profile(p, n=5)
-    kinds = [cp[1] for cp in exc.value.diagnostics["critical_points"]]
-    assert kinds == ["center", "saddle"]
+def test_ci_case_pins_its_vortex_rows(capsys, tmp_path):
+    # The case the cli-without-numpy job runs: a center at X = pi near the bed.
+    code = main(["drift", *_argv(CASES["h8.3892-omega-6.017-minus"]), "--levels", "17",
+                 "--out", str(tmp_path), "--quiet"])
+    capsys.readouterr()
+    rows = next(tmp_path.glob("*/drift.csv")).read_text().splitlines()
+    assert code == 0 and sum(row.endswith(",vortex") for row in rows) == 12
 
 
 def test_bracketed_root_reports_bracket_and_end_values():
