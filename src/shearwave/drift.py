@@ -10,7 +10,8 @@ Along every orbit dY/dt = Ak sin X sinh Y, so Y is monotone between the
 X = 0 and X = pi sections and each piece of an orbit there is a graph
 cos X = G(Y).  The orbit through (pi, Y0) leaves that section upward where
 dX/dt < 0, else downward, and its family is where its graph first meets a
-section (the bed, Y0 = 0, is invariant: bed_adjacent):
+section (``steady.level_end``, which also ends the portrait's separatrix
+arms; the bed, Y0 = 0, is invariant: bed_adjacent):
 
 * X = 0: a transit, internal_wave running left or surface_wave running
   right; tau comes from tanh-sinh quadrature of dt = dX / (-dX/dt) along
@@ -37,11 +38,8 @@ from typing import NamedTuple
 from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
-from .steady import (GUARDED, CriticalPoint, SteadyCoeffs, bracketed_root,
-                     find_critical_points, linspace)
-
-#: Hard ceiling for |Y| during integration; beyond it cosh overflows.
-Y_GUARD = 700.0
+from .steady import (GUARDED, Y_GUARD, CriticalPoint, SteadyCoeffs, bracketed_root,
+                     column_crossing, find_critical_points, level_end, linspace)
 
 #: |Y| above which a step-size collapse is read as an escape to infinity
 #: (the hyperbolic blow-up outruns the representable time resolution long
@@ -243,51 +241,6 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
 # Layer classification
 # ----------------------------------------------------------------------
 
-def _drop(co: SteadyCoeffs, Ye: float, d: float) -> float:
-    """H(pi, Ye) - H(pi, Ye + d), without cancellation."""
-    return (2.0 * co.Ak * math.cosh(Ye + 0.5 * d) * math.sinh(0.5 * d)
-            + (co.omega * (Ye + 0.5 * d) + co.f) * d)
-
-
-def _first_crossing(fn, y0: float, up: bool, cuts: list[float], sign: float,
-                    stop: float | None = None) -> float | None:
-    """First root of ``fn`` above or below ``y0``, where sign*fn > 0 just
-    beyond it; None if there is none before ``stop``, the bed or Y_GUARD.  The
-    critical heights ``cuts`` split the column into pieces where fn is
-    monotone: Brent runs on the first piece whose far end changed sign, and
-    the open top piece grows by doubling from one unit above its floor."""
-    ends = [c for c in cuts if c > y0] if up else [c for c in cuts[::-1] if c < y0] + [0.0]
-    if stop is not None:
-        ends = [c for c in ends if (c < stop) == up] + [stop]
-    lo = y0
-    for end in ends:
-        if sign * fn(end) <= 0.0:
-            break
-        lo = end
-    else:
-        if not up or stop is not None:
-            return None
-        end = lo + 1.0
-        while end <= Y_GUARD and sign * fn(end) > 0.0:
-            end *= 2.0
-        if end > Y_GUARD:
-            return None
-    return bracketed_root(fn, *sorted((lo, end)), 1e-15, maxiter=300,
-                          what="level crossing of a section")
-
-
-def _graph_end(Y0: float, up: bool, at_pi, H0: float, co: SteadyCoeffs,
-               cps: list[CriticalPoint]) -> tuple[bool, float] | None:
-    """Where the graph of the level H0 from height Y0 first meets X = pi or
-    X = 0, as (at pi, height), or None; ``at_pi`` is H(pi, .) - H0."""
-    Y_pi = _first_crossing(at_pi, Y0, up, [cp.Y for cp in cps if cp.X != 0.0], -1.0)
-    Y_zero = _first_crossing(lambda Y: co.H(0.0, Y, math) - H0, Y0, up,
-                             [cp.Y for cp in cps if cp.X == 0.0], 1.0, stop=Y_pi)
-    if Y_zero is not None:
-        return False, Y_zero
-    return None if Y_pi is None else (True, Y_pi)
-
-
 def layer_boundaries(co_n: SteadyCoeffs,
                      cps: list[CriticalPoint] | None = None) -> dict:
     """The critical set up to Y_GUARD, which the layers are read from, and,
@@ -295,7 +248,7 @@ def layer_boundaries(co_n: SteadyCoeffs,
     points P1 < P2 at X = pi), H0 = H(P0), Y_P0, Y_P1, Y_P2 and the crossings
     Y_lower (below P1) and Y_upper (between P1 and P2) of H0 on X = pi."""
     cps = sorted(find_critical_points(co_n, y_cap=Y_GUARD) if cps is None else cps,
-                 key=lambda cp: (cp.X, cp.Y))  # the walks read each column upward
+                 key=lambda cp: (cp.X, cp.Y))  # X = 0 first, each column upward
     out = {"critical_points": cps}
     at_zero = [cp for cp in cps if cp.X == 0.0]
     roots = [cp.Y for cp in cps if cp.X != 0.0]
@@ -307,39 +260,50 @@ def layer_boundaries(co_n: SteadyCoeffs,
     fn = lambda Y: co_n.H(math.pi, Y, GUARDED) - H0
     bounds = [0.0, *roots, None]
     for key, start, stop in zip(("Y_lower", "Y_upper"), bounds, bounds[1:]):
-        Y = _first_crossing(fn, start, True, roots, math.copysign(1.0, fn(start)), stop)
-        if Y is not None:
-            out[key] = Y
+        met = column_crossing(co_n, H0, fn, start, True,
+                              [cp for cp in cps if cp.X != 0.0 and cp.Y > start],
+                              math.copysign(1.0, fn(start)), stop)
+        if met is not None:
+            out[key] = met[0]
     return out
 
 
+def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs):
+    """Both ``level_end``s of the level graph through (X0, Y0), lazily, first
+    the one followed down where dX/dt < 0 and up where dX/dt > 0."""
+    cps = find_critical_points(co_n, y_cap=Y_GUARD)
+    up = co_n.H_Y(X0, Y0, math) > 0.0
+    return (level_end(co_n, X0, Y0, way, cps) for way in (up, not up))
+
+
 def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
-    """Height at which the orbit through (X0, Y0) crosses the X = pi section:
-    the first meeting of its level graph with either section, followed down
-    where dX/dt < 0 and up where dX/dt > 0.  None for orbits that meet X = 0
-    there or nothing (the unbounded family hugging a vertical asymptote)."""
+    """Height at which the orbit through (X0, Y0) crosses the X = pi section,
+    from the first of its ``_graph_ends`` there; None where neither is, for a
+    loop around a center on X = 0 and the unbounded family."""
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0 or co_n.Ak == 0.0:
         return Y0
-    H0 = co_n.H(X0, Y0, GUARDED)
-    end = _graph_end(Y0, co_n.H_Y(X0, Y0, math) > 0.0, lambda Y: co_n.H(math.pi, Y, math) - H0,
-                     H0, co_n, find_critical_points(co_n, y_cap=Y_GUARD))
-    return end[1] if end is not None and end[0] else None
+    return next((end[0] for end in _graph_ends(X0, Y0, co_n)
+                 if end is not None and end[1] != 0.0), None)
+
+
+def orbit_layer(X0: float, Y0: float, co_n: SteadyCoeffs) -> str:
+    """Orbit family of the trajectory through (X0, Y0): that of its section
+    height, else vortex where both its graph ends are on X = 0, else unbounded."""
+    Y_pi = section_height(X0, Y0, co_n)
+    if Y_pi is not None:
+        return classify_layer(Y_pi, co_n)
+    return "unbounded" if None in _graph_ends(X0, Y0, co_n) else "vortex"
 
 
 def _orbit(Y0: float, co_n: SteadyCoeffs,
            boundaries: dict | None = None) -> tuple[str, float | None]:
     """Orbit family of the trajectory through (pi, Y0) and the other end of
-    its level graph: the return height on X = pi of a loop, the height on
-    X = 0 of a transit, None for the unbounded family.
-
-    The graph leaves the section upward where dX/dt < 0, else downward.  It
-    is a vortex loop if it meets X = pi again first, a leftward (internal)
-    or rightward (surface) transit if it meets X = 0 first, and unbounded if
-    it meets neither below Y_GUARD.  H(pi, .) is written as drops from the
-    first critical height passed, a loop's center, to keep a small loop's
-    digits."""
+    its level graph, which leaves the section upward where dX/dt < 0, else
+    downward (``level_end``): the return height on X = pi of a vortex loop,
+    the height on X = 0 of a leftward (internal) or rightward (surface)
+    transit, None for the unbounded family, which meets neither section."""
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0:
@@ -348,16 +312,13 @@ def _orbit(Y0: float, co_n: SteadyCoeffs,
         return "internal_wave", None  # wave-free shear: every level moves uniformly
     cps = (boundaries or layer_boundaries(co_n))["critical_points"]
     up = co_n.H_Y(math.pi, Y0, math) < 0.0
-    cuts = [cp.Y for cp in cps if cp.X != 0.0]
-    Yc = next((Y for Y in (cuts if up else cuts[::-1]) if (Y > Y0 if up else Y < Y0)), Y0)
-    level, H0 = _drop(co_n, Yc, Y0 - Yc), co_n.H(math.pi, Y0, GUARDED)
-    end = _graph_end(Y0, up, lambda Y: level - _drop(co_n, Yc, Y - Yc), H0, co_n, cps)
+    end = level_end(co_n, math.pi, Y0, up, cps)
     if end is None and not up:
         raise NumericsError(f"the level through (pi, {Y0!r}) meets neither section "
                             "above the bed", diagnostics={"Y0": Y0})
     if end is None:
         return "unbounded", None
-    return ("vortex" if end[0] else "internal_wave" if up else "surface_wave"), end[1]
+    return ("vortex" if end[1] != 0.0 else "internal_wave" if up else "surface_wave"), end[0]
 
 
 def classify_layer(Y0: float, co_n: SteadyCoeffs, boundaries: dict | None = None) -> str:
@@ -509,7 +470,7 @@ def _loop_period(Y0: float, Y1: float, co_n: SteadyCoeffs,
     T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))), split at a
     critical height inside (Ya, Yb): the saddle at X = 0 of the paper's cat's
     eye where there is one, else the loop's center.  Each half takes its level
-    from its end Ye, so (1 + G) Ak sinh Y = _drop(Ye, Y - Ye), and the
+    from its end Ye, so (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y), and the
     substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes the
     1/sqrt singularity at Ye.
     """
@@ -525,7 +486,7 @@ def _loop_period(Y0: float, Y1: float, co_n: SteadyCoeffs,
 
         def dt_dX(X):
             d = c * X * X
-            p = _drop(co_n, Ye, d)
+            p = -co_n.H_rise(math.pi, Ye, d)
             q = p * (2.0 * Ak * math.sinh(Ye + d) - p)
             if not q > 0.0:
                 raise NumericsError(f"vortex loop level Y0 = {Y0!r} within rounding of "

@@ -176,6 +176,8 @@ class WaveParams(_WaveParamsFields):
                               f"got {k:.3g}, {k * h:.3g} and {abs(k * c):.3g}")
         if abs(omega) > OMEGA_MAX:
             raise DomainError(f"|omega| must be at most {OMEGA_MAX:g}, got {abs(omega):.3g}")
+        if not math.isfinite(self.A):
+            raise DomainError(f"A = a*(f + k*h*omega)/sinh(k*h) overflows at a = {a:.3g}")
         sqrt_gh = math.sqrt(g * h)
         q = c - s * sqrt_gh + h * omega
         if abs(q) <= BRANCH_MARGIN * sqrt_gh:

@@ -14,10 +14,9 @@ import numpy as np
 # perfbench, which binds them on this module (``TARGETS`` in
 # ``perfbench/tracing.py``, and ``perfbench/workloads.py``).
 from .drift import (LAYERS, TRAJECTORY_HEADER, Trajectory, check_trajectory_start,
-                    classify_layer, drift_csv_rows, drift_per_period, drift_profile,
-                    find_closed_orbit, layer_boundaries, midpoint_trajectory,
-                    physical_coords, section_height, steady_trajectory,
-                    trajectory_csv_rows)
+                    drift_csv_rows, drift_per_period, drift_profile, find_closed_orbit,
+                    layer_boundaries, midpoint_trajectory, orbit_layer, physical_coords,
+                    steady_trajectory, trajectory_csv_rows)
 from .errors import DomainError, NumericsError
 from .steady import SteadyCoeffs
 
@@ -64,8 +63,7 @@ def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     layer = None
     if co.Ak >= 0:
         try:
-            ysec = section_height(X0, Y0, co)
-            layer = "unbounded" if ysec is None else classify_layer(ysec, co)
+            layer = orbit_layer(X0, Y0, co)
         except NumericsError:
             pass
     return traj._replace(layer=layer, **{name: np.asarray(getattr(traj, name), float)

@@ -9,6 +9,8 @@ unstable manifolds, is X(Y) = +-arccos G(Y), G = (H(saddle) + omega*Y^2/2
 holds one critical point, a saddle above the crest; for negative vorticity
 past the branching discriminant the nullcline splits in two, and a saddle,
 a center and a saddle bound a cat's-eye vortex between two critical layers.
+Each arm ends where its graph first meets X = 0 or X = pi, by the walk
+``steady.level_end`` that also gives the drift layers.
 
 Like ``steady``, this module runs on ``math`` without numpy: points are
 (X, Y) tuples and polylines are lists of them.  ``portrait`` re-exports
@@ -23,8 +25,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericsError
 from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, Regime, WaveParams, classify_regime
-from .steady import (GUARDED, ROOT_XTOL, CriticalPoint, SteadyCoeffs, _polish_root,
-                     bracketed_root, find_critical_points, linspace)
+from .steady import (ROOT_XTOL, Y_GUARD, CriticalPoint, SteadyCoeffs, bracketed_root,
+                     find_critical_points, level_end, linspace)
 
 #: Largest portrait height, half the hyperbolic guard: the curves divide by
 #: Ak*sinh(Y), finite up to here for every admitted coefficient.
@@ -94,11 +96,11 @@ def _level_graph(saddle: CriticalPoint, co: SteadyCoeffs):
     """``x_of(Y)``, |X| on the level H = H(saddle) where cos X = G = u/s,
     u = H(saddle) + omega*Y^2/2 + f*Y, s = Ak*sinh Y, and ``point_of(Y)``.
     Where c*G > 1/2 (c = cos Xs), |X - Xs| = 2*asin(sqrt(c*D/(2s))) with
-    D = H(Xs, Y) - H(Xs, Ys) = c*Ak*2*cosh(m)*sinh(h/2) - h*(omega*m + f),
-    h = Y - Ys, m = (Y + Ys)/2: nothing cancels near the saddle.  Where the
-    curve is steep, ``point_of`` takes a Newton step in Y onto the level
-    unless it exceeds sqrt(eps) relative (the curve passes between floats)."""
-    Ys, H0, c = saddle.Y, saddle.H_value, math.cos(saddle.X)
+    D = H(Xs, Y) - H(Xs, Ys) from ``H_rise``: nothing cancels near the
+    saddle.  Where the curve is steep, ``point_of`` takes a Newton step in Y
+    onto the level unless it exceeds sqrt(eps) relative (the curve passes
+    between floats)."""
+    Xs, Ys, H0, c = saddle.X, saddle.Y, saddle.H_value, math.cos(saddle.X)
     Ak, omega, f, max_step = co.Ak, co.omega, co.f, math.sqrt(math.ulp(1.0))
 
     def x_of(Y):
@@ -106,8 +108,7 @@ def _level_graph(saddle: CriticalPoint, co: SteadyCoeffs):
         u = H0 + (0.5 * omega * Y + f) * Y
         if c * u <= 0.5 * s:
             return math.acos(min(1.0, max(-1.0, u / s)))
-        h, m = Y - Ys, 0.5 * (Y + Ys)
-        w = (Ak * math.cosh(m) * math.sinh(0.5 * h) - 0.5 * c * h * (omega * m + f)) / s
+        w = 0.5 * c * co.H_rise(Xs, Ys, Y - Ys) / s
         dx = 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, w))))
         return dx if c > 0.0 else math.pi - dx
 
@@ -120,38 +121,6 @@ def _level_graph(saddle: CriticalPoint, co: SteadyCoeffs):
                 Y -= step
         return X, Y
     return x_of, point_of
-
-
-def _arm_end(co: SteadyCoeffs, saddle: CriticalPoint, bound: float, critical_points):
-    """(Y, axis, label) where the saddle's level, followed towards Y = ``bound``,
-    first meets X = axis (0 or pi): F = H(axis, .) - H(saddle), > 0 on X = 0
-    and < 0 on X = pi along the curve, reaches zero; (bound, None, "") if
-    nowhere.  F is monotone between the critical points on its axis, and a
-    critical point with F = 0 to rounding is met tangentially: ``label``."""
-    step, H0 = (1.0 if bound > saddle.Y else -1.0), saddle.H_value
-    end = (bound, None, "")
-    for axis, inside in ((0.0, 1.0), (math.pi, -1.0)):
-        fn = lambda y, axis=axis: co.H(axis, y, GUARDED) - H0
-        a = saddle.Y
-        for cp in sorted((cp for cp in critical_points if cp.X == axis and
-                          0.0 < step * (cp.Y - a) < step * (end[0] - a)),
-                         key=lambda cp: step * cp.Y) + [None]:
-            b = end[0] if cp is None else cp.Y
-            fb = fn(b)
-            scale = co.Ak * math.sinh(b) + abs((0.5 * co.omega * b + co.f) * b) + abs(H0)
-            if cp is not None and abs(fb) <= 8.0 * math.ulp(scale):
-                end = (b, axis, cp.label)
-                break
-            # The saddle's own axis leaves its double zero on the curve's side.
-            if inside * fb <= 0.0 and (a != saddle.Y or axis != saddle.X):
-                if fb != 0.0:
-                    lo, hi = min(a, b), max(a, b)
-                    y = bracketed_root(fn, lo, hi, ROOT_XTOL, what="separatrix end")
-                    b = _polish_root(y, lo, hi, fn, lambda y: co.H_Y(axis, y, GUARDED))
-                end = (b, axis, "")
-                break
-            a = b
-    return end
 
 
 def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
@@ -168,7 +137,8 @@ def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
         return arm._replace(termination="strip_boundary")
     if Ys >= ymax:
         return arm
-    Y_end, axis, label = _arm_end(co, saddle, ymax if vy > 0.0 else 0.0, critical_points)
+    end = level_end(co, Xs, Ys, vy > 0.0, critical_points)
+    Y_end, axis, label = end if end is not None and end[0] <= ymax else (ymax, None, "")
     x_of, point_of = _level_graph(saddle, co)
     if Y_end == 0.0:                # only the level H = 0 reaches the bed
         X_end, termination = math.acos(min(1.0, max(-1.0, co.f / co.Ak))), "bed"
@@ -299,8 +269,9 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     regime = classify_regime(params)
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
-    critical_points = find_critical_points(co_n, y_cap=max(ymax, Y_SEARCH_MAX))
-    arms = [_trace(cp, co_n, direction, ymax, critical_points, resolution)
+    every_point = find_critical_points(co_n, y_cap=Y_GUARD)
+    critical_points = [cp for cp in every_point if cp.Y <= max(ymax, Y_SEARCH_MAX)]
+    arms = [_trace(cp, co_n, direction, ymax, every_point, resolution)
             for cp in critical_points if cp.kind == "saddle"
             for direction in SEPARATRIX_DIRECTIONS]
     # The outward arms of a saddle on X = pi are the saddle alone; drop them.

@@ -1,7 +1,8 @@
 """The steady frame X = k*x - f*t, Y = k*y on scalars: particles follow
 dX/dt = dH/dY, dY/dt = -dH/dX with H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y.
-The kernel, critical points and the vorticity census run here, and transit,
-drift and trajectories in ``drift``, on ``math`` without numpy;
+The kernel, critical points, the level walk that ends separatrix arms and
+drift orbits, and the vorticity census run here, and transit, drift and
+trajectories in ``drift``, on ``math`` without numpy;
 ``portrait`` re-exports these names next to its array wrappers.
 """
 
@@ -12,11 +13,15 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
-from .params import (Y_SEARCH_MAX, WaveParams, _require_bed_frame, branching_discriminant,
-                     check_hyperbolic)
+from .params import (HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, WaveParams, _require_bed_frame,
+                     branching_discriminant, check_hyperbolic)
 
 #: Brent tolerance of the isocline roots.
 ROOT_XTOL = 1e-14
+
+#: Top of every level walk and ceiling of |Y| during integration: up to
+#: here cosh and sinh stay finite.
+Y_GUARD = HYPERBOLIC_ARG_MAX
 
 
 #: ``math`` with the hyperbolic guard, for ``co.H(X, Y, GUARDED)`` and kin.
@@ -108,6 +113,13 @@ class SteadyCoeffs:
         """(Hxx, Hxy, Hyy); the flow Jacobian is [[Hxy, Hyy], [-Hxx, -Hxy]]."""
         c = self.Ak * m.cos(X) * m.sinh(Y)
         return -c, -self.Ak * m.sin(X) * m.cosh(Y), c - self.omega
+
+    def H_rise(self, X, Ye, d):
+        """H(X, Ye + d) - H(X, Ye) on a section X = 0 or pi, on ``math``, free of
+        cancellation: cos X*2*Ak*cosh(m)*sinh(d/2) - d*(omega*m + f), m = Ye + d/2."""
+        m = Ye + 0.5 * d
+        return (math.cos(X) * 2.0 * self.Ak * math.cosh(m) * math.sinh(0.5 * d)
+                - (self.omega * m + self.f) * d)
 
 
 def bracketed_root(fn, lo: float, hi: float, xtol: float, maxiter: int = 200,
@@ -212,20 +224,6 @@ def _brentq(fn, a: float, b: float, xtol: float, maxiter: int) -> float:
                        f"value is {xcur}")
 
 
-def _polish_root(y, lo, hi, fn, dfn, iters=3):
-    # A few guarded Newton steps after bracketing; keeps the residual at
-    # rounding level even where the bracketed solve stops at xtol.
-    for _ in range(iters):
-        d = dfn(y)
-        if d == 0.0:
-            break
-        y_next = y - fn(y) / d
-        if not lo <= y_next <= hi:
-            break
-        y = y_next
-    return y
-
-
 def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     """All Y in (0, y_cap] with phi(Y; X) = 0, ascending.
 
@@ -238,9 +236,6 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
 
     def fn(y):
         return co.H_Y(X, y, math)
-
-    def dfn(y):
-        return co.hessian(X, y, math)[2]
 
     if b == 0.0:
         if omega < 0:
@@ -274,12 +269,78 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
             continue
         if flo * fhi < 0.0:
             y = bracketed_root(fn, lo, hi, ROOT_XTOL, what=f"isocline at X = {X:.6g}")
-            roots.append(_polish_root(y, lo, hi, fn, dfn))
+            for _ in range(3):  # guarded Newton steps: the residual at rounding level
+                d = co.hessian(X, y, math)[2]
+                y_next = y - fn(y) / d if d else math.nan
+                if not lo <= y_next <= hi:
+                    break
+                y = y_next
+            roots.append(y)
         elif fhi == 0.0 and hi < y_cap:
             roots.append(hi)
     if fn(y_cap) == 0.0:
         roots.append(y_cap)
     return sorted(set(roots))
+
+
+def column_crossing(co: SteadyCoeffs, H0: float, fn, Y0: float, up: bool, cuts,
+                    sign: float, stop: float | None = None) -> tuple[float, str] | None:
+    """First zero of ``fn`` = H(X, .) - H0 beyond ``Y0``, up or down, where
+    sign*fn > 0 before it, as (height, label), or None before ``stop``, the
+    bed or Y_GUARD.  ``cuts``, the column's critical points beyond Y0 in walk
+    order, split it into monotone pieces: the sign is checked at each, then
+    at the bed or at doublings of the open top piece, and one Brent call
+    (xtol 1e-15) runs on the piece where it changed.  A cut where fn is zero
+    within rounding is met tangentially and gives its label, else ""."""
+    ends = [(cp.Y, cp.label) for cp in cuts] + ([] if up else [(0.0, "")])
+    if stop is not None:
+        ends = [end for end in ends if (end[0] < stop) == up] + [(stop, "")]
+    lo = Y0
+    for Y, label in ends:
+        value = fn(Y)
+        if label and abs(value) <= 8.0 * math.ulp(
+                co.Ak * math.sinh(Y) + abs((0.5 * co.omega * Y + co.f) * Y) + abs(H0)):
+            return Y, label
+        if sign * value <= 0.0:
+            break
+        lo = Y
+    else:
+        if not up or stop is not None:
+            return None
+        Y = lo + 1.0
+        while Y <= Y_GUARD and sign * fn(Y) > 0.0:
+            Y *= 2.0
+        if Y > Y_GUARD:
+            return None
+    return bracketed_root(fn, *sorted((lo, Y)), 1e-15, maxiter=300,
+                          what="level crossing of a section"), ""
+
+
+def level_end(co: SteadyCoeffs, X0: float, Y0: float, up: bool,
+              critical_points) -> tuple[float, float, str] | None:
+    """Where the graph cos X = G(Y) of the level through (X0, Y0), followed
+    up or down in Y, first meets X = pi or X = 0: (height, X, label), or
+    None.  On the graph H(pi, .) < H0 < H(0, .), so each section is a
+    ``column_crossing`` cut at its critical heights (all up to Y_GUARD): X =
+    pi first, then X = 0 up to where X = pi was met.  On the start's own
+    section the column is written as rises from the first critical height
+    passed, a loop's center, to keep a small loop's digits."""
+    H0 = co.H(X0, Y0, GUARDED)
+    end = None
+    for X, sign in ((math.pi, -1.0), (0.0, 1.0)):
+        cuts = sorted((cp for cp in critical_points
+                       if cp.X == X and (cp.Y > Y0 if up else cp.Y < Y0)),
+                      key=lambda cp: cp.Y, reverse=not up)
+        if X == X0:
+            Yc = cuts[0].Y if cuts else Y0
+            level = co.H_rise(X, Yc, Y0 - Yc)
+            fn = lambda Y, X=X, Yc=Yc, level=level: co.H_rise(X, Yc, Y - Yc) - level
+        else:
+            fn = lambda Y, X=X: co.H(X, Y, math) - H0
+        met = column_crossing(co, H0, fn, Y0, up, cuts, sign, end and end[0])
+        if met is not None:
+            end = (met[0], X, met[1])
+    return end
 
 
 class CriticalPoint(NamedTuple):

@@ -298,6 +298,8 @@ class TestOptionRanges:
         ["validate", "--preset", "fig4-left", "--h", "1e-8", "--omega", "1",
          "--g", "1e-300"],                                        # f = k*c rounds to 0
         ["bifurcation", "--preset", "fig3", "--omega-start", "1e154"],
+        ["paths", "--preset", "fig1", "--a", "1e154", "--k", "1e154", "--h", "5e-324",
+         "--periods", "1"],                                       # A = a*(f + ...) overflows
     ], ids=" ".join)
     def test_degenerate_scales_exit_2_with_one_line(self, argv, capsys, tmp_path):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path), "--quiet")

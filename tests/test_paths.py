@@ -279,6 +279,21 @@ class TestSectionHeight:
         bed = integrate_steady(math.pi, 0.0, fig2_coeffs, 1.0)
         assert bed.layer == "bed_adjacent"
 
+    def test_loop_around_a_center_on_x0_is_a_vortex(self):
+        # Sweep-box case 42 has a center at (0, 0.00199): the level graph of
+        # a start near it meets X = 0 at both ends and never X = pi.  A
+        # start on X = pi below the center transits.
+        from make_reference_portrait import sweep_cases
+        h, k, a, omega, branch = sweep_cases()[42]
+        co, _ = SteadyCoeffs.from_params(
+            WaveParams.solve(G, h, k, omega, a=a, branch=branch)).normalized()
+        for X0, Y0 in ((0.0, 0.001), (0.3, 0.002)):
+            traj = integrate_steady(X0, Y0, co, 200.0)
+            assert section_height(X0, Y0, co) is None
+            assert traj.layer == "vortex"
+            assert np.max(np.abs(traj.X)) < 0.5   # the direct integration agrees
+        assert integrate_steady(math.pi, 0.001, co, 1.0).layer == "internal_wave"
+
     def test_transit_time_accepts_a_trajectory(self, fig2_coeffs):
         co = fig2_coeffs
         traj = integrate_steady(math.pi, 0.003, co, 2.0, rtol=1e-12, atol=1e-14)

@@ -8,16 +8,16 @@ profiles once ended in typed errors, because the layers were read from a
 table of the paper's layouts: a center near the bed with Ak > f, or the
 three points placed where the table did not expect them.  The layers now
 come from where each level graph first meets X = 0 or X = pi, and the
-oracle here is scipy's DOP853 with event detection, which knows nothing of
-level graphs.  ``bracketed_root``'s typed failures are pinned at the end.
+oracle here is scipy's DOP853 with event detection (``event_oracle``),
+which knows nothing of level graphs.  ``bracketed_root``'s typed failures
+are pinned at the end.
 """
 
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
+from event_oracle import event_oracle
 from make_reference_portrait import sweep_cases
 from shearwave import (NumericsError, ShearwaveError, SteadyCoeffs, WaveParams,
                        drift_profile)
@@ -37,9 +37,6 @@ CASES = {f"h{c[0]}-omega{c[3]}-{c[4]}": c for c in [
 ]}
 CASES.update({f"sweep{i:03d}": sweep_cases()[i] for i in (42, 54, 60, 93, 107, 108, 130)})
 
-#: Climb above the start at which the oracle calls an orbit unbounded.
-ESCAPE_CLIMB = 20.0
-
 
 def _params(case):
     h, k, a, omega, branch = case
@@ -50,38 +47,6 @@ def _argv(case):
     h, k, a, omega, branch = case
     return ["--g", str(G), "--h", str(h), "--k", str(k), "--a", str(a),
             "--omega", str(omega), "--branch", branch]
-
-
-def event_oracle(Y0, co):
-    """Family and period of the orbit from (pi, Y0) by direct integration:
-    the first of a crossing of X = 0 (leftward) or X = 2*pi (rightward), a
-    return to X = pi, or a climb of ESCAPE_CLIMB; the period is twice the
-    time of that event."""
-    def rhs(t, z):
-        return co.H_Y(z[0], z[1], np), -co.H_X(z[0], z[1], np)
-
-    def crossing(target, direction):
-        def event(t, z):
-            return z[0] - target
-        event.terminal, event.direction = True, direction
-        return event
-
-    def escape(t, z):
-        return z[1] - (Y0 + ESCAPE_CLIMB)
-    escape.terminal, escape.direction = True, 1
-
-    if co.H_Y(math.pi, Y0, math) < 0.0:
-        events = {"internal_wave": crossing(0.0, -1), "vortex": crossing(math.pi, 1)}
-    else:
-        events = {"surface_wave": crossing(2.0 * math.pi, 1),
-                  "vortex": crossing(math.pi, -1)}
-    events["unbounded"] = escape
-    sol = solve_ivp(rhs, (0.0, 1e4 * 2.0 * math.pi / co.f), (math.pi, Y0),
-                    method="DOP853", rtol=1e-12, atol=1e-12, events=list(events.values()))
-    hits = [(t[0], name) for t, name in zip(sol.t_events, events) if t.size]
-    assert hits, f"the orbit from Y0 = {Y0} meets no event"
-    t, name = min(hits)
-    return name, math.nan if name == "unbounded" else 2.0 * t
 
 
 @pytest.mark.parametrize("name", CASES)
