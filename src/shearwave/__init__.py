@@ -12,8 +12,7 @@ access.
 
 import importlib
 
-from .errors import (DomainError, NumericsError, ShearwaveError, TraceError,
-                     UnsupportedConfig)
+from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
 from .params import (Regime, WaveParams, branching_discriminant, classify_regime,
                      dispersion_residual, from_json_str, from_kv, from_mapping,
                      solve_dispersion, to_json_str, to_kv)
@@ -43,10 +42,10 @@ _LAZY = {
 _SUBMODULES = ("dop853", "drift", "fields", "paths", "phase", "portrait", "steady")
 
 __all__ = sorted([
-    "DomainError", "NumericsError", "Regime", "ShearwaveError", "TraceError",
-    "UnsupportedConfig", "WaveParams", "branching_discriminant", "classify_regime",
-    "dispersion_residual", "from_json_str", "from_kv", "from_mapping",
-    "solve_dispersion", "to_json_str", "to_kv", *_LAZY])
+    "DomainError", "NumericsError", "Regime", "ShearwaveError", "UnsupportedConfig",
+    "WaveParams", "branching_discriminant", "classify_regime", "dispersion_residual",
+    "from_json_str", "from_kv", "from_mapping", "solve_dispersion", "to_json_str",
+    "to_kv", *_LAZY])
 
 
 def __getattr__(name):

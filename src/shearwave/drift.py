@@ -10,8 +10,8 @@ Along every orbit dY/dt = Ak sin X sinh Y, so Y is monotone between the
 X = 0 and X = pi sections and each piece of an orbit there is a graph
 cos X = G(Y).  The orbit through (pi, Y0) leaves that section upward where
 dX/dt < 0, else downward, and its family is where its graph first meets a
-section (``steady.level_end``, which also ends the portrait's separatrix
-arms; the bed, Y0 = 0, is invariant: bed_adjacent):
+section (``steady.level_end`` cut at the flow's ``steady.census``, which
+also ends the portrait's arms; the bed, Y0 = 0, is invariant: bed_adjacent):
 
 * X = 0: a transit, internal_wave running left or surface_wave running
   right; tau comes from tanh-sinh quadrature of dt = dX / (-dX/dt) along
@@ -39,7 +39,7 @@ from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
 from .steady import (GUARDED, Y_GUARD, CriticalPoint, SteadyCoeffs, bracketed_root,
-                     column_crossing, find_critical_points, level_end, linspace)
+                     census, column_crossing, find_critical_points, level_end, linspace)
 
 #: |Y| above which a step-size collapse is read as an escape to infinity
 #: (the hyperbolic blow-up outruns the representable time resolution long
@@ -241,14 +241,12 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
 # Layer classification
 # ----------------------------------------------------------------------
 
-def layer_boundaries(co_n: SteadyCoeffs,
-                     cps: list[CriticalPoint] | None = None) -> dict:
-    """The critical set up to Y_GUARD, which the layers are read from, and,
-    in the paper's topologies (a saddle P0 lowest at X = 0, none or two
-    points P1 < P2 at X = pi), H0 = H(P0), Y_P0, Y_P1, Y_P2 and the crossings
-    Y_lower (below P1) and Y_upper (between P1 and P2) of H0 on X = pi."""
-    cps = sorted(find_critical_points(co_n, y_cap=Y_GUARD) if cps is None else cps,
-                 key=lambda cp: (cp.X, cp.Y))  # X = 0 first, each column upward
+def layer_boundaries(co_n: SteadyCoeffs) -> dict:
+    """A report of the census and, in the paper's topologies (a saddle P0
+    lowest at X = 0, none or two points P1 < P2 at X = pi), H0 = H(P0), Y_P0,
+    Y_P1, Y_P2 and the crossings Y_lower (below P1) and Y_upper (between P1
+    and P2) of H0 on X = pi.  The drift layers are read from the census alone."""
+    cps = find_critical_points(co_n)
     out = {"critical_points": cps}
     at_zero = [cp for cp in cps if cp.X == 0.0]
     roots = [cp.Y for cp in cps if cp.X != 0.0]
@@ -268,15 +266,15 @@ def layer_boundaries(co_n: SteadyCoeffs,
     return out
 
 
-def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs):
+def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs, cps):
     """Both ``level_end``s of the level graph through (X0, Y0), lazily, first
     the one followed down where dX/dt < 0 and up where dX/dt > 0."""
-    cps = find_critical_points(co_n, y_cap=Y_GUARD)
     up = co_n.H_Y(X0, Y0, math) > 0.0
     return (level_end(co_n, X0, Y0, way, cps) for way in (up, not up))
 
 
-def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
+def section_height(X0: float, Y0: float, co_n: SteadyCoeffs,
+                   critical_points: list[CriticalPoint] | None = None) -> float | None:
     """Height at which the orbit through (X0, Y0) crosses the X = pi section,
     from the first of its ``_graph_ends`` there; None where neither is, for a
     loop around a center on X = 0 and the unbounded family."""
@@ -284,21 +282,21 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0 or co_n.Ak == 0.0:
         return Y0
-    return next((end[0] for end in _graph_ends(X0, Y0, co_n)
+    return next((end[0] for end in _graph_ends(X0, Y0, co_n, census(co_n, critical_points))
                  if end is not None and end[1] != 0.0), None)
 
 
 def orbit_layer(X0: float, Y0: float, co_n: SteadyCoeffs) -> str:
     """Orbit family of the trajectory through (X0, Y0): that of its section
     height, else vortex where both its graph ends are on X = 0, else unbounded."""
-    Y_pi = section_height(X0, Y0, co_n)
+    cps = find_critical_points(co_n)
+    Y_pi = section_height(X0, Y0, co_n, cps)
     if Y_pi is not None:
-        return classify_layer(Y_pi, co_n)
-    return "unbounded" if None in _graph_ends(X0, Y0, co_n) else "vortex"
+        return classify_layer(Y_pi, co_n, cps)
+    return "unbounded" if None in _graph_ends(X0, Y0, co_n, cps) else "vortex"
 
 
-def _orbit(Y0: float, co_n: SteadyCoeffs,
-           boundaries: dict | None = None) -> tuple[str, float | None]:
+def _orbit(Y0: float, co_n: SteadyCoeffs, cps) -> tuple[str, float | None]:
     """Orbit family of the trajectory through (pi, Y0) and the other end of
     its level graph, which leaves the section upward where dX/dt < 0, else
     downward (``level_end``): the return height on X = pi of a vortex loop,
@@ -310,7 +308,6 @@ def _orbit(Y0: float, co_n: SteadyCoeffs,
         return "bed_adjacent", 0.0
     if co_n.Ak == 0.0:
         return "internal_wave", None  # wave-free shear: every level moves uniformly
-    cps = (boundaries or layer_boundaries(co_n))["critical_points"]
     up = co_n.H_Y(math.pi, Y0, math) < 0.0
     end = level_end(co_n, math.pi, Y0, up, cps)
     if end is None and not up:
@@ -321,10 +318,11 @@ def _orbit(Y0: float, co_n: SteadyCoeffs,
     return ("vortex" if end[1] != 0.0 else "internal_wave" if up else "surface_wave"), end[0]
 
 
-def classify_layer(Y0: float, co_n: SteadyCoeffs, boundaries: dict | None = None) -> str:
+def classify_layer(Y0: float, co_n: SteadyCoeffs,
+                   critical_points: list[CriticalPoint] | None = None) -> str:
     """Orbit family of the trajectory through (pi, Y0): bed_adjacent,
     internal_wave, vortex, surface_wave or unbounded (see ``_orbit``)."""
-    return _orbit(Y0, co_n, boundaries)[0]
+    return _orbit(Y0, co_n, census(co_n, critical_points))[0]
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +438,7 @@ def _tanh_sinh(fn) -> tuple[float, float]:
 
 
 def transit_time_tau(level_or_traj, co: SteadyCoeffs,
-                     boundaries: dict | None = None) -> float | None:
+                     critical_points: list[CriticalPoint] | None = None) -> float | None:
     """Time for a steady orbit to cross one X-period.
 
     The orbit is given either by its height Y0 on the X = pi section or by
@@ -451,12 +449,13 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs,
     stagnation points).
     """
     co_n, _ = co.normalized()
+    cps = census(co_n, critical_points)
     traj = level_or_traj
-    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n) if hasattr(traj, "X")
-          else float(traj))
+    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n, cps)
+          if hasattr(traj, "X") else float(traj))
     if Y0 is None:
         return None
-    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n, boundaries))
+    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n, cps))
     return None if transit is None else transit[0]
 
 
@@ -533,8 +532,8 @@ class DriftReport(NamedTuple):
     layer: str
     mean_speed: float       # drift_m / tau, or f/k where X stays bounded
     #: Quadrature-only error estimate of tau, a transit or a loop.  Next to
-    #: a separatrix the rounding of the level dominates: the true error can
-    #: be 3.5-11 times larger for a transit and up to 23 times for a loop
+    #: a separatrix the rounding of the level can dominate: the true error
+    #: can be up to 38 times larger for a transit and 23 times for a loop
     #: (README, "Numerical notes").
     tau_err: float = math.nan
 
@@ -547,7 +546,7 @@ def _trichotomy(tau: float, f: float) -> str:
 
 
 def drift_per_period(Y0: float, co: SteadyCoeffs,
-                     boundaries: dict | None = None) -> DriftReport:
+                     critical_points: list[CriticalPoint] | None = None) -> DriftReport:
     """Drift classification of the orbit through (pi, Y0).
 
     Leftward transits displace the particle by (f*tau - 2*pi)/k per
@@ -557,8 +556,8 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
     forward; the center moves in a straight line at speed f/k).
     """
     co_n, _ = co.normalized()
-    boundaries = boundaries or layer_boundaries(co_n)
-    layer, Y_end = _orbit(Y0, co_n, boundaries)
+    cps = census(co_n, critical_points)
+    layer, Y_end = _orbit(Y0, co_n, cps)
     f, k = co_n.f, co_n.k
     transit = _tau_quadrature(Y0, co_n, layer, Y_end)
     if transit is not None:
@@ -578,7 +577,7 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
                            else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.
-    loop = _loop_period(Y0, Y_end, co_n, boundaries["critical_points"])
+    loop = _loop_period(Y0, Y_end, co_n, cps)
     if loop is None:
         # The center itself: straight-line forward motion at speed f/k,
         # measured from an actual integration rather than asserted.
@@ -628,9 +627,8 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
         top = 0.999 * fluid_top_level(params, shifted)
         logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
         levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
-    boundaries = layer_boundaries(co_n)
-    return [drift_per_period(float(Y0), co_n, boundaries=boundaries)
-            for Y0 in levels]
+    cps = find_critical_points(co_n)
+    return [drift_per_period(float(Y0), co_n, critical_points=cps) for Y0 in levels]
 
 
 class ClosedOrbit(NamedTuple):
@@ -661,18 +659,18 @@ def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     error directly (``verified``: 1e-10 of the wavelength and the depth).
     """
     co_n, shifted = _drift_coeffs(params)
-    boundaries = layer_boundaries(co_n)
+    cps = find_critical_points(co_n)
     if Y_bracket is None:
         Y_bracket = (0.0, 0.98 * fluid_top_level(params, shifted))
     lo, hi = float(Y_bracket[0]), float(Y_bracket[1])
 
-    drift = lambda Y0: drift_per_period(Y0, co_n, boundaries=boundaries).drift_m
+    drift = lambda Y0: drift_per_period(Y0, co_n, critical_points=cps).drift_m
     d_lo, d_hi = drift(lo), drift(hi)
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)) or d_lo * d_hi > 0:
         return None
     Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
                             what="closed-orbit level")
-    report = drift_per_period(Y_star, co_n, boundaries=boundaries)
+    report = drift_per_period(Y_star, co_n, critical_points=cps)
     residual, tau = abs(report.drift_m), report.tau
     if report.layer == "vortex" or math.isnan(tau):
         raise NumericsError("closed-orbit candidate does not transit",

@@ -23,11 +23,3 @@ class NumericsError(ShearwaveError, RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
-
-
-class TraceError(NumericsError):
-    """Level-set tracing aborted; ``partial`` holds the polyline so far."""
-
-    def __init__(self, message, partial=None, diagnostics=None):
-        super().__init__(message, diagnostics)
-        self.partial = partial

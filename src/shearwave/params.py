@@ -44,7 +44,7 @@ BRANCH_MARGIN = 1e-8
 # are not representable rather than propagate inf.
 HYPERBOLIC_ARG_MAX = 700.0
 
-#: Default vertical extent of root searches and portraits.
+#: Default portrait height, and the least height listed from the census.
 Y_SEARCH_MAX = 20.0
 
 #: Least k (1/m), k*h and |f| (1/s), below which the wavelength, depth ratio

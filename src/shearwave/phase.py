@@ -10,7 +10,8 @@ holds one critical point, a saddle above the crest; for negative vorticity
 past the branching discriminant the nullcline splits in two, and a saddle,
 a center and a saddle bound a cat's-eye vortex between two critical layers.
 Each arm ends where its graph first meets X = 0 or X = pi, by the walk
-``steady.level_end`` that also gives the drift layers.
+``steady.level_end`` that also gives the drift layers, cut at the flow's
+census of critical points; the portrait lists those ``steady.listed`` keeps.
 
 Like ``steady``, this module runs on ``math`` without numpy: points are
 (X, Y) tuples and polylines are lists of them.  ``portrait`` re-exports
@@ -25,8 +26,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericsError
 from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, Regime, WaveParams, classify_regime
-from .steady import (ROOT_XTOL, Y_GUARD, CriticalPoint, SteadyCoeffs, bracketed_root,
-                     find_critical_points, level_end, linspace)
+from .steady import (ROOT_XTOL, CriticalPoint, SteadyCoeffs, bracketed_root, census,
+                     find_critical_points, level_end, linspace, listed)
 
 #: Largest portrait height, half the hyperbolic guard: the curves divide by
 #: Ak*sinh(Y), finite up to here for every admitted coefficient.
@@ -163,10 +164,10 @@ def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
     of ``direction``: X(Y) = +-arccos G(Y) up to G = -1 (the strip boundary),
     a critical point met with G' = 0, ymax or the bed.  At G = +1 it crosses
     X = 0 and returns mirrored to the saddle (``critical_point``) or, from
-    X = pi, to its image at X = -pi.  Arms leaving the strip are the saddle."""
-    if critical_points is None:
-        critical_points = find_critical_points(co, y_cap=max(ymax, Y_SEARCH_MAX))
-    return _trace(saddle, co, direction, ymax, critical_points, DEFAULT_RESOLUTION)
+    X = pi, to its image at X = -pi.  Arms leaving the strip are the saddle.
+    ``critical_points`` is the census of ``co``, built when not given."""
+    return _trace(saddle, co, direction, ymax, census(co, critical_points),
+                  DEFAULT_RESOLUTION)
 
 
 class IsoclineBranch(NamedTuple):
@@ -269,8 +270,8 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     regime = classify_regime(params)
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
-    every_point = find_critical_points(co_n, y_cap=Y_GUARD)
-    critical_points = [cp for cp in every_point if cp.Y <= max(ymax, Y_SEARCH_MAX)]
+    every_point = find_critical_points(co_n)
+    critical_points = listed(every_point, ymax)
     arms = [_trace(cp, co_n, direction, ymax, every_point, resolution)
             for cp in critical_points if cp.kind == "saddle"
             for direction in SEPARATRIX_DIRECTIONS]

@@ -1,9 +1,10 @@
 """The steady frame X = k*x - f*t, Y = k*y on scalars: particles follow
 dX/dt = dH/dY, dY/dt = -dH/dX with H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y.
-The kernel, critical points, the level walk that ends separatrix arms and
-drift orbits, and the vorticity census run here, and transit, drift and
-trajectories in ``drift``, on ``math`` without numpy;
-``portrait`` re-exports these names next to its array wrappers.
+The kernel, the critical-point census, the level walk that ends separatrix
+arms and drift orbits, and the vorticity scan run here, and transit, drift
+and trajectories in ``drift``, on ``math`` without numpy; ``portrait``
+re-exports these names next to its array wrappers.  A flow has one census,
+up to Y_GUARD, which portraits and scans show through one window, ``listed``.
 """
 
 from __future__ import annotations
@@ -389,9 +390,9 @@ def classify_critical_point(X: float, Y: float, co: SteadyCoeffs):
     return ("saddle" if det < 0 else "center"), eigs
 
 
-def find_critical_points(co: SteadyCoeffs,
-                         y_cap: float = Y_SEARCH_MAX) -> list[CriticalPoint]:
-    """All stationary points in the canonical strip (X in {0, pi}, 0 < Y <= y_cap).
+def find_critical_points(co: SteadyCoeffs) -> list[CriticalPoint]:
+    """The census: all stationary points in the canonical strip (X in {0, pi},
+    0 < Y <= Y_GUARD), X = 0 first, each column ascending.
 
     Coefficients must be normalized (Ak >= 0).  Ak = 0 is the wave-free
     shear flow: its stationary set is a horizontal line, not a Morse
@@ -404,13 +405,23 @@ def find_critical_points(co: SteadyCoeffs,
         return []
     points = []
     for X, labels in ((0.0, ("P0", "P0b")), (math.pi, ("P1", "P2"))):
-        roots = isocline_roots(X, co, y_cap)
+        roots = isocline_roots(X, co, Y_GUARD)
         for idx, Y in enumerate(roots):
             kind, eigs = classify_critical_point(X, Y, co)
             label = labels[idx] if idx < len(labels) else f"X{X:.0f}r{idx}"
             points.append(CriticalPoint(X=X, Y=Y, kind=kind, hessian_eigs=eigs,
                                         H_value=co.H(X, Y, GUARDED), label=label))
     return points
+
+
+def census(co: SteadyCoeffs, critical_points: list | None = None) -> list[CriticalPoint]:
+    """``critical_points`` where given, else the census ``find_critical_points(co)``."""
+    return find_critical_points(co) if critical_points is None else critical_points
+
+
+def listed(critical_points: list[CriticalPoint], ymax: float = Y_SEARCH_MAX) -> list:
+    """The census points that a portrait up to ``ymax``, or a scan, lists."""
+    return [cp for cp in critical_points if cp.Y <= max(ymax, Y_SEARCH_MAX)]
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +443,8 @@ class BifurcationScan(NamedTuple):
 
 def bifurcation_scan(g: float, h: float, k: float, a: float,
                      omega_start: float, omega_stop: float, steps: int,
-                     branch: str = "plus", s: float = 0.0,
-                     y_cap: float = Y_SEARCH_MAX) -> BifurcationScan:
-    """Critical-point census along a vorticity sweep at fixed (g, h, k, a).
+                     branch: str = "plus", s: float = 0.0) -> BifurcationScan:
+    """``listed`` critical-point census along a vorticity sweep at fixed (g, h, k, a).
 
     The wave speed is re-solved per vorticity on the chosen branch.  When
     the census jumps between one and three points across the sweep, the
@@ -450,7 +460,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
 
     rows = []
     for omega in linspace(omega_start, omega_stop, steps):
-        pts = find_critical_points(coeffs(omega), y_cap=y_cap)
+        pts = listed(find_critical_points(coeffs(omega)))
         status = "regular"
         if len(pts) == 2:
             status = "degenerate"

@@ -186,7 +186,7 @@ def main():
         b = layer_boundaries(co)
         rows = []
         for Y0 in default_levels(params, shifted).tolist():
-            layer = classify_layer(Y0, co, b)
+            layer = classify_layer(Y0, co, b["critical_points"])
             if layer not in TRANSIT_LAYERS:
                 continue
             key = (co, Y0)
@@ -212,7 +212,7 @@ def main():
         b = layer_boundaries(co)
         rows = []
         for Y0 in default_levels(params, shifted).tolist():
-            if classify_layer(Y0, co, b) != "vortex":
+            if classify_layer(Y0, co, b["critical_points"]) != "vortex":
                 continue
             key = (co, Y0, "loop")
             if key not in memo:

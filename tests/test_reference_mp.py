@@ -16,6 +16,7 @@ import pytest
 
 from shearwave import SteadyCoeffs, find_critical_points, from_mapping, layer_boundaries
 from shearwave.cli import PRESETS
+from shearwave.steady import Y_GUARD
 
 REFERENCE = json.loads(Path(__file__).with_name("reference_mp.json")
                        .read_text(encoding="utf-8"))
@@ -48,7 +49,8 @@ def _precision():
 @pytest.mark.parametrize("name", sorted(REFERENCE["presets"]))
 def test_critical_points_match_reference(name):
     co, ref = coeffs(name)
-    got = find_critical_points(co, y_cap=REFERENCE["y_max"])
+    assert REFERENCE["y_max"] == Y_GUARD
+    got = find_critical_points(co)
     want = ref["critical_points"]
     assert [(cp.X == 0.0, cp.kind) for cp in got] == \
         [(cp["X"] == "0", cp["kind"]) for cp in want]

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearwave import (SteadyCoeffs, classify_layer, drift_per_period, from_mapping,
-                       layer_boundaries)
+from shearwave import (SteadyCoeffs, classify_layer, drift_per_period,
+                       find_critical_points, from_mapping, layer_boundaries)
 from shearwave.cli import PRESETS
 from shearwave.drift import fluid_top_level, transit_time_tau
 
@@ -35,14 +35,15 @@ DEFAULT_RTOL = 1e-13
 #: Vortex loop periods: (bound, worst error measured when the file was made)
 LOOP_RTOL, LOOP_MEASURED = 2e-15, 4.5e-16
 
-#: (preset, eps): (bound, measured when the file was made, former quad error)
+#: (preset, eps): (bound, measured error of the current quadrature, former
+#: quad error); only the bound is asserted
 NEAR_SEPARATRIX = {
-    ("fig1", 1e-3): (2e-14, 4.0e-15, 5.5e-14),
-    ("fig1", 1e-6): (1e-11, 1.9e-12, 2.8e-11),
-    ("fig1", 1e-8): (5e-10, 1.2e-10, 3.0e-9),
-    ("fig2", 1e-3): (1e-14, 1.2e-15, 5.9e-11),
-    ("fig2", 1e-6): (1e-11, 2.7e-12, 8.6e-8),
-    ("fig2", 1e-8): (5e-10, 1.1e-10, 4.7e-6),
+    ("fig1", 1e-3): (2e-14, 4.7e-15, 5.5e-14),
+    ("fig1", 1e-6): (1e-11, 2.4e-12, 2.8e-11),
+    ("fig1", 1e-8): (5e-10, 1.4e-10, 3.0e-9),
+    ("fig2", 1e-3): (1e-14, 1.6e-15, 5.9e-11),
+    ("fig2", 1e-6): (1e-11, 3.7e-14, 8.6e-8),
+    ("fig2", 1e-8): (5e-10, 4.2e-11, 4.7e-6),
 }
 
 
@@ -64,16 +65,16 @@ def test_default_levels_match_reference(name):
     params, co, shifted = coeffs(name)
     # The file was made for these exact inputs.
     assert (co.Ak, co.omega, co.f) == (ref["Ak"], ref["omega"], ref["f"])
-    b = layer_boundaries(co)
+    cps = find_critical_points(co)
     transits = [Y0 for Y0 in default_levels(params, shifted)
-                if classify_layer(Y0, co, b) in ("bed_adjacent", "internal_wave",
+                if classify_layer(Y0, co, cps) in ("bed_adjacent", "internal_wave",
                                                  "surface_wave")]
     assert transits == [row["Y0"] for row in ref["levels"]]
     worst = 0.0
     for row in ref["levels"]:
-        report = drift_per_period(row["Y0"], co, boundaries=b)
+        report = drift_per_period(row["Y0"], co, critical_points=cps)
         assert report.layer == row["layer"]
-        tau, want = transit_time_tau(row["Y0"], co, boundaries=b), float(row["tau"])
+        tau, want = transit_time_tau(row["Y0"], co, critical_points=cps), float(row["tau"])
         assert report.tau == tau and report.tau_err <= DEFAULT_RTOL * tau
         worst = max(worst, abs(tau - want) / want)
     assert worst <= DEFAULT_RTOL
@@ -95,14 +96,14 @@ def test_near_separatrix_levels_within_stated_bounds(case):
 def test_loop_periods_match_reference(name):
     rows = REFERENCE["loops"][name]
     params, co, shifted = coeffs(name)
-    b = layer_boundaries(co)
+    cps = find_critical_points(co)
     assert [row["Y0"] for row in rows] == [
         Y0 for Y0 in default_levels(params, shifted)
-        if classify_layer(Y0, co, b) == "vortex"]
+        if classify_layer(Y0, co, cps) == "vortex"]
     assert LOOP_MEASURED < LOOP_RTOL <= 1e-14
     worst = 0.0
     for row in rows:
-        report = drift_per_period(row["Y0"], co, boundaries=b)
+        report = drift_per_period(row["Y0"], co, critical_points=cps)
         want = float(row["tau"])
         assert report.tau_err <= DEFAULT_RTOL * report.tau
         worst = max(worst, abs(report.tau - want) / want)

@@ -12,13 +12,16 @@ vorticity found by Brent's method on the coefficients (Ak, omega, f):
   (``critical_point``, ``near`` naming the saddle itself);
 - the same saddle on the level H = 0, which holds the bed: its arms end at
   the bed's stagnation points cos X = f/Ak (``bed``).
+
+An arm traced without a census builds the flow's one census, so it ends on
+the same copy of its saddle as an arm traced with it.
 """
 
 import math
 
 import pytest
 
-from shearwave import SteadyCoeffs, find_critical_points
+from shearwave import SteadyCoeffs, find_critical_points, layer_boundaries
 from shearwave.phase import trace_separatrix
 from shearwave.steady import bracketed_root
 
@@ -30,6 +33,9 @@ HETEROCLINIC_BRACKET = (-1.1, -1.0)
 #: Ak > f: a center and a saddle on X = 0, and stagnation points on the bed.
 BED_AK, BED_F = 2.0, 0.5
 BED_BRACKET = (3.05, 3.1)
+
+#: A center below a saddle on X = 0, whose level loops round the center.
+LOOP_COEFFS = SteadyCoeffs(Ak=1.0, omega=1.1, f=0.5, k=1.0)
 
 
 def _flow(Ak, omega, f):
@@ -86,15 +92,26 @@ def test_level_around_a_center_on_x0_returns_to_its_saddle():
         assert (arms[direction].termination, arms[direction].near_label) == ("ymax", "")
 
 
-def test_level_h0_ends_on_the_bed():
-    def level(omega):
-        return _flow(BED_AK, omega, BED_F)[1]["P0b"].H_value
+def _bed_flow():
+    """The flow with Ak = BED_AK whose saddle P0b lies on H = 0 exactly:
+    Brent's vorticity for f from BED_F up by ulps, the first f at which
+    H(P0b) rounds to 0 (H is a step function of omega at this scale)."""
+    f = BED_F
+    for _ in range(100):
+        omega = bracketed_root(lambda om: _flow(BED_AK, om, f)[1]["P0b"].H_value,
+                               *BED_BRACKET, 0.0)
+        co, cps = _flow(BED_AK, omega, f)
+        if cps["P0b"].H_value == 0.0:
+            return co, cps
+        f = math.nextafter(f, 1.0)
+    raise AssertionError("no f within 100 ulps of BED_F puts P0b on H = 0")
 
-    omega = bracketed_root(level, *BED_BRACKET, 0.0)
-    co, cps = _flow(BED_AK, omega, BED_F)
+
+def test_level_h0_ends_on_the_bed():
+    co, cps = _bed_flow()
     saddle = cps["P0b"]
     assert saddle.kind == "saddle" and saddle.H_value == 0.0
-    X_bed = math.acos(BED_F / BED_AK)
+    X_bed = math.acos(co.f / BED_AK)
     arms = _arms(co, saddle)
     for direction, side in (("unstable+", -1.0), ("stable+", 1.0)):
         arm = arms[direction]
@@ -102,3 +119,19 @@ def test_level_h0_ends_on_the_bed():
         assert arm.points[-1] == (side * X_bed, 0.0)
     for direction in ("unstable-", "stable-"):
         assert arms[direction].termination == "ymax"
+
+
+def test_arm_traced_without_a_census_returns_to_its_saddle():
+    co = LOOP_COEFFS
+    census = find_critical_points(co)
+    assert census == layer_boundaries(co)["critical_points"]   # the drift's census
+    center, saddle = census
+    assert (center.label, center.kind, saddle.label, saddle.kind) == \
+        ("P0", "center", "P0b", "saddle")
+    arm = trace_separatrix(saddle, co, "unstable+")
+    assert (arm.termination, arm.near_label) == ("critical_point", "P0b")
+    assert len(arm.points) == 2 * 481 - 1
+    assert arm.points[0] == arm.points[-1] == (0.0, saddle.Y)
+    X_mid, Y_mid = arm.points[480]
+    assert X_mid == 0.0 and 0.0 < Y_mid < center.Y
+    assert arm == trace_separatrix(saddle, co, "unstable+", critical_points=census)
