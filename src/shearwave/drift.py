@@ -10,7 +10,7 @@ Along every orbit dY/dt = Ak sin X sinh Y, so Y is monotone between the
 X = 0 and X = pi sections and each piece of an orbit there is a graph
 cos X = G(Y).  The orbit through (pi, Y0) leaves that section upward where
 dX/dt < 0, else downward, and its family is where its graph first meets a
-section (``steady.level_end`` cut at the flow's ``steady.census``, which
+section (``steady.level_end`` cut at the flow's census, which
 also ends the portrait's arms; the bed, Y0 = 0, is invariant: bed_adjacent):
 
 * X = 0: a transit, internal_wave running left or surface_wave running
@@ -38,8 +38,8 @@ from typing import NamedTuple
 from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
-from .steady import (GUARDED, Y_GUARD, CriticalPoint, SteadyCoeffs, bracketed_root,
-                     census, column_crossing, find_critical_points, level_end, linspace)
+from .steady import (GUARDED, Y_GUARD, SteadyCoeffs, bracketed_root, column_crossing,
+                     find_critical_points, level_end, linspace)
 
 #: |Y| above which a step-size collapse is read as an escape to infinity
 #: (the hyperbolic blow-up outruns the representable time resolution long
@@ -50,6 +50,10 @@ Y_ESCAPE_MIN = 30.0
 #: accepted or rejected, and the midpoint rule refuses a run that needs
 #: more.  That is 1,000 times the 2,000 steps of a default midpoint run.
 MAX_STEPS = 2_000_000
+
+#: Most default drift levels (``drift --levels``): 80,000 levels of fig2, the
+#: slowest preset at 0.7 ms a level, take about a minute on a 2-vCPU VM.
+MAX_LEVELS = 80_000
 
 #: Columns of the drift CSV.
 DRIFT_HEADER = "Y0,y0_m,tau,drift_m,direction,layer"
@@ -266,15 +270,14 @@ def layer_boundaries(co_n: SteadyCoeffs) -> dict:
     return out
 
 
-def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs, cps):
+def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs):
     """Both ``level_end``s of the level graph through (X0, Y0), lazily, first
     the one followed down where dX/dt < 0 and up where dX/dt > 0."""
     up = co_n.H_Y(X0, Y0, math) > 0.0
-    return (level_end(co_n, X0, Y0, way, cps) for way in (up, not up))
+    return (level_end(co_n, X0, Y0, way) for way in (up, not up))
 
 
-def section_height(X0: float, Y0: float, co_n: SteadyCoeffs,
-                   critical_points: list[CriticalPoint] | None = None) -> float | None:
+def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
     """Height at which the orbit through (X0, Y0) crosses the X = pi section,
     from the first of its ``_graph_ends`` there; None where neither is, for a
     loop around a center on X = 0 and the unbounded family."""
@@ -282,21 +285,20 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs,
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0 or co_n.Ak == 0.0:
         return Y0
-    return next((end[0] for end in _graph_ends(X0, Y0, co_n, census(co_n, critical_points))
+    return next((end[0] for end in _graph_ends(X0, Y0, co_n)
                  if end is not None and end[1] != 0.0), None)
 
 
 def orbit_layer(X0: float, Y0: float, co_n: SteadyCoeffs) -> str:
     """Orbit family of the trajectory through (X0, Y0): that of its section
     height, else vortex where both its graph ends are on X = 0, else unbounded."""
-    cps = find_critical_points(co_n)
-    Y_pi = section_height(X0, Y0, co_n, cps)
+    Y_pi = section_height(X0, Y0, co_n)
     if Y_pi is not None:
-        return classify_layer(Y_pi, co_n, cps)
-    return "unbounded" if None in _graph_ends(X0, Y0, co_n, cps) else "vortex"
+        return classify_layer(Y_pi, co_n)
+    return "unbounded" if None in _graph_ends(X0, Y0, co_n) else "vortex"
 
 
-def _orbit(Y0: float, co_n: SteadyCoeffs, cps) -> tuple[str, float | None]:
+def _orbit(Y0: float, co_n: SteadyCoeffs) -> tuple[str, float | None]:
     """Orbit family of the trajectory through (pi, Y0) and the other end of
     its level graph, which leaves the section upward where dX/dt < 0, else
     downward (``level_end``): the return height on X = pi of a vortex loop,
@@ -309,7 +311,7 @@ def _orbit(Y0: float, co_n: SteadyCoeffs, cps) -> tuple[str, float | None]:
     if co_n.Ak == 0.0:
         return "internal_wave", None  # wave-free shear: every level moves uniformly
     up = co_n.H_Y(math.pi, Y0, math) < 0.0
-    end = level_end(co_n, math.pi, Y0, up, cps)
+    end = level_end(co_n, math.pi, Y0, up)
     if end is None and not up:
         raise NumericsError(f"the level through (pi, {Y0!r}) meets neither section "
                             "above the bed", diagnostics={"Y0": Y0})
@@ -318,11 +320,10 @@ def _orbit(Y0: float, co_n: SteadyCoeffs, cps) -> tuple[str, float | None]:
     return ("vortex" if end[1] != 0.0 else "internal_wave" if up else "surface_wave"), end[0]
 
 
-def classify_layer(Y0: float, co_n: SteadyCoeffs,
-                   critical_points: list[CriticalPoint] | None = None) -> str:
+def classify_layer(Y0: float, co_n: SteadyCoeffs) -> str:
     """Orbit family of the trajectory through (pi, Y0): bed_adjacent,
     internal_wave, vortex, surface_wave or unbounded (see ``_orbit``)."""
-    return _orbit(Y0, co_n, census(co_n, critical_points))[0]
+    return _orbit(Y0, co_n)[0]
 
 
 # ----------------------------------------------------------------------
@@ -437,8 +438,7 @@ def _tanh_sinh(fn) -> tuple[float, float]:
     return estimate, abs(estimate - previous)
 
 
-def transit_time_tau(level_or_traj, co: SteadyCoeffs,
-                     critical_points: list[CriticalPoint] | None = None) -> float | None:
+def transit_time_tau(level_or_traj, co: SteadyCoeffs) -> float | None:
     """Time for a steady orbit to cross one X-period.
 
     The orbit is given either by its height Y0 on the X = pi section or by
@@ -449,33 +449,32 @@ def transit_time_tau(level_or_traj, co: SteadyCoeffs,
     stagnation points).
     """
     co_n, _ = co.normalized()
-    cps = census(co_n, critical_points)
     traj = level_or_traj
-    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n, cps)
+    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n)
           if hasattr(traj, "X") else float(traj))
     if Y0 is None:
         return None
-    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n, cps))
+    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n))
     return None if transit is None else transit[0]
 
 
-def _loop_period(Y0: float, Y1: float, co_n: SteadyCoeffs,
-                 cps: list[CriticalPoint]) -> tuple[float, float, float] | None:
+def _loop_period(Y0: float, Y1: float,
+                 co_n: SteadyCoeffs) -> tuple[float, float, float] | None:
     """Period of the vortex loop from (pi, Y0) back to (pi, Y1), an error
     estimate of it and the least dX/dt on the loop; None at the center.
 
     The loop is the graph cos X = G(Y) = (H0 + omega*Y^2/2 + f*Y)/(Ak sinh Y)
     between Ya < Yb, run once on each side of X = pi, so
-    T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))), split at a
-    critical height inside (Ya, Yb): the saddle at X = 0 of the paper's cat's
-    eye where there is one, else the loop's center.  Each half takes its level
-    from its end Ye, so (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y), and the
-    substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes the
-    1/sqrt singularity at Ye.
+    T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))), split at the
+    census's first height inside (Ya, Yb): the saddle at X = 0 of the paper's
+    cat's eye where there is one, else the loop's center.  Each half takes
+    its level from its end Ye, so (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y),
+    and the substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes
+    the 1/sqrt singularity at Ye.
     """
     Ak, omega, f = co_n.Ak, co_n.omega, co_n.f
     Ya, Yb = sorted((Y0, Y1))
-    Ym = next((cp.Y for cp in cps if Ya < cp.Y < Yb), None)  # X = 0 points come first
+    Ym = next((cp.Y for cp in find_critical_points(co_n) if Ya < cp.Y < Yb), None)
     scale = Ak * math.cosh(Y0) + abs(omega) * Y0 + f
     if Ym is None or abs(co_n.H_Y(math.pi, Y0, math)) <= 1e-13 * scale:
         return None  # at the center to rounding: no loop to time
@@ -545,8 +544,7 @@ def _trichotomy(tau: float, f: float) -> str:
     return "forward" if tau > period else "backward"
 
 
-def drift_per_period(Y0: float, co: SteadyCoeffs,
-                     critical_points: list[CriticalPoint] | None = None) -> DriftReport:
+def drift_per_period(Y0: float, co: SteadyCoeffs) -> DriftReport:
     """Drift classification of the orbit through (pi, Y0).
 
     Leftward transits displace the particle by (f*tau - 2*pi)/k per
@@ -556,8 +554,7 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
     forward; the center moves in a straight line at speed f/k).
     """
     co_n, _ = co.normalized()
-    cps = census(co_n, critical_points)
-    layer, Y_end = _orbit(Y0, co_n, cps)
+    layer, Y_end = _orbit(Y0, co_n)
     f, k = co_n.f, co_n.k
     transit = _tau_quadrature(Y0, co_n, layer, Y_end)
     if transit is not None:
@@ -577,7 +574,7 @@ def drift_per_period(Y0: float, co: SteadyCoeffs,
                            else "always_forward", layer=layer, mean_speed=f / k)
 
     # Vortex: closed steady orbit.
-    loop = _loop_period(Y0, Y_end, co_n, cps)
+    loop = _loop_period(Y0, Y_end, co_n)
     if loop is None:
         # The center itself: straight-line forward motion at speed f/k,
         # measured from an actual integration rather than asserted.
@@ -621,14 +618,14 @@ def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftRep
     """
     co_n, shifted = _drift_coeffs(params)
     if levels is None:
-        if n < 1:
-            raise DomainError(f"the number of drift levels must be at least 1, got {n}")
+        if not 1 <= n <= MAX_LEVELS:
+            raise DomainError(f"the number of drift levels must be from 1 to {MAX_LEVELS}, "
+                              f"got {n}")
         # Positive: a < h, and WaveParams keeps k*h >= 1e-300.
         top = 0.999 * fluid_top_level(params, shifted)
         logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
         levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
-    cps = find_critical_points(co_n)
-    return [drift_per_period(float(Y0), co_n, critical_points=cps) for Y0 in levels]
+    return [drift_per_period(float(Y0), co_n) for Y0 in levels]
 
 
 class ClosedOrbit(NamedTuple):
@@ -659,18 +656,17 @@ def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
     error directly (``verified``: 1e-10 of the wavelength and the depth).
     """
     co_n, shifted = _drift_coeffs(params)
-    cps = find_critical_points(co_n)
     if Y_bracket is None:
         Y_bracket = (0.0, 0.98 * fluid_top_level(params, shifted))
     lo, hi = float(Y_bracket[0]), float(Y_bracket[1])
 
-    drift = lambda Y0: drift_per_period(Y0, co_n, critical_points=cps).drift_m
+    drift = lambda Y0: drift_per_period(Y0, co_n).drift_m
     d_lo, d_hi = drift(lo), drift(hi)
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)) or d_lo * d_hi > 0:
         return None
     Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
                             what="closed-orbit level")
-    report = drift_per_period(Y_star, co_n, critical_points=cps)
+    report = drift_per_period(Y_star, co_n)
     residual, tau = abs(report.drift_m), report.tau
     if report.layer == "vortex" or math.isnan(tau):
         raise NumericsError("closed-orbit candidate does not transit",

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericsError
 from .params import HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, Regime, WaveParams, classify_regime
-from .steady import (ROOT_XTOL, CriticalPoint, SteadyCoeffs, bracketed_root, census,
+from .steady import (ROOT_XTOL, CriticalPoint, SteadyCoeffs, bracketed_root,
                      find_critical_points, level_end, linspace, listed)
 
 #: Largest portrait height, half the hyperbolic guard: the curves divide by
@@ -35,6 +35,10 @@ YMAX_LIMIT = HYPERBOLIC_ARG_MAX / 2.0
 
 #: Points per graph piece of a portrait curve (``--resolution``).
 DEFAULT_RESOLUTION = 481
+
+#: Most points per graph piece: a fig2 portrait at 500,000 takes about 40 s
+#: and 1 GB on a 2-vCPU VM, writing 0.4 GB of CSV and SVG.
+MAX_RESOLUTION = 500_000
 
 SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 
@@ -125,7 +129,7 @@ def _level_graph(saddle: CriticalPoint, co: SteadyCoeffs):
 
 
 def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
-           critical_points, n: int) -> SeparatrixTrace:
+           n: int) -> SeparatrixTrace:
     """``trace_separatrix`` with ``n`` points per graph piece."""
     if saddle.kind != "saddle":
         raise DomainError(f"separatrices emanate from saddles, got {saddle.kind!r}")
@@ -138,7 +142,7 @@ def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
         return arm._replace(termination="strip_boundary")
     if Ys >= ymax:
         return arm
-    end = level_end(co, Xs, Ys, vy > 0.0, critical_points)
+    end = level_end(co, Xs, Ys, vy > 0.0)
     Y_end, axis, label = end if end is not None and end[0] <= ymax else (ymax, None, "")
     x_of, point_of = _level_graph(saddle, co)
     if Y_end == 0.0:                # only the level H = 0 reaches the bed
@@ -158,16 +162,13 @@ def _trace(saddle: CriticalPoint, co: SteadyCoeffs, direction: str, ymax: float,
 
 
 def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
-                     ymax: float = Y_SEARCH_MAX,
-                     critical_points: list[CriticalPoint] | None = None) -> SeparatrixTrace:
+                     ymax: float = Y_SEARCH_MAX) -> SeparatrixTrace:
     """One arm of the level H = H(saddle), from the saddle along the tangent
     of ``direction``: X(Y) = +-arccos G(Y) up to G = -1 (the strip boundary),
     a critical point met with G' = 0, ymax or the bed.  At G = +1 it crosses
     X = 0 and returns mirrored to the saddle (``critical_point``) or, from
-    X = pi, to its image at X = -pi.  Arms leaving the strip are the saddle.
-    ``critical_points`` is the census of ``co``, built when not given."""
-    return _trace(saddle, co, direction, ymax, census(co, critical_points),
-                  DEFAULT_RESOLUTION)
+    X = pi, to its image at X = -pi.  Arms leaving the strip are the saddle."""
+    return _trace(saddle, co, direction, ymax, DEFAULT_RESOLUTION)
 
 
 class IsoclineBranch(NamedTuple):
@@ -195,8 +196,7 @@ class PhasePortrait(NamedTuple):
     resolution: int
 
 
-def _assemble_isoclines(co: SteadyCoeffs, ymax: float, n: int,
-                        critical_points) -> list[IsoclineBranch]:
+def _assemble_isoclines(co: SteadyCoeffs, ymax: float, n: int) -> list[IsoclineBranch]:
     """The X-nullcline cos X = q(Y) = (omega*Y + f)/(Ak*cosh Y), each branch
     as its X <= 0 mirror image, then its X >= 0 half.  q' has the sign of
     omega*cosh Y - (omega*Y + f)*sinh Y, which changes once at most: that
@@ -221,7 +221,7 @@ def _assemble_isoclines(co: SteadyCoeffs, ymax: float, n: int,
     ends = [0.0, ymax]
     if turn(0.0) * turn(ymax) < 0.0:
         ends.insert(1, bracketed_root(turn, 0.0, ymax, ROOT_XTOL, what="isocline turn"))
-    at = {cp.Y: cp.X for cp in critical_points if cp.Y <= ymax}
+    at = {cp.Y: cp.X for cp in find_critical_points(co) if cp.Y <= ymax}
     branches = []
     for lo, hi in zip(ends, ends[1:]):
         cuts = [lo] + sorted(y for y in at if lo < y < hi) + [hi]
@@ -265,19 +265,18 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     """
     if not 0.0 < ymax <= YMAX_LIMIT:
         raise DomainError(f"ymax must be positive and at most {YMAX_LIMIT:g}, got {ymax!r}")
-    if resolution < 2:
-        raise DomainError(f"resolution must be at least 2, got {resolution!r}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise DomainError(f"resolution must be from 2 to {MAX_RESOLUTION}, got {resolution!r}")
     regime = classify_regime(params)
     co = SteadyCoeffs.from_params(params)
     co_n, shifted = co.normalized()
-    every_point = find_critical_points(co_n)
-    critical_points = listed(every_point, ymax)
-    arms = [_trace(cp, co_n, direction, ymax, every_point, resolution)
+    critical_points = listed(co_n, ymax)
+    arms = [_trace(cp, co_n, direction, ymax, resolution)
             for cp in critical_points if cp.kind == "saddle"
             for direction in SEPARATRIX_DIRECTIONS]
     # The outward arms of a saddle on X = pi are the saddle alone; drop them.
     arms = [arm for arm in arms if len(arm.points) > 1 or arm.termination != "strip_boundary"]
-    isoclines = _assemble_isoclines(co_n, ymax, resolution, critical_points)
+    isoclines = _assemble_isoclines(co_n, ymax, resolution)
     return PhasePortrait(params, regime, co, co_n, shifted,
                          critical_points, isoclines, arms, _group_arms(arms),
                          (-math.pi, math.pi), ymax, resolution)

@@ -25,11 +25,9 @@ def _array_arm(arm: SeparatrixTrace) -> SeparatrixTrace:
 
 
 def trace_separatrix(saddle: CriticalPoint, co: SteadyCoeffs, direction: str,
-                     ymax: float = Y_SEARCH_MAX,
-                     critical_points: list[CriticalPoint] | None = None) -> SeparatrixTrace:
+                     ymax: float = Y_SEARCH_MAX) -> SeparatrixTrace:
     """``phase.trace_separatrix`` with the points as an (n, 2) array."""
-    return _array_arm(phase.trace_separatrix(saddle, co, direction, ymax=ymax,
-                                             critical_points=critical_points))
+    return _array_arm(phase.trace_separatrix(saddle, co, direction, ymax=ymax))
 
 
 def build_phase_portrait(params, ymax: float = Y_SEARCH_MAX,

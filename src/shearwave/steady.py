@@ -4,12 +4,13 @@ The kernel, the critical-point census, the level walk that ends separatrix
 arms and drift orbits, and the vorticity scan run here, and transit, drift
 and trajectories in ``drift``, on ``math`` without numpy; ``portrait``
 re-exports these names next to its array wrappers.  A flow has one census,
-up to Y_GUARD, which portraits and scans show through one window, ``listed``.
+up to Y_GUARD and searched once, which portraits and scans show through ``listed``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -23,6 +24,9 @@ ROOT_XTOL = 1e-14
 #: Top of every level walk and ceiling of |Y| during integration: up to
 #: here cosh and sinh stay finite.
 Y_GUARD = HYPERBOLIC_ARG_MAX
+
+#: Flows whose census ``find_critical_points`` keeps, least recently used out first.
+CENSUS_MEMO_FLOWS = 64
 
 
 #: ``math`` with the hyperbolic guard, for ``co.H(X, Y, GUARDED)`` and kin.
@@ -317,19 +321,19 @@ def column_crossing(co: SteadyCoeffs, H0: float, fn, Y0: float, up: bool, cuts,
                           what="level crossing of a section"), ""
 
 
-def level_end(co: SteadyCoeffs, X0: float, Y0: float, up: bool,
-              critical_points) -> tuple[float, float, str] | None:
+def level_end(co: SteadyCoeffs, X0: float, Y0: float,
+              up: bool) -> tuple[float, float, str] | None:
     """Where the graph cos X = G(Y) of the level through (X0, Y0), followed
     up or down in Y, first meets X = pi or X = 0: (height, X, label), or
     None.  On the graph H(pi, .) < H0 < H(0, .), so each section is a
-    ``column_crossing`` cut at its critical heights (all up to Y_GUARD): X =
-    pi first, then X = 0 up to where X = pi was met.  On the start's own
+    ``column_crossing`` cut at its critical heights (the census of ``co``): X
+    = pi first, then X = 0 up to where X = pi was met.  On the start's own
     section the column is written as rises from the first critical height
     passed, a loop's center, to keep a small loop's digits."""
     H0 = co.H(X0, Y0, GUARDED)
-    end = None
+    census, end = find_critical_points(co), None
     for X, sign in ((math.pi, -1.0), (0.0, 1.0)):
-        cuts = sorted((cp for cp in critical_points
+        cuts = sorted((cp for cp in census
                        if cp.X == X and (cp.Y > Y0 if up else cp.Y < Y0)),
                       key=lambda cp: cp.Y, reverse=not up)
         if X == X0:
@@ -396,13 +400,20 @@ def find_critical_points(co: SteadyCoeffs) -> list[CriticalPoint]:
 
     Coefficients must be normalized (Ak >= 0).  Ak = 0 is the wave-free
     shear flow: its stationary set is a horizontal line, not a Morse
-    point, so an empty list is returned.
+    point, so an empty list is returned.  The search runs once per flow:
+    the census of the last CENSUS_MEMO_FLOWS coefficient sets is kept, and
+    each call returns a new list of it.
     """
+    return list(_search_critical_points(co))
+
+
+@lru_cache(maxsize=CENSUS_MEMO_FLOWS)
+def _search_critical_points(co: SteadyCoeffs) -> tuple[CriticalPoint, ...]:
     if co.Ak < 0:
         raise UnsupportedConfig(
             "coefficients must be normalized to Ak >= 0 (X -> X + pi shift)")
     if co.Ak == 0.0:
-        return []
+        return ()
     points = []
     for X, labels in ((0.0, ("P0", "P0b")), (math.pi, ("P1", "P2"))):
         roots = isocline_roots(X, co, Y_GUARD)
@@ -411,22 +422,22 @@ def find_critical_points(co: SteadyCoeffs) -> list[CriticalPoint]:
             label = labels[idx] if idx < len(labels) else f"X{X:.0f}r{idx}"
             points.append(CriticalPoint(X=X, Y=Y, kind=kind, hessian_eigs=eigs,
                                         H_value=co.H(X, Y, GUARDED), label=label))
-    return points
+    return tuple(points)
 
 
-def census(co: SteadyCoeffs, critical_points: list | None = None) -> list[CriticalPoint]:
-    """``critical_points`` where given, else the census ``find_critical_points(co)``."""
-    return find_critical_points(co) if critical_points is None else critical_points
-
-
-def listed(critical_points: list[CriticalPoint], ymax: float = Y_SEARCH_MAX) -> list:
-    """The census points that a portrait up to ``ymax``, or a scan, lists."""
-    return [cp for cp in critical_points if cp.Y <= max(ymax, Y_SEARCH_MAX)]
+def listed(co: SteadyCoeffs, ymax: float = Y_SEARCH_MAX) -> list[CriticalPoint]:
+    """The census points of ``co`` that a portrait up to ``ymax``, or a scan, lists."""
+    return [cp for cp in find_critical_points(co) if cp.Y <= max(ymax, Y_SEARCH_MAX)]
 
 
 # ----------------------------------------------------------------------
 # Vorticity bifurcation scan
 # ----------------------------------------------------------------------
+
+#: Most vorticity steps of a scan (``bifurcation --steps``), one census each:
+#: 300,000 steps of fig3's sweep take about a minute on a 2-vCPU VM.
+MAX_SCAN_STEPS = 300_000
+
 
 class ScanRow(NamedTuple):
     omega: float
@@ -451,8 +462,8 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
     transition vorticity is refined by a bracketed solve on the branching
     discriminant evaluated at the actual wave coefficient.
     """
-    if steps < 2:
-        raise DomainError("steps must be at least 2")
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise DomainError(f"steps must be from 2 to {MAX_SCAN_STEPS}, got {steps!r}")
 
     def coeffs(omega: float) -> SteadyCoeffs:
         p = WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
@@ -460,7 +471,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
 
     rows = []
     for omega in linspace(omega_start, omega_stop, steps):
-        pts = listed(find_critical_points(coeffs(omega)))
+        pts = listed(coeffs(omega))
         status = "regular"
         if len(pts) == 2:
             status = "degenerate"

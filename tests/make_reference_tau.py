@@ -17,7 +17,8 @@ The vortex levels of the fig2 and fig4-right profiles get their loop
 periods by a different route from the package's (see ``loop_period_mp``):
 Gauss-Legendre in the cosine substitution over the loop's height range,
 with the other end from ``findroot``.  The package's saddle height Y_P0
-only splits that range.
+only splits that range.  ``loop_period_mp`` also converges next to the
+separatrix, where ``tests/test_reference_tau.py`` calls it directly.
 
 Generation takes a few minutes, so tier 1 only reads the file.  Rebuild it
 on purpose with::
@@ -44,6 +45,12 @@ NEAR_SEPARATRIX = {"fig1": (1e-3, 1e-6, 1e-8), "fig2": (1e-3, 1e-6, 1e-8)}
 TRANSIT_LAYERS = {"bed_adjacent": 0, "internal_wave": 0, "surface_wave": 1}
 LOOP_PRESETS = ("fig2", "fig4-right")
 LOOP_DIGITS = 40
+#: Digits beyond the context's for a loop period: near the saddle 1 - G
+#: loses as many as the level is close to the separatrix.
+LOOP_GUARD_DIGITS = 20
+#: Pieces of the loop's theta range either side of the saddle, each half
+#: as wide as the last, down to 2**-40 of the range.
+SADDLE_HALVINGS = 40
 
 
 def default_levels(params, shifted):
@@ -122,14 +129,18 @@ def tau_mp(co, Y0, piece):
     return 2 * value
 
 
+@mp.extradps(LOOP_GUARD_DIGITS)
 def loop_period_mp(co, Y0, split):
     """Period of the vortex loop through (pi, Y0): the loop is the graph
     cos X = G(Y) over [Ya, Yb], its crossings of X = pi, run once on each
     side of that section, so T = 2 * integral dY / (Ak sinh Y sqrt(1 - G^2)).
     The other end is the ``findroot`` of H(pi, .) = H(pi, Y0) across the
     center, and Y = (Ya + Yb)/2 - (Yb - Ya)/2 cos(theta) removes both end
-    singularities.  ``split`` (a height inside the loop) only splits the
-    theta range where the integrand peaks near a saddle."""
+    singularities.  ``split`` (a height inside the loop) splits the theta
+    range where the integrand peaks near a saddle, with SADDLE_HALVINGS
+    pieces either side whose widths halve toward it: a level next to the
+    separatrix gives a peak as narrow as the square root of its distance,
+    and each piece then sees it at a fixed ratio of its width."""
     Ak, om, f = mp.mpf(co.Ak), mp.mpf(co.omega), mp.mpf(co.f)
     Y0 = mp.mpf(Y0)
 
@@ -161,7 +172,10 @@ def loop_period_mp(co, Y0, split):
 
     points = [0, mp.pi]
     if Ya < split < Yb:
-        points.insert(1, mp.acos((mid - split) / rad))
+        ts = mp.acos((mid - split) / rad)
+        halves = [mp.mpf(2) ** -j for j in range(1, SADDLE_HALVINGS + 1)]
+        points = ([0] + [ts * (1 - w) for w in halves] + [ts]
+                  + [ts + (mp.pi - ts) * w for w in reversed(halves)] + [mp.pi])
     # The integrand is analytic in theta; Gauss-Legendre keeps its nodes
     # far enough from the ends that 1 + G keeps most of its digits.
     value, err = mp.quad(integrand, points, method="gauss-legendre", error=True,
@@ -183,10 +197,9 @@ def main():
     memo = {}
     for name in PRESET_NAMES:
         params, co, shifted = coeffs(name)
-        b = layer_boundaries(co)
         rows = []
         for Y0 in default_levels(params, shifted).tolist():
-            layer = classify_layer(Y0, co, b["critical_points"])
+            layer = classify_layer(Y0, co)
             if layer not in TRANSIT_LAYERS:
                 continue
             key = (co, Y0)
@@ -212,7 +225,7 @@ def main():
         b = layer_boundaries(co)
         rows = []
         for Y0 in default_levels(params, shifted).tolist():
-            if classify_layer(Y0, co, b["critical_points"]) != "vortex":
+            if classify_layer(Y0, co) != "vortex":
                 continue
             key = (co, Y0, "loop")
             if key not in memo:

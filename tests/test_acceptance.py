@@ -231,12 +231,12 @@ def test_criterion_09_all_forward_drift(fig2_params, fig2_coeffs):
     assert len(levels) == 200
     layers_seen = set()
     for Y0 in levels:
-        r = drift_per_period(float(Y0), co, critical_points=b["critical_points"])
+        r = drift_per_period(float(Y0), co)
         layers_seen.add(r.layer)
         assert r.direction in ("forward", "always_forward")
     assert {"internal_wave", "vortex", "surface_wave"} <= layers_seen
     center = find_critical_points(co)[1]
-    r = drift_per_period(center.Y, co, critical_points=b["critical_points"])
+    r = drift_per_period(center.Y, co)
     assert r.direction == "always_forward"
     assert r.mean_speed == pytest.approx(co.f / co.k, rel=1e-10)
     report(9, "200 levels across interior wave / vortex / surface wave all "

@@ -4,8 +4,13 @@ import os
 
 import pytest
 
+from shearwave import (DomainError, bifurcation_scan, build_phase_portrait, drift_profile,
+                       from_mapping)
 from shearwave.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_NUMERICAL, PRESETS, main
+from shearwave.drift import MAX_LEVELS
 from shearwave.errors import NumericsError
+from shearwave.phase import MAX_RESOLUTION
+from shearwave.steady import MAX_SCAN_STEPS
 
 
 def run(capsys, *argv):
@@ -270,6 +275,28 @@ class TestOptionRanges:
                            "--out", str(tmp_path), "--quiet")
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["drift", "--levels", str(MAX_LEVELS + 1)],
+        ["portrait", "--resolution", str(MAX_RESOLUTION + 1)],
+        ["bifurcation", "--steps", str(MAX_SCAN_STEPS + 1)],
+    ], ids=" ".join)
+    def test_size_above_its_cap_exits_2_naming_the_option(self, argv, capsys, tmp_path):
+        code, _, err = run(capsys, *argv, "--preset", "fig3",
+                           "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{argv[1][2:]} must be from " in err and err.endswith(f", got {argv[2]}\n")
+        assert not os.listdir(tmp_path)
+
+    def test_size_caps_hold_at_the_library_entry(self):
+        p = from_mapping(PRESETS["fig3"]["params"])
+        with pytest.raises(DomainError, match="drift levels"):
+            drift_profile(p, n=MAX_LEVELS + 1)
+        with pytest.raises(DomainError, match="resolution"):
+            build_phase_portrait(p, resolution=MAX_RESOLUTION + 1)
+        with pytest.raises(DomainError, match="steps"):
+            bifurcation_scan(p.g, p.h, p.k, p.a, 0.0, -6.0, MAX_SCAN_STEPS + 1)
 
     def test_underflowing_drift_levels_exit_2_with_one_line(self, capsys, tmp_path):
         # k = 5e-324: 1e-5 of the surface height over X = pi, the lowest

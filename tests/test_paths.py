@@ -239,7 +239,7 @@ class TestTransitTime:
         for co, top_point in ((fig1_coeffs, "Y_P0"), (fig2_coeffs, "Y_P2")):
             b = layer_boundaries(co)
             Y0 = b[top_point] + 0.3
-            assert classify_layer(Y0, co, b["critical_points"]) == "unbounded"
+            assert classify_layer(Y0, co) == "unbounded"
             assert transit_time_tau(Y0, co) is None
 
     def test_interior_wave_slower_than_bed(self, fig2_coeffs):
@@ -309,17 +309,17 @@ class TestLayers:
         co = fig2_coeffs
         b = layer_boundaries(co)
         assert b["Y_lower"] < b["Y_P1"] < b["Y_upper"] < b["Y_P2"]
-        assert classify_layer(0.0, co, b["critical_points"]) == "bed_adjacent"
-        assert classify_layer(b["Y_lower"] / 2, co, b["critical_points"]) == "internal_wave"
-        assert classify_layer(b["Y_P1"], co, b["critical_points"]) == "vortex"
-        assert classify_layer((b["Y_upper"] + b["Y_P2"]) / 2, co, b["critical_points"]) == "surface_wave"
-        assert classify_layer(b["Y_P2"] + 1.0, co, b["critical_points"]) == "unbounded"
+        assert classify_layer(0.0, co) == "bed_adjacent"
+        assert classify_layer(b["Y_lower"] / 2, co) == "internal_wave"
+        assert classify_layer(b["Y_P1"], co) == "vortex"
+        assert classify_layer((b["Y_upper"] + b["Y_P2"]) / 2, co) == "surface_wave"
+        assert classify_layer(b["Y_P2"] + 1.0, co) == "unbounded"
 
     def test_single_saddle_regimes(self, fig1_coeffs):
         co = fig1_coeffs
         b = layer_boundaries(co)
-        assert classify_layer(b["Y_lower"] / 2, co, b["critical_points"]) == "internal_wave"
-        assert classify_layer(b["Y_P0"] + 1.0, co, b["critical_points"]) == "unbounded"
+        assert classify_layer(b["Y_lower"] / 2, co) == "internal_wave"
+        assert classify_layer(b["Y_P0"] + 1.0, co) == "unbounded"
 
 
 #: Sweep-sampler scenarios (``random.Random(2026)``, cases 53, 116 and 142)
@@ -477,9 +477,9 @@ class TestDrift:
             H0 = co.H(math.pi, r.Y0, np)
             piece = (b["Y_P1"], b["Y_P2"]) if r.Y0 < b["Y_P1"] else (0.0, b["Y_P1"])
             other = brentq(lambda Y: co.H(math.pi, Y, np) - H0, *piece, xtol=1e-15)
-            layer, Y1 = drift._orbit(r.Y0, co, b["critical_points"])
+            layer, Y1 = drift._orbit(r.Y0, co)
             assert (layer, Y1) == ("vortex", pytest.approx(other, rel=1e-13))
-            T, _, least = drift._loop_period(r.Y0, Y1, co, b["critical_points"])
+            T, _, least = drift._loop_period(r.Y0, Y1, co)
             Y = np.linspace(min(r.Y0, other), max(r.Y0, other), 20_001)
             G = (H0 + 0.5 * co.omega * Y * Y + co.f * Y) / (co.Ak * np.sinh(Y))
             scan = co.H_Y(np.arccos(np.clip(G, -1.0, 1.0)), Y, np)

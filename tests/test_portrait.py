@@ -178,15 +178,14 @@ class TestSeparatrixTracing:
         pts = find_critical_points(fig2_coeffs)
         saddle = pts[0]
         for direction in ("unstable+", "stable+"):
-            arm = trace_separatrix(saddle, fig2_coeffs, direction,
-                                   critical_points=pts)
+            arm = trace_separatrix(saddle, fig2_coeffs, direction)
             levels = np.asarray(fig2_coeffs.H(arm.points[1:, 0], arm.points[1:, 1], np),
                                 float)
             assert np.max(np.abs(levels - arm.H_level)) < 1e-8 * (1 + abs(arm.H_level))
 
     def test_irrotational_bounded_arm_reaches_the_strip_edge(self, fig1_coeffs):
         pts = find_critical_points(fig1_coeffs)
-        arm = trace_separatrix(pts[0], fig1_coeffs, "stable+", critical_points=pts)
+        arm = trace_separatrix(pts[0], fig1_coeffs, "stable+")
         assert arm.termination == "strip_boundary"
         x_end, y_end = arm.points[-1]
         assert x_end == pytest.approx(math.pi, abs=1e-12)
@@ -195,8 +194,8 @@ class TestSeparatrixTracing:
     def test_supercritical_connectivity(self, fig2_coeffs):
         pts = find_critical_points(fig2_coeffs)
         p0, p1, p2 = pts
-        lower = trace_separatrix(p0, fig2_coeffs, "stable+", critical_points=pts)
-        upper = trace_separatrix(p0, fig2_coeffs, "unstable+", critical_points=pts)
+        lower = trace_separatrix(p0, fig2_coeffs, "stable+")
+        upper = trace_separatrix(p0, fig2_coeffs, "unstable+")
         assert lower.points[-1][0] == pytest.approx(math.pi, abs=1e-12)
         assert lower.points[-1][1] < p1.Y
         assert upper.points[-1][0] == pytest.approx(math.pi, abs=1e-12)

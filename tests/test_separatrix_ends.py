@@ -13,8 +13,9 @@ vorticity found by Brent's method on the coefficients (Ak, omega, f):
 - the same saddle on the level H = 0, which holds the bed: its arms end at
   the bed's stagnation points cos X = f/Ak (``bed``).
 
-An arm traced without a census builds the flow's one census, so it ends on
-the same copy of its saddle as an arm traced with it.
+An arm reads the flow's one census (``tests/test_census_memo.py`` checks
+that it is searched once), so it ends on the same copy of its saddle as
+the census lists.
 """
 
 import math
@@ -134,4 +135,3 @@ def test_arm_traced_without_a_census_returns_to_its_saddle():
     assert arm.points[0] == arm.points[-1] == (0.0, saddle.Y)
     X_mid, Y_mid = arm.points[480]
     assert X_mid == 0.0 and 0.0 < Y_mid < center.Y
-    assert arm == trace_separatrix(saddle, co, "unstable+", critical_points=census)
