@@ -226,7 +226,7 @@ def cmd_paths(args) -> int:
         seeds = wdrift.read_seeds(_read_utf8(Path(args.seeds), "seeds file"))
     else:
         seeds = _default_seeds(p)
-    t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / p.f
+    t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / abs(p.f)
     summary = {"scenario": name, "t_end": t_end, "trajectories": []}
     for idx, (X0, Y0) in enumerate(seeds):
         traj = wdrift.steady_trajectory(X0, Y0, co_n, t_end, rtol=args.rtol,

@@ -27,6 +27,9 @@ from .params import WaveParams, _require_bed_frame, _require_finite, check_hyper
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"
 #: ``eta_flag`` cells, indexed by "y <= eta".
 _FLAGS = ("outside", "inside")
+#: Points of one block of whole grid lines evaluated by one call each of
+#: velocity, pressure and in_fluid (one line if it is longer).
+_GRID_BLOCK = 4096
 
 
 def _check_hyperbolic(arg):
@@ -151,30 +154,27 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
     _require_bed_frame(params)
     _require_finite(t=t, P0=P0)
     x = _grid_axis("x_grid", x_grid)
-    y, ky = _heights(_grid_axis("y_grid", y_grid), params)
-    A, k, f, omega = params.A, params.k, params.f, params.omega
-    theta = _phase(t, x, params)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cosh_ky, sinh_ky = np.cosh(ky), np.sinh(ky)
-    shear = -omega * y
-    p_shape = (f + k * omega * y) * cosh_ky - omega * sinh_ky
-    hydrostatic = P0 + params.g * (params.h - y)
+    y, _ = _heights(_grid_axis("y_grid", y_grid), params)
     # One row per y, its y and t cells already in place: each line is one
     # % operation over the x cell and each row's u, v, P and flag.
     template = "".join(f"%s,{yv:.17g},{t:.17g},%.17g,%.17g,%.17g,%s\n"
                        for yv in y.tolist())
     ny = len(y)
+    block = max(1, _GRID_BLOCK // max(ny, 1))
 
     def lines():
         cells = [None] * (5 * ny)
-        for xv, ct, st in zip(x.tolist(), cos_t.tolist(), sin_t.tolist()):
-            cells[0::5] = [f"{xv:.17g}"] * ny
-            cells[1::5] = (shear + A * ct * cosh_ky).tolist()
-            cells[2::5] = (A * st * sinh_ky).tolist()
-            cells[3::5] = (hydrostatic + (A / k) * ct * p_shape).tolist()
-            cells[4::5] = [_FLAGS[inside] for inside in
-                           (y <= params.h + params.a * ct).tolist()]
-            yield template % tuple(cells)
+        for start in range(0, len(x), block):
+            xb = x[start:start + block, None]
+            u, v = velocity(t, xb, y, params)
+            P = pressure(t, xb, y, params, P0)
+            inside = in_fluid(t, xb, y, params)
+            for xv, ui, vi, Pi, fi in zip(xb[:, 0].tolist(), u.tolist(), v.tolist(),
+                                          P.tolist(), inside.tolist()):
+                cells[0::5] = [f"{xv:.17g}"] * ny
+                cells[1::5], cells[2::5], cells[3::5] = ui, vi, Pi
+                cells[4::5] = [_FLAGS[flag] for flag in fi]
+                yield template % tuple(cells)
 
     return lines()
 
@@ -185,10 +185,10 @@ def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid,
     (inner) grid, floats at 17 significant digits.
 
     The inputs are checked before any row is yielded: the axes must be
-    one-dimensional and, like t and P0, finite.  The y factors are
-    computed once per grid and the x factors once per grid line, with the
-    operand grouping of :func:`velocity`, :func:`pressure` and
-    :func:`in_fluid`, so every value equals the per-point one bit for bit.
+    one-dimensional and, like t and P0, finite.  The values come from
+    :func:`velocity`, :func:`pressure` and :func:`in_fluid`, one call each
+    per block of whole grid lines; the block, about ``_GRID_BLOCK``
+    points, bounds the memory.
     """
     lines = _grid_lines(params, t, x_grid, y_grid, P0)
     yield GRID_HEADER

@@ -170,12 +170,12 @@ class WaveParams(_WaveParamsFields):
             raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
         if k * h > HYPERBOLIC_ARG_MAX:
             raise UnsupportedConfig(
-                f"k*h = {k * h:.3g} overflows the hyperbolic factors")
+                f"k*h = {k * h!r} overflows the hyperbolic factors")
         if min(k, k * h, abs(k * c)) < SCALE_MIN:
             raise DomainError(f"k, k*h and |f| = |k*c| must be at least {SCALE_MIN:g}, "
-                              f"got {k:.3g}, {k * h:.3g} and {abs(k * c):.3g}")
+                              f"got {k!r}, {k * h!r} and {abs(k * c)!r}")
         if abs(omega) > OMEGA_MAX:
-            raise DomainError(f"|omega| must be at most {OMEGA_MAX:g}, got {abs(omega):.3g}")
+            raise DomainError(f"|omega| must be at most {OMEGA_MAX:g}, got {abs(omega)!r}")
         if not math.isfinite(self.A):
             raise DomainError(f"A = a*(f + k*h*omega)/sinh(k*h) overflows at a = {a:.3g}")
         sqrt_gh = math.sqrt(g * h)

@@ -144,6 +144,24 @@ class TestOtherCommands:
         first = (tmp_path / "fig1" / "trajectory_000.csv").read_text().splitlines()
         assert first[0] == "t,X,Y,x,y,H"
 
+    def test_paths_default_end_time_on_a_left_going_wave(self, capsys, tmp_path):
+        # f = k*c < 0 on the minus branch: the default end time is
+        # periods*2*pi/|f|, the same run as an explicit --t-end.
+        code, _, err = run(capsys, "paths", "--preset", "fig1", "--branch", "minus",
+                           "--periods", "1", "--out", str(tmp_path / "a"), "--quiet")
+        assert (code, err) == (0, "")
+        p = from_mapping({**PRESETS["fig1"]["params"], "branch": "minus"})
+        assert p.f < 0
+        summary = json.loads((tmp_path / "a" / "fig1" / "paths.json").read_text())
+        assert summary["t_end"] == 2.0 * math.pi / abs(p.f)
+        code, _, _ = run(capsys, "paths", "--preset", "fig1", "--branch", "minus",
+                         "--t-end", repr(summary["t_end"]),
+                         "--out", str(tmp_path / "b"), "--quiet")
+        assert code == 0
+        for name in ("paths.json", "trajectory_000.csv", "trajectory_005.csv"):
+            assert ((tmp_path / "a" / "fig1" / name).read_bytes()
+                    == (tmp_path / "b" / "fig1" / name).read_bytes())
+
     def test_paths_with_seeds_file(self, capsys, tmp_path):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("# one seed\n3.141592653589793 0.0\n")
@@ -332,6 +350,16 @@ class TestOptionRanges:
         code, _, err = run(capsys, *argv, "--out", str(tmp_path), "--quiet")
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_vorticity_above_its_cap_is_printed_exactly(self, capsys, tmp_path):
+        # The sweep's first vorticity past 1e150 rounds to 1e+150 at three digits.
+        with pytest.warns(UserWarning):
+            code, _, err = run(capsys, "bifurcation", "--preset", "fig3",
+                               "--omega-stop", "1e151", "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        head, _, value = err.rstrip("\n").rpartition(", got ")
+        assert head == "error: |omega| must be at most 1e+150"
+        assert float(value) > 1e150
 
     def test_failed_run_leaves_no_output_directory(self, capsys, tmp_path,
                                                    monkeypatch):

@@ -8,6 +8,7 @@ from shearwave import (DomainError, UnsupportedConfig, WaveParams,
                        classify_regime, dispersion_residual, from_json_str,
                        from_kv, from_mapping, solve_dispersion, to_json_str,
                        to_kv)
+from shearwave.params import HYPERBOLIC_ARG_MAX, OMEGA_MAX, SCALE_MIN
 
 G = 9.81
 
@@ -215,6 +216,23 @@ class TestWaveParamsConstruction:
             solved[key] = value
             with pytest.raises(DomainError, match=f"^{key} must be finite"):
                 WaveParams.solve(**solved, branch="minus")
+
+    def test_scale_refusals_print_the_value_exactly(self):
+        # Just past each limit, a value rounds to the limit at three digits.
+        k = math.nextafter(SCALE_MIN, 0.0)
+        with pytest.raises(DomainError) as exc:
+            WaveParams(G, 1.0, 0.01, k, 0.0, 1.0)
+        assert str(exc.value) == ("k, k*h and |f| = |k*c| must be at least 1e-300, "
+                                  f"got {k!r}, {k!r} and {k!r}")
+        omega = math.nextafter(OMEGA_MAX, math.inf)
+        with pytest.raises(DomainError) as exc:
+            WaveParams(G, 1.0, 0.01, 1.0, omega, 1.0)
+        assert str(exc.value) == f"|omega| must be at most 1e+150, got {omega!r}"
+        assert float(str(exc.value).rpartition(" ")[2]) > OMEGA_MAX
+        k = math.nextafter(HYPERBOLIC_ARG_MAX, math.inf)
+        with pytest.raises(UnsupportedConfig) as exc:
+            WaveParams(G, 1.0, 0.01, k, 0.0, 1.0)
+        assert str(exc.value) == f"k*h = {k!r} overflows the hyperbolic factors"
 
     def test_replace_validates(self, fig2_params):
         with pytest.raises(UnsupportedConfig):
