@@ -329,38 +329,22 @@ def _max_abs(values) -> float:
 
 
 def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
-    """max |residual| of the five field identities of
-    ``fields.field_identity_residuals`` (P0 = 0) over the points (t, x, y),
-    in one scalar loop with its operand order in every expression.
-
-    ``m`` is the arithmetic module of the transcendentals, as in
-    ``SteadyCoeffs.H``; numpy's cosh and sinh may differ from ``math``'s
-    in the last ulp, so ``m=numpy`` reproduces the array report's bits.
-    """
+    """max |residual| of the five ``params.field_identities`` (P0 = 0) over
+    the points (t, x, y), one at a time on ``m``; numpy's cosh and sinh may
+    differ from ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
     wp.check_hyperbolic(p.k * max(y, default=0.0))
-    A, k, f, omega = p.A, p.k, p.f, p.omega
-    a, h, g = p.a, p.h, p.g
-    sin, cos, cosh, sinh = m.sin, m.cos, m.cosh, m.sinh
-    mAk, Ak, sinh_0, sinh_kh = -A * k, A * k, math.sinh(0.0), math.sinh(k * h)
-    mak, mOh, af, A_k = -a * k, -omega * h, a * f, A / k
-    kh, P0 = k * h, 0.0
-    p_shape = (f + k * omega * h) * m.cosh(kh) - omega * m.sinh(kh)
-    div, curl, bed, kin, dyn = [], [], [], [], []
-    for tv, xv, yv in zip(t, x, y):
-        theta = k * xv - f * tv
-        sin_t, cos_t = sin(theta), cos(theta)
-        ky = k * yv
-        cosh_ky = cosh(ky)
-        div.append(mAk * sin_t * cosh_ky + Ak * sin_t * cosh_ky)     # u_x + v_y
-        v_x = Ak * cos_t * sinh(ky)
-        curl.append((v_x - (-omega + v_x)) - omega)                   # (v_x - u_y) - omega
-        bed.append(A * sin_t * sinh_0)
-        kin.append(A * sin_t * sinh_kh - (af * sin_t + mOh * (mak * sin_t)))
-        dyn.append((P0 + A_k * cos_t * p_shape) - P0 - g * ((h + a * cos_t) - h))
-    return tuple(float(_max_abs(values)) for values in (div, curl, bed, kin, dyn))
+    div, curl, bed, kin, dyn = columns = [], [], [], [], []
+    for div_r, curl_r, bed_r, kin_r, dyn_r in map(wp.field_identities(p, m), t, x, y):
+        div.append(div_r)
+        curl.append(curl_r)
+        bed.append(bed_r)
+        kin.append(kin_r)
+        dyn.append(dyn_r)
+    return tuple(float(_max_abs(values)) for values in columns)
 
 
-def _validate_report(p: WaveParams) -> list[dict]:
+def cmd_validate(args) -> int:
+    name, p = resolve_params(args)
     wp._require_bed_frame(p)  # the field formulas assume s = 0
     div, curl, bed, kin, dyn = _identity_maxima(*_validate_points(p), p)
     dyn_tol = 1e-9 * p.g * p.a if p.a > 0 else 1e-12
@@ -372,18 +356,10 @@ def _validate_report(p: WaveParams) -> list[dict]:
         ("dynamic_defect", dyn, dyn_tol),
         ("dispersion_residual", dispersion_residual(p), 1e-10),
     ]
-    return [{"identity": label, "max_residual": value, "tolerance": tol,
-             "ok": value < tol} for label, value, tol in checks]
-
-
-def cmd_validate(args) -> int:
-    name, p = resolve_params(args)
-    report = _validate_report(p)
-    failed = [row for row in report if not row["ok"]]
-    for row in report:
-        line = (f"{name}: {row['identity']:>20s}  max|residual| = "
-                f"{row['max_residual']:.3e}  (tol {row['tolerance']:.1e})  ")
-        if row["ok"]:
+    failed = [label for label, value, tol in checks if not value < tol]
+    for label, value, tol in checks:
+        line = f"{name}: {label:>20s}  max|residual| = {value:.3e}  (tol {tol:.1e})  "
+        if value < tol:
             _say(args, line + "PASS")
         else:
             print(line + "FAIL")  # --quiet keeps the rows that fail
@@ -397,7 +373,7 @@ def cmd_validate(args) -> int:
         write_field_grid(Path(args.grid), p, t=0.0, x_grid=xg, y_grid=yg)
     if failed:
         raise NumericsError(f"{len(failed)} field identities exceed tolerance",
-                            diagnostics={"failed": [row["identity"] for row in failed]})
+                            diagnostics={"failed": failed})
     return EXIT_OK
 
 

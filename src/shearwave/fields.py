@@ -15,11 +15,11 @@ evaluates on numpy; the steady-frame system is written once, in
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
+from . import params as wp
 from .errors import DomainError
 from .params import WaveParams, _require_bed_frame, _require_finite, check_hyperbolic
 
@@ -108,30 +108,13 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     parameter set; the kinematic surface defect vanishes by the identity
     A*sinh(k*h) = a*(f + k*h*omega); the dynamic surface defect vanishes
     exactly when the dispersion relation holds, so it is the executable
-    statement of that relation's necessity.
+    statement of that relation's necessity.  The expressions are
+    :func:`params.field_identities`, evaluated here on numpy.
     """
     _require_bed_frame(params)
-    y = np.asarray(y, dtype=float)
-    ky = params.k * y
-    _check_hyperbolic(ky)
-    A, k, f, omega = params.A, params.k, params.f, params.omega
-    a, h, g = params.a, params.h, params.g
-    theta = _phase(t, x, params)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    cosh_ky = np.cosh(ky)
-    v_x = A * k * cos_t * np.sinh(ky)
-    kh = k * h
-    # Each residual keeps the operand order of the per-term formulas, which
-    # fixes its bits; at y = h the hydrostatic term of pressure() vanishes.
-    P_surf = P0 + (A / k) * cos_t * (
-        (f + k * omega * h) * np.cosh(kh) - omega * np.sinh(kh))
-    return FieldResiduals(
-        -A * k * sin_t * cosh_ky + A * k * sin_t * cosh_ky,    # u_x + v_y
-        (v_x - (-omega + v_x)) - omega,                         # (v_x - u_y) - omega
-        A * sin_t * math.sinh(0.0),                             # v at y = 0
-        # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h
-        A * sin_t * math.sinh(kh) - (a * f * sin_t + -omega * h * (-a * k * sin_t)),
-        P_surf - P0 - g * ((h + a * cos_t) - h))                # P(h) - P0 - g*(eta - h)
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
+    _check_hyperbolic(params.k * y)
+    return FieldResiduals(*wp.field_identities(params, np, P0)(t, x, y))
 
 
 # ----------------------------------------------------------------------

@@ -161,6 +161,14 @@ class WaveParams(_WaveParamsFields):
 
     def __new__(cls, g: float, h: float, a: float, k: float, omega: float,
                 c: float, s: float = 0.0, branch: str = "plus"):
+        self = cls._unwarned(g, h, a, k, omega, c, s, branch)
+        for message in self._guard_messages():
+            warnings.warn(message, stacklevel=_caller_level())
+        return self
+
+    @classmethod
+    def _unwarned(cls, g, h, a, k, omega, c, s, branch) -> "WaveParams":
+        """``WaveParams(...)`` without the warnings of ``_guard_messages``."""
         self = super().__new__(cls, g, h, a, k, omega, c, s, branch)
         _require_finite(g=g, h=h, a=a, k=k, omega=omega, s=s, c=c)
         _require_positive(g=g, h=h, k=k)
@@ -188,16 +196,17 @@ class WaveParams(_WaveParamsFields):
             raise UnsupportedConfig(
                 f"sign of c + h*omega - s*sqrt(gh) = {q:.6g} contradicts "
                 f"branch={branch!r}")
-        if self.amplitude_flag:
-            warnings.warn(
-                f"a/h = {a / h:.3g} exceeds {AMPLITUDE_RATIO_MAX}; "
-                "the linear solution degrades as O(a^2)", stacklevel=_caller_level())
-        if self.validity_flag:
-            warnings.warn(
-                f"(a/h)*|omega_nd| = {self._vorticity_product():.3g} exceeds "
-                f"{VORTICITY_PRODUCT_MAX}; uniform validity of the linearization "
-                "is doubtful", stacklevel=_caller_level())
         return self
+
+    def _guard_messages(self):
+        """The small-amplitude guard warnings of this set, one per flag raised."""
+        if self.amplitude_flag:
+            yield (f"a/h = {self.a / self.h:.3g} exceeds {AMPLITUDE_RATIO_MAX}; "
+                   "the linear solution degrades as O(a^2)")
+        if self.validity_flag:
+            yield (f"(a/h)*|omega_nd| = {self._vorticity_product():.3g} exceeds "
+                   f"{VORTICITY_PRODUCT_MAX}; uniform validity of the linearization "
+                   "is doubtful")
 
     @classmethod
     def _make(cls, iterable) -> "WaveParams":
@@ -264,6 +273,36 @@ def dispersion_residual(params: WaveParams) -> float:
     omega_nd = params.omega * math.sqrt(h / g)
     q = params.c / math.sqrt(g * h) - params.s + omega_nd
     return abs(q * (kh * q / math.tanh(kh) - omega_nd) - 1.0)
+
+
+def field_identities(params: WaveParams, m, P0: float = 0.0):
+    """``at(t, x, y)``: the five residuals of ``fields.FieldResiduals`` at
+    (t, x, y), each in the operand order of its per-term formula, which
+    fixes its bits, with sin, cos, cosh and sinh from ``m``: ``math`` for
+    one point, ``numpy`` for arrays.  The caller checks s = 0 and |k*y| <= 700."""
+    A, k, f, omega = params.A, params.k, params.f, params.omega
+    a, h, g = params.a, params.h, params.g
+    mAk, Ak, af, mOh, mak, A_k = -A * k, A * k, a * f, -omega * h, -a * k, A / k
+    sinh_0, sinh_kh = math.sinh(0.0), math.sinh(k * h)
+    # At y = h the hydrostatic term of the pressure vanishes.
+    p_shape = (f + k * omega * h) * m.cosh(k * h) - omega * m.sinh(k * h)
+    sin, cos, cosh, sinh = m.sin, m.cos, m.cosh, m.sinh
+
+    def at(t, x, y):
+        theta = k * x - f * t
+        ky = k * y
+        sin_t, cos_t = sin(theta), cos(theta)
+        cosh_ky = cosh(ky)
+        v_x = Ak * cos_t * sinh(ky)
+        return (mAk * sin_t * cosh_ky + Ak * sin_t * cosh_ky,    # u_x + v_y
+                (v_x - (-omega + v_x)) - omega,                   # (v_x - u_y) - omega
+                A * sin_t * sinh_0,                               # v at y = 0
+                # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h
+                A * sin_t * sinh_kh - (af * sin_t + mOh * (mak * sin_t)),
+                # P(h) - P0 - g*(eta - h)
+                (P0 + A_k * cos_t * p_shape) - P0 - g * ((h + a * cos_t) - h))
+
+    return at
 
 
 def classify_regime(params: WaveParams) -> Regime:

@@ -10,13 +10,14 @@ up to Y_GUARD and searched once, which portraits and scans show through ``listed
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
 from .params import (HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, WaveParams, _require_bed_frame,
-                     branching_discriminant, check_hyperbolic)
+                     branching_discriminant, check_hyperbolic, solve_dispersion)
 
 #: Brent tolerance of the isocline roots.
 ROOT_XTOL = 1e-14
@@ -460,37 +461,45 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
     The wave speed is re-solved per vorticity on the chosen branch.  When
     the census jumps between one and three points across the sweep, the
     transition vorticity is refined by a bracketed solve on the branching
-    discriminant evaluated at the actual wave coefficient.
+    discriminant evaluated at the actual wave coefficient.  The guards the
+    swept sets exceed make one warning per scan, also when the scan raises.
     """
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise DomainError(f"steps must be from 2 to {MAX_SCAN_STEPS}, got {steps!r}")
+    flagged = []  # the swept parameter sets that exceed a guard
 
-    def coeffs(omega: float) -> SteadyCoeffs:
-        p = WaveParams.solve(g, h, k, omega, a=a, s=s, branch=branch)
-        return SteadyCoeffs.from_params(p).normalized()[0]
+    def solved(omega: float) -> WaveParams:
+        # WaveParams.solve unwarned; recording with catch_warnings is not thread-safe.
+        c = solve_dispersion(g, h, k, omega, s=s, branch=branch)
+        return WaveParams._unwarned(g, h, a, k, omega, c, s, branch)
 
-    rows = []
-    for omega in linspace(omega_start, omega_stop, steps):
-        pts = listed(coeffs(omega))
-        status = "regular"
-        if len(pts) == 2:
-            status = "degenerate"
-        rows.append(ScanRow(omega=omega, count=len(pts),
-                            kinds=tuple(p.kind for p in pts), status=status))
+    try:
+        rows = []
+        for omega in linspace(omega_start, omega_stop, steps):
+            p = solved(omega)
+            if any(p._guard_messages()):
+                flagged.append(p)
+            pts = listed(SteadyCoeffs.from_params(p).normalized()[0])
+            rows.append(ScanRow(omega=omega, count=len(pts),
+                                kinds=tuple(cp.kind for cp in pts),
+                                status="degenerate" if len(pts) == 2 else "regular"))
 
-    def disc(omega: float) -> float:
-        co_n = coeffs(omega)
-        if co_n.Ak == 0.0:
-            raise DomainError("the discriminant needs a > 0")
-        return branching_discriminant(co_n.Ak, omega, co_n.f)
+        def disc(omega: float) -> float:
+            p = solved(omega)  # branching_discriminant refuses A = 0
+            return branching_discriminant(abs(p.A) * p.k, omega, p.f)
 
-    omega_star = None
-    for lo, hi in zip(rows[:-1], rows[1:]):
-        jump = {lo.count, hi.count} == {1, 3}
-        if jump:
-            d_lo, d_hi = disc(lo.omega), disc(hi.omega)
-            if d_lo * d_hi < 0:
-                omega_star = float(bracketed_root(disc, lo.omega, hi.omega, 1e-9,
-                                                  what="branching discriminant"))
-            break
-    return BifurcationScan(rows=rows, omega_star=omega_star, branch=branch)
+        omega_star = None
+        for lo, hi in zip(rows[:-1], rows[1:]):
+            if {lo.count, hi.count} == {1, 3}:
+                d_lo, d_hi = disc(lo.omega), disc(hi.omega)
+                if d_lo * d_hi < 0:
+                    omega_star = float(bracketed_root(disc, lo.omega, hi.omega, 1e-9,
+                                                      what="branching discriminant"))
+                break
+        return BifurcationScan(rows=rows, omega_star=omega_star, branch=branch)
+    finally:
+        if flagged:
+            first = flagged[0]
+            warnings.warn(f"{len(flagged)} of the swept vorticities exceed a guard, the first "
+                          f"at omega = {first.omega!r}: {next(first._guard_messages())}",
+                          stacklevel=2)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -360,6 +361,26 @@ class TestOptionRanges:
         head, _, value = err.rstrip("\n").rpartition(", got ")
         assert head == "error: |omega| must be at most 1e+150"
         assert float(value) > 1e150
+
+    def test_scan_past_the_guard_warns_once_then_fails(self, capsys, tmp_path):
+        # Five swept vorticities raise the validity guard before the sixth
+        # passes the cap; "always" would show every warning the scan let out.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "bifurcation", "--preset", "fig3",
+                               "--omega-stop", "1e151", "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT and err.startswith("error: |omega| must be")
+        assert [w.category for w in caught] == [UserWarning]
+        assert str(caught[0].message).startswith(
+            "5 of the swept vorticities exceed a guard, the first at omega = "
+            "1.6666666666666668e+149: (a/h)*|omega_nd| = 5.32e+146 exceeds 0.3")
+
+    def test_default_fig3_scan_warns_nothing(self, capsys, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, "bifurcation", "--preset", "fig3",
+                             "--out", str(tmp_path), "--quiet")
+        assert code == 0 and caught == []
 
     def test_failed_run_leaves_no_output_directory(self, capsys, tmp_path,
                                                    monkeypatch):

@@ -1,6 +1,7 @@
-"""The field-identity residual report against the per-term formulas it
-evaluates into reused buffers: same values byte for byte, same shapes,
-and numpy scalars for scalar inputs."""
+"""The array field-identity residual report, which evaluates the kernel
+``params.field_identities`` on numpy, against the per-term formulas
+written out as plain array expressions: same values byte for byte, same
+shapes, and numpy scalars for scalar inputs."""
 
 import math
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -258,6 +259,17 @@ class TestBifurcationScan:
         scan = bifurcation_scan(G, 1.0, 1.0, 0.01, 0.0, 3.0, 7)
         assert all(row.count == 1 for row in scan.rows)
         assert scan.omega_star is None
+
+    def test_guards_are_reported_once_for_the_swept_vorticities(self):
+        # a/h = 0.5 raises the amplitude guard at every vorticity; the solves
+        # that refine the transition are not swept, so they are not counted.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan = bifurcation_scan(G, 1.0, 1.0, 0.5, 0.0, -6.0, 61)
+        assert scan.omega_star is not None
+        assert [str(w.message) for w in caught] == [
+            "61 of the swept vorticities exceed a guard, the first at omega = 0.0: "
+            "a/h = 0.5 exceeds 0.1; the linear solution degrades as O(a^2)"]
 
     def test_monotone_jump_and_transition(self):
         scan = bifurcation_scan(G, 1.0, 1.0, 0.01, 0.0, -6.0, 25)

@@ -1,8 +1,9 @@
-"""The scalar ``validate`` report against the array report it restates.
+"""The scalar ``validate`` report against the array report.
 
-``cli._identity_maxima`` evaluates the five field identities of
-``fields.field_identity_residuals`` point by point on ``math``.  On the
-same points its maxima equal numpy's ``max(abs(...))`` of the array
+Both evaluate the one kernel ``params.field_identities``:
+``cli._identity_maxima`` point by point on ``math``,
+``fields.field_identity_residuals`` over arrays on numpy.  On the same
+points the scalar maxima equal numpy's ``max(abs(...))`` of the array
 report bit for bit, NaN included.  numpy's cosh and sinh may differ from
 ``math``'s in the last ulp (where numpy has its own SIMD kernels), which
 moves the dynamic defect of about one sweep-box set in four, so those sets
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from shearwave import WaveParams, field_identity_residuals
+from shearwave import params as wparams
 from shearwave.cli import PRESETS, _identity_maxima, _validate_points, main
 
 G = 9.81
@@ -77,6 +79,32 @@ def test_nan_residual_is_reported_and_fails(capsys):
         assert "max|residual| = nan" in rows[label] and rows[label].endswith("FAIL")
     for label in ("bed_velocity", "dynamic_defect", "dispersion_residual"):
         assert rows[label].endswith("PASS")
+
+
+def test_both_reports_follow_the_one_kernel(monkeypatch, capsys):
+    p = WaveParams.solve(**PRESETS["fig2"]["params"])
+    t, x, y = _validate_points(p)
+    kernel = wparams.field_identities
+
+    def perturbed(params, m, P0=0.0):
+        at = kernel(params, m, P0)
+        return lambda t, x, y: tuple(r + 1e-3 * (i + 1) for i, r in enumerate(at(t, x, y)))
+
+    def reports():
+        code = main(["validate", "--preset", "fig2"])
+        rows = capsys.readouterr().out.splitlines()
+        return array_maxima(t, x, y, p), _identity_maxima(t, x, y, p), rows, code
+
+    array_before, scalar_before, rows_before, code_before = reports()
+    monkeypatch.setattr(wparams, "field_identities", perturbed)
+    array_after, scalar_after, rows_after, code_after = reports()
+    assert (code_before, code_after) == (0, 4)
+    for i in range(5):
+        assert array_after[i] != array_before[i]
+        assert scalar_after[i] != scalar_before[i]
+        assert rows_after[i] != rows_before[i] and rows_after[i].endswith("FAIL")
+        assert array_after[i] == scalar_after[i] == pytest.approx(1e-3 * (i + 1))
+    assert rows_after[5] == rows_before[5]  # the dispersion residual
 
 
 def test_sample_is_fixed_and_spans_three_periods():
