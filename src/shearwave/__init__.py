@@ -32,7 +32,7 @@ _LAZY = {
         "drift_profile", "find_closed_orbit", "layer_boundaries",
         "section_height", "transit_time_tau"), "drift"),
     **dict.fromkeys(("Trajectory", "read_seeds"), "drift"),
-    **dict.fromkeys(("integrate_steady", "to_physical"), "paths"),
+    "integrate_steady": "paths",
     **dict.fromkeys((
         "IsoclineBranch", "PhasePortrait", "SeparatrixTrace", "portrait_json",
         "portrait_svg"), "phase"),

@@ -33,6 +33,10 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
+#: What ``--format`` may name: csv and json, and svg for ``portrait`` only.
+_FORMATS = ("csv", "json")
+_PORTRAIT_FORMATS = (*_FORMATS, "svg")
+
 _VALIDATE_SEED = 20260810
 _VALIDATE_POINTS = 10000
 
@@ -138,12 +142,13 @@ def _out_dir(args, name: str) -> Path:
     return Path(getattr(args, "out", "out")) / name
 
 
-def _formats(args) -> set[str]:
-    raw = getattr(args, "format", None) or "csv,json"
-    formats = {piece.strip() for piece in raw.split(",") if piece.strip()}
-    unknown = formats - {"csv", "json", "svg"}
+def _formats(args, allowed=_FORMATS) -> set[str]:
+    formats = {piece.strip() for piece in (args.format or "csv,json").split(",")
+               if piece.strip()}
+    unknown = formats - set(allowed)
     if unknown:
-        raise DomainError(f"unknown output formats: {sorted(unknown)}")
+        raise DomainError(f"{args.command} writes {','.join(allowed)}, "
+                          f"not {','.join(sorted(unknown))}")
     return formats
 
 
@@ -187,7 +192,7 @@ def cmd_portrait(args) -> int:
     from . import phase as wphase
 
     name, p = resolve_params(args)
-    formats = _formats(args)
+    formats = _formats(args, _PORTRAIT_FORMATS)
     out = _out_dir(args, name)
     portrait = wphase.build_phase_portrait(p, ymax=args.ymax,
                                           resolution=args.resolution)
@@ -332,7 +337,9 @@ def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
     """max |residual| of the five ``params.field_identities`` (P0 = 0) over
     the points (t, x, y), one at a time on ``m``; numpy's cosh and sinh may
     differ from ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
-    wp.check_hyperbolic(p.k * max(y, default=0.0))
+    if any(v < 0.0 for v in y):
+        raise DomainError("y must be nonnegative (the bed is at y = 0)")
+    wp.check_hyperbolic(p.k * max(y, default=0.0))  # max |k*y|: no y is negative
     div, curl, bed, kin, dyn = columns = [], [], [], [], []
     for div_r, curl_r, bed_r, kin_r, dyn_r in map(wp.field_identities(p, m), t, x, y):
         div.append(div_r)
@@ -381,7 +388,9 @@ def cmd_validate(args) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
-def _add_param_source(sub: argparse.ArgumentParser):
+def _add_param_source(sub: argparse.ArgumentParser, formats=_FORMATS):
+    """The parameter options, --quiet and, where ``formats`` names what the
+    command writes, --out and --format."""
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--scenario", help="key = value or JSON parameter file")
     sub.add_argument("--g", type=float)
@@ -391,9 +400,10 @@ def _add_param_source(sub: argparse.ArgumentParser):
     sub.add_argument("--omega", type=float)
     sub.add_argument("--s", type=float)
     sub.add_argument("--branch", choices=wp.BRANCHES)
-    sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--format", default="csv,json",
-                     help="comma list of csv,json,svg (default: csv,json)")
+    if formats:
+        sub.add_argument("--out", default="out", help="output directory (default: out)")
+        sub.add_argument("--format", default="csv,json",
+                         help=f"comma list of {','.join(formats)} (default: csv,json)")
     sub.add_argument("--quiet", action="store_true")
 
 
@@ -415,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     disp.set_defaults(func=cmd_dispersion)
 
     port = subs.add_parser("portrait", help="phase portrait of one period strip")
-    _add_param_source(port)
+    _add_param_source(port, _PORTRAIT_FORMATS)
     port.add_argument("--ymax", type=float, default=wp.Y_SEARCH_MAX)
     port.add_argument("--resolution", type=int, default=481)
     port.set_defaults(func=cmd_portrait)
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     bif.set_defaults(func=cmd_bifurcation)
 
     val = subs.add_parser("validate", help="field-identity residual report")
-    _add_param_source(val)
+    _add_param_source(val, ())
     val.add_argument("--grid", help="also write a field grid CSV to this path")
     val.set_defaults(func=cmd_validate)
 

@@ -8,10 +8,13 @@ displacement is (f*tau - 2*pi)/k, so tau > 2*pi/f means forward drift.
 
 Along every orbit dY/dt = Ak sin X sinh Y, so Y is monotone between the
 X = 0 and X = pi sections and each piece of an orbit there is a graph
-cos X = G(Y).  The orbit through (pi, Y0) leaves that section upward where
-dX/dt < 0, else downward, and its family is where its graph first meets a
-section (``steady.level_end`` cut at the flow's census, which
-also ends the portrait's arms; the bed, Y0 = 0, is invariant: bed_adjacent):
+cos X = G(Y).  One walk, ``_orbit``, classifies every start: one off X = pi
+is first followed along its graph to its X = pi end; from there the orbit
+leaves upward where dX/dt < 0, else downward, and its family is where its
+graph first meets a section (``steady.level_end`` cut at the flow's census,
+which also ends the portrait's arms; the bed, Y0 = 0, is invariant:
+bed_adjacent).  ``classify_layer``, ``orbit_layer``, ``section_height``,
+the transit times and the drift profile all read that walk:
 
 * X = 0: a transit, internal_wave running left or surface_wave running
   right; tau comes from tanh-sinh quadrature of dt = dX / (-dX/dt) along
@@ -51,7 +54,7 @@ Y_ESCAPE_MIN = 30.0
 #: more.  That is 1,000 times the 2,000 steps of a default midpoint run.
 MAX_STEPS = 2_000_000
 
-#: Most default drift levels (``drift --levels``): 80,000 levels of fig2, the
+#: Most drift levels (``drift --levels``): 80,000 levels of fig2, the
 #: slowest preset at 0.7 ms a level, take about a minute on a 2-vCPU VM.
 MAX_LEVELS = 80_000
 
@@ -270,60 +273,61 @@ def layer_boundaries(co_n: SteadyCoeffs) -> dict:
     return out
 
 
-def _graph_ends(X0: float, Y0: float, co_n: SteadyCoeffs):
-    """Both ``level_end``s of the level graph through (X0, Y0), lazily, first
-    the one followed down where dX/dt < 0 and up where dX/dt > 0."""
-    up = co_n.H_Y(X0, Y0, math) > 0.0
-    return (level_end(co_n, X0, Y0, way) for way in (up, not up))
+def _orbit(X0: float, Y0: float,
+           co_n: SteadyCoeffs) -> tuple[str, float | None, float | None]:
+    """The one level walk: the family of the orbit through (X0, Y0), its
+    height Y_pi on X = pi and the other end of its level graph from there.
 
-
-def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
-    """Height at which the orbit through (X0, Y0) crosses the X = pi section,
-    from the first of its ``_graph_ends`` there; None where neither is, for a
-    loop around a center on X = 0 and the unbounded family."""
-    if Y0 < 0:
-        raise DomainError("Y0 must be nonnegative")
-    if Y0 == 0.0 or co_n.Ak == 0.0:
-        return Y0
-    return next((end[0] for end in _graph_ends(X0, Y0, co_n)
-                 if end is not None and end[1] != 0.0), None)
-
-
-def orbit_layer(X0: float, Y0: float, co_n: SteadyCoeffs) -> str:
-    """Orbit family of the trajectory through (X0, Y0): that of its section
-    height, else vortex where both its graph ends are on X = 0, else unbounded."""
-    Y_pi = section_height(X0, Y0, co_n)
-    if Y_pi is not None:
-        return classify_layer(Y_pi, co_n)
-    return "unbounded" if None in _graph_ends(X0, Y0, co_n) else "vortex"
-
-
-def _orbit(Y0: float, co_n: SteadyCoeffs) -> tuple[str, float | None]:
-    """Orbit family of the trajectory through (pi, Y0) and the other end of
-    its level graph, which leaves the section upward where dX/dt < 0, else
-    downward (``level_end``): the return height on X = pi of a vortex loop,
-    the height on X = 0 of a leftward (internal) or rightward (surface)
-    transit, None for the unbounded family, which meets neither section."""
+    A start whose H(X0, Y0) - H(pi, Y0) is within one ulp of H's terms is on
+    the level through (pi, Y0): on X = pi, or on a level flat to rounding.
+    Any other takes the X = pi end of its two graph ends (``level_end``),
+    first the one followed down where dX/dt < 0 and up where dX/dt > 0;
+    with neither there it is a loop around a center on X = 0 (both on
+    X = 0) or unbounded.  From (pi, Y_pi) the graph leaves upward where
+    dX/dt < 0, else downward, and ends at Y_end: the return height of a
+    vortex loop, the height on X = 0 of a leftward (internal) or rightward
+    (surface) transit, None for the unbounded family."""
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0:
-        return "bed_adjacent", 0.0
+        return "bed_adjacent", Y0, 0.0
     if co_n.Ak == 0.0:
-        return "internal_wave", None  # wave-free shear: every level moves uniformly
+        return "internal_wave", Y0, None  # wave-free shear: every level moves uniformly
+    shear = abs(0.5 * co_n.omega * Y0 * Y0) + co_n.f * Y0  # the size of H's other terms
+    if co_n.Ak * GUARDED.sinh(Y0) * (1.0 + math.cos(X0)) > math.ulp(shear):
+        up = co_n.H_Y(X0, Y0, math) > 0.0
+        ends = [level_end(co_n, X0, Y0, up)]
+        if ends[0] is None or ends[0][1] == 0.0:
+            ends.append(level_end(co_n, X0, Y0, not up))
+        if ends[-1] is None or ends[-1][1] == 0.0:
+            return ("unbounded" if None in ends else "vortex"), None, None
+        Y0 = ends[-1][0]
     up = co_n.H_Y(math.pi, Y0, math) < 0.0
     end = level_end(co_n, math.pi, Y0, up)
     if end is None and not up:
         raise NumericsError(f"the level through (pi, {Y0!r}) meets neither section "
                             "above the bed", diagnostics={"Y0": Y0})
     if end is None:
-        return "unbounded", None
-    return ("vortex" if end[1] != 0.0 else "internal_wave" if up else "surface_wave"), end[0]
+        return "unbounded", Y0, None
+    return ("vortex" if end[1] != 0.0 else "internal_wave" if up else "surface_wave",
+            Y0, end[0])
 
 
 def classify_layer(Y0: float, co_n: SteadyCoeffs) -> str:
-    """Orbit family of the trajectory through (pi, Y0): bed_adjacent,
-    internal_wave, vortex, surface_wave or unbounded (see ``_orbit``)."""
-    return _orbit(Y0, co_n)[0]
+    """Orbit family, one of LAYERS, of the orbit through (pi, Y0) (``_orbit``)."""
+    return _orbit(math.pi, Y0, co_n)[0]
+
+
+def orbit_layer(X0: float, Y0: float, co_n: SteadyCoeffs) -> str:
+    """Orbit family, one of LAYERS, of the orbit through (X0, Y0) (``_orbit``)."""
+    return _orbit(X0, Y0, co_n)[0]
+
+
+def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
+    """Height at which the orbit through (X0, Y0) crosses the X = pi section,
+    Y0 itself on that section; None for an orbit that never meets it, a loop
+    around a center on X = 0 or the unbounded family (see ``_orbit``)."""
+    return _orbit(X0, Y0, co_n)[1]
 
 
 # ----------------------------------------------------------------------
@@ -438,23 +442,13 @@ def _tanh_sinh(fn) -> tuple[float, float]:
     return estimate, abs(estimate - previous)
 
 
-def transit_time_tau(level_or_traj, co: SteadyCoeffs) -> float | None:
-    """Time for a steady orbit to cross one X-period.
-
-    The orbit is given either by its height Y0 on the X = pi section or by
-    anything with ``X`` and ``Y`` sequences, such as a trajectory, whose
-    start point's section height is recovered from its H-level.  Returns
-    None for orbits that do not transit (the vortex and the asymptote-bound
-    family, a shear level at rest in the steady frame, and a bed with
-    stagnation points).
-    """
+def transit_time_tau(Y0: float, co: SteadyCoeffs) -> float | None:
+    """Time for the steady orbit through (pi, Y0) to cross one X-period, or
+    None where it does not transit (``_tau_quadrature``); ``section_height``
+    gives the Y0 of a start off X = pi."""
     co_n, _ = co.normalized()
-    traj = level_or_traj
-    Y0 = (section_height(float(traj.X[0]), float(traj.Y[0]), co_n)
-          if hasattr(traj, "X") else float(traj))
-    if Y0 is None:
-        return None
-    transit = _tau_quadrature(Y0, co_n, *_orbit(Y0, co_n))
+    layer, _, Y_end = _orbit(math.pi, Y0, co_n)
+    transit = _tau_quadrature(Y0, co_n, layer, Y_end)
     return None if transit is None else transit[0]
 
 
@@ -554,7 +548,7 @@ def drift_per_period(Y0: float, co: SteadyCoeffs) -> DriftReport:
     forward; the center moves in a straight line at speed f/k).
     """
     co_n, _ = co.normalized()
-    layer, Y_end = _orbit(Y0, co_n)
+    layer, _, Y_end = _orbit(math.pi, Y0, co_n)
     f, k = co_n.f, co_n.k
     transit = _tau_quadrature(Y0, co_n, layer, Y_end)
     if transit is not None:
@@ -608,24 +602,20 @@ def fluid_top_level(params: WaveParams, shifted: bool) -> float:
     return params.k * (params.h + params.a * math.cos(x_phys))
 
 
-def drift_profile(params: WaveParams, levels=None, n: int = 64) -> list[DriftReport]:
-    """Drift reports over a set of starting heights on the X = pi column.
-
-    Default levels: the bed plus ``n - 1`` geometrically spaced heights up
-    to just below the free surface (geometric spacing resolves thin
-    near-bed layers; numpy's ``geomspace`` to one ulp).  Heights are
-    steady-frame (Y = k*y) and invariant under the normalization shift.
-    """
+def drift_profile(params: WaveParams, n: int = 64) -> list[DriftReport]:
+    """Drift reports on the X = pi column: the bed and ``n - 1`` heights up
+    to just below the free surface, geometrically spaced to resolve thin
+    near-bed layers (numpy's ``geomspace`` to one ulp).  Heights are
+    steady-frame (Y = k*y) and invariant under the normalization shift."""
     co_n, shifted = _drift_coeffs(params)
-    if levels is None:
-        if not 1 <= n <= MAX_LEVELS:
-            raise DomainError(f"the number of drift levels must be from 1 to {MAX_LEVELS}, "
-                              f"got {n}")
-        # Positive: a < h, and WaveParams keeps k*h >= 1e-300.
-        top = 0.999 * fluid_top_level(params, shifted)
-        logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
-        levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
-    return [drift_per_period(float(Y0), co_n) for Y0 in levels]
+    if not 1 <= n <= MAX_LEVELS:
+        raise DomainError(f"the number of drift levels must be from 1 to {MAX_LEVELS}, "
+                          f"got {n}")
+    # Positive: a < h, and WaveParams keeps k*h >= 1e-300.
+    top = 0.999 * fluid_top_level(params, shifted)
+    logs = linspace(math.log10(1e-5 * top), math.log10(top), n - 1)
+    levels = ([0.0, 1e-5 * top] + [10.0 ** y for y in logs[1:-1]] + [top])[:n]
+    return [drift_per_period(Y0, co_n) for Y0 in levels]
 
 
 class ClosedOrbit(NamedTuple):
@@ -645,20 +635,18 @@ class ClosedOrbit(NamedTuple):
                 and self.y_close_err < 1e-10 * self.depth)
 
 
-def find_closed_orbit(params: WaveParams, Y_bracket=None) -> ClosedOrbit | None:
+def find_closed_orbit(params: WaveParams) -> ClosedOrbit | None:
     """Locate a height whose particle orbit closes in the physical frame.
 
-    Root-finds the per-period drift over ``Y_bracket`` (default: bed to
-    just below the free surface) with Brent's method to 1e-15 in Y.
-    Returns None when the drift does not change sign across the bracket,
-    in which case no closed orbit is detectable there.  A found level is
-    verified by integrating one full period and measuring the closure
-    error directly (``verified``: 1e-10 of the wavelength and the depth).
+    Root-finds the per-period drift from the bed to just below the free
+    surface with Brent's method to 1e-15 in Y.  Returns None when the drift
+    does not change sign across that bracket, in which case no closed orbit
+    is detectable there.  A found level is verified by integrating one full
+    period and measuring the closure error directly (``verified``: 1e-10 of
+    the wavelength and the depth).
     """
     co_n, shifted = _drift_coeffs(params)
-    if Y_bracket is None:
-        Y_bracket = (0.0, 0.98 * fluid_top_level(params, shifted))
-    lo, hi = float(Y_bracket[0]), float(Y_bracket[1])
+    lo, hi = 0.0, 0.98 * fluid_top_level(params, shifted)
 
     drift = lambda Y0: drift_per_period(Y0, co_n).drift_m
     d_lo, d_hi = drift(lo), drift(hi)

@@ -32,17 +32,13 @@ _FLAGS = ("outside", "inside")
 _GRID_BLOCK = 4096
 
 
-def _check_hyperbolic(arg):
-    check_hyperbolic(float(np.max(np.abs(arg), initial=0.0)))
-
-
 def _heights(y, params):
     """``y`` as an array and ``k*y``, after the y >= 0 and hyperbolic checks."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     ky = params.k * y
-    _check_hyperbolic(ky)
+    check_hyperbolic(float(np.max(np.abs(ky), initial=0.0)))
     return y, ky
 
 
@@ -109,11 +105,12 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     A*sinh(k*h) = a*(f + k*h*omega); the dynamic surface defect vanishes
     exactly when the dispersion relation holds, so it is the executable
     statement of that relation's necessity.  The expressions are
-    :func:`params.field_identities`, evaluated here on numpy.
+    :func:`params.field_identities`, evaluated here on numpy.  A point
+    below the bed is refused, as by :func:`velocity` and :func:`pressure`.
     """
     _require_bed_frame(params)
-    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
-    _check_hyperbolic(params.k * y)
+    y, _ = _heights(y, params)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     return FieldResiduals(*wp.field_identities(params, np, P0)(t, x, y))
 
 

@@ -15,29 +15,11 @@ import numpy as np
 # ``perfbench/tracing.py``, and ``perfbench/workloads.py``).
 from .drift import (LAYERS, TRAJECTORY_HEADER, Trajectory, check_trajectory_start,
                     drift_csv_rows, drift_per_period, drift_profile, find_closed_orbit,
-                    layer_boundaries, midpoint_trajectory, orbit_layer, physical_coords,
-                    steady_trajectory, trajectory_csv_rows)
+                    layer_boundaries, midpoint_trajectory, orbit_layer, steady_trajectory,
+                    trajectory_csv_rows)
 from .errors import DomainError, NumericsError
 from .steady import SteadyCoeffs
 
-
-# ----------------------------------------------------------------------
-# Frame conversion
-# ----------------------------------------------------------------------
-
-def to_physical(traj: "Trajectory", co: SteadyCoeffs | None = None):
-    """Physical path (x, y) in meters from a steady-frame trajectory.
-
-    Inverts X = k*x - f*t, Y = k*y; when the trajectory was integrated in
-    the shift-normalized frame (negative wave coefficient), the half-period
-    shift is removed first.
-    """
-    return physical_coords(traj.t, traj.X, traj.Y, co or traj.co, traj.shifted)
-
-
-# ----------------------------------------------------------------------
-# Integration
-# ----------------------------------------------------------------------
 
 def integrate_steady(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                      rtol: float = 1e-10, atol: float = 1e-12,

@@ -287,6 +287,9 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
 # as sequences of (X, Y) pairs, so lists and arrays export the same bytes.
 # ----------------------------------------------------------------------
 
+#: The SVG canvas in pixels and the margin around its plot box.
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 900, 450, 40.0
+
 #: Fixed rendering styles (see README); single source of truth for the SVG.
 SVG_STYLE = {
     "isocline": {"stroke": "#1f77b4", "width": 1.5, "dash": "6 4"},
@@ -361,14 +364,14 @@ def _split_at_gap(samples, dx_max: float):
     return [samples]
 
 
-def portrait_svg(portrait: PhasePortrait, width: int = 900, height: int = 450) -> str:
+def portrait_svg(portrait: PhasePortrait) -> str:
     """Render the portrait to a standalone SVG string.
 
-    Fixed viewBox [-pi, pi] x [0, ymax]; isoclines dashed, separatrices
-    solid, critical points as markers, styles from ``SVG_STYLE``.  Drawn
-    from the same polyline data as the CSV exports.
+    SVG_WIDTH x SVG_HEIGHT pixels for [-pi, pi] x [0, ymax]; isoclines dashed,
+    separatrices solid, critical points as markers, styles from
+    ``SVG_STYLE``.  Drawn from the same polyline data as the CSV exports.
     """
-    margin = 40.0
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     xr = portrait.x_range
     x0, x_span, ymax = xr[0], xr[1] - xr[0], portrait.ymax
     w, h, y_top = width - 2 * margin, height - 2 * margin, height - margin

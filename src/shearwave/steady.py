@@ -230,8 +230,8 @@ def _brentq(fn, a: float, b: float, xtol: float, maxiter: int) -> float:
                        f"value is {xcur}")
 
 
-def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
-    """All Y in (0, y_cap] with phi(Y; X) = 0, ascending.
+def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
+    """All Y in (0, Y_GUARD] with phi(Y; X) = 0, ascending.
 
     phi is convex in Y where cos(X) > 0 and concave where cos(X) < 0, so it
     has at most two roots; brackets come from the interior stationary point
@@ -246,7 +246,7 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     if b == 0.0:
         if omega < 0:
             y0 = -f / omega
-            return [y0] if 0.0 < y0 <= y_cap else []
+            return [y0] if 0.0 < y0 <= Y_GUARD else []
         return []
     if b < 0.0 and omega >= 0:
         return []  # phi strictly decreasing from phi(0) < 0
@@ -255,9 +255,9 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
     ratio = omega / b
     if ratio > 0:  # interior stationary point of phi
         ym = math.asinh(ratio)
-        if 0.0 < ym < y_cap:
+        if 0.0 < ym < Y_GUARD:
             breaks.append(ym)
-    breaks.append(y_cap)
+    breaks.append(Y_GUARD)
 
     # Concave case: report an (at most) double root at the maximum as a
     # single tangency root instead of forcing it into the 0/2-root bins.
@@ -282,10 +282,10 @@ def isocline_roots(X: float, co: SteadyCoeffs, y_cap: float) -> list[float]:
                     break
                 y = y_next
             roots.append(y)
-        elif fhi == 0.0 and hi < y_cap:
+        elif fhi == 0.0 and hi < Y_GUARD:
             roots.append(hi)
-    if fn(y_cap) == 0.0:
-        roots.append(y_cap)
+    if fn(Y_GUARD) == 0.0:
+        roots.append(Y_GUARD)
     return sorted(set(roots))
 
 
@@ -417,7 +417,7 @@ def _search_critical_points(co: SteadyCoeffs) -> tuple[CriticalPoint, ...]:
         return ()
     points = []
     for X, labels in ((0.0, ("P0", "P0b")), (math.pi, ("P1", "P2"))):
-        roots = isocline_roots(X, co, Y_GUARD)
+        roots = isocline_roots(X, co)
         for idx, Y in enumerate(roots):
             kind, eigs = classify_critical_point(X, Y, co)
             label = labels[idx] if idx < len(labels) else f"X{X:.0f}r{idx}"

@@ -22,9 +22,9 @@ def searches(monkeypatch):
     calls = []
     roots = steady.isocline_roots
 
-    def counted(X, co, y_cap):
+    def counted(X, co):
         calls.append(X)
-        return roots(X, co, y_cap)
+        return roots(X, co)
 
     monkeypatch.setattr(steady, "isocline_roots", counted)
     yield calls

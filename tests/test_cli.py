@@ -20,6 +20,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def out_option(argv, path):
+    """``--out path`` for a command that writes files; validate writes none."""
+    return [] if argv[0] == "validate" else ["--out", str(path)]
+
+
 class TestDispersionCommand:
     def test_irrotational(self, capsys):
         code, out, _ = run(capsys, "dispersion", "--g", "9.81", "--h", "1",
@@ -273,6 +278,36 @@ class TestExitCodes:
         assert "component X" in err
 
 
+class TestOptionsPerCommand:
+    """Each command accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "out"],
+        ["--format", "csv"],
+        ["--format", "nonsense", "--out", "/nonexistent/x"],
+    ], ids=" ".join)
+    def test_validate_has_no_output_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--preset", "fig2", *argv])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["paths", "drift", "bifurcation"])
+    @pytest.mark.parametrize("formats", ["svg", "csv,svg", "json,svg"])
+    def test_only_portrait_writes_svg(self, command, formats, capsys, tmp_path):
+        code, _, err = run(capsys, command, "--preset", "fig1", "--format", formats,
+                           "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert err == f"error: {command} writes csv,json, not svg\n"
+        assert not os.listdir(tmp_path)
+
+    def test_portrait_names_an_unknown_format(self, capsys, tmp_path):
+        code, _, err = run(capsys, "portrait", "--preset", "fig1", "--format", "svg,png",
+                           "--out", str(tmp_path), "--quiet")
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: portrait writes csv,json,svg, not png\n"
+
+
 class TestOptionRanges:
     @pytest.mark.parametrize("argv", [
         ["portrait", "--ymax", "0", "--format", "svg"],
@@ -291,7 +326,7 @@ class TestOptionRanges:
     ], ids=" ".join)
     def test_out_of_range_option_exits_2_with_one_line(self, argv, capsys, tmp_path):
         code, _, err = run(capsys, *argv, "--preset", "fig1",
-                           "--out", str(tmp_path), "--quiet")
+                           *out_option(argv, tmp_path), "--quiet")
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -348,7 +383,7 @@ class TestOptionRanges:
          "--periods", "1"],                                       # A = a*(f + ...) overflows
     ], ids=" ".join)
     def test_degenerate_scales_exit_2_with_one_line(self, argv, capsys, tmp_path):
-        code, _, err = run(capsys, *argv, "--out", str(tmp_path), "--quiet")
+        code, _, err = run(capsys, *argv, *out_option(argv, tmp_path), "--quiet")
         assert code == EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

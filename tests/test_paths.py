@@ -10,11 +10,11 @@ from shearwave import (DomainError, NumericsError, SteadyCoeffs, WaveParams,
                        classify_layer, drift, drift_per_period, drift_profile,
                        find_closed_orbit, find_critical_points, from_mapping,
                        integrate_steady, layer_boundaries, read_seeds,
-                       section_height, to_physical, transit_time_tau)
+                       section_height, transit_time_tau)
 from shearwave.cli import PRESETS
 from shearwave.dop853 import TOO_MANY_STEPS
 from shearwave.drift import (DRIFT_HEADER, TRAJECTORY_HEADER, Y_GUARD, drift_csv_rows,
-                             trajectory_csv_rows)
+                             physical_coords, trajectory_csv_rows)
 
 G = 9.81
 
@@ -174,7 +174,7 @@ class TestFrameConversion:
         t_end = 10 * 2 * math.pi / co.f
         traj = integrate_steady(center.X, center.Y, co, t_end,
                                 rtol=1e-12, atol=1e-14, shifted=True)
-        x, y = to_physical(traj)
+        x, y = traj.x, traj.y
         mean_speed = float((x[-1] - x[0]) / (traj.t[-1] - traj.t[0]))
         assert mean_speed == pytest.approx(co.f / co.k, rel=1e-10)
         assert np.max(np.abs(y - y[0])) < 1e-12
@@ -187,7 +187,7 @@ class TestFrameConversion:
         Y = np.full(5, 0.4)
         traj = Trajectory(t=t, X=X, Y=Y, x=np.empty(5), y=np.empty(5),
                           H=np.zeros(5), co=co)
-        x, y = to_physical(traj)
+        x, y = physical_coords(traj.t, traj.X, traj.Y, co, traj.shifted)
         assert np.all(x == 0.35)
         assert np.all(y == 0.2)
 
@@ -294,14 +294,16 @@ class TestSectionHeight:
             assert np.max(np.abs(traj.X)) < 0.5   # the direct integration agrees
         assert integrate_steady(math.pi, 0.001, co, 1.0).layer == "internal_wave"
 
-    def test_transit_time_accepts_a_trajectory(self, fig2_coeffs):
+    def test_transit_time_of_a_trajectory_from_its_section_height(self, fig2_coeffs):
         co = fig2_coeffs
         traj = integrate_steady(math.pi, 0.003, co, 2.0, rtol=1e-12, atol=1e-14)
-        tau_from_traj = transit_time_tau(traj, co)
+        Y_pi = section_height(float(traj.X[-1]), float(traj.Y[-1]), co)
+        tau_from_traj = transit_time_tau(Y_pi, co)
         tau_from_level = transit_time_tau(0.003, co)
         assert tau_from_traj == pytest.approx(tau_from_level, rel=1e-9)
         vortex_traj = integrate_steady(math.pi, 0.02, co, 2.0)
-        assert transit_time_tau(vortex_traj, co) is None
+        Y_pi = section_height(float(vortex_traj.X[-1]), float(vortex_traj.Y[-1]), co)
+        assert transit_time_tau(Y_pi, co) is None
 
 
 class TestLayers:
@@ -477,7 +479,7 @@ class TestDrift:
             H0 = co.H(math.pi, r.Y0, np)
             piece = (b["Y_P1"], b["Y_P2"]) if r.Y0 < b["Y_P1"] else (0.0, b["Y_P1"])
             other = brentq(lambda Y: co.H(math.pi, Y, np) - H0, *piece, xtol=1e-15)
-            layer, Y1 = drift._orbit(r.Y0, co)
+            layer, _, Y1 = drift._orbit(math.pi, r.Y0, co)
             assert (layer, Y1) == ("vortex", pytest.approx(other, rel=1e-13))
             T, _, least = drift._loop_period(r.Y0, Y1, co)
             Y = np.linspace(min(r.Y0, other), max(r.Y0, other), 20_001)
@@ -503,9 +505,8 @@ class TestDrift:
         assert {"internal_wave", "vortex", "surface_wave"} <= layers
         assert all(r.direction in ("forward", "always_forward") for r in reports)
 
-    def test_positive_vorticity_band_drifts_backward(self, fig4_left_params):
-        reports = drift_profile(fig4_left_params,
-                                levels=[0.0, 1e-7, 0.05, 0.1])
+    def test_positive_vorticity_band_drifts_backward(self, fig4_left_coeffs):
+        reports = [drift_per_period(Y0, fig4_left_coeffs) for Y0 in (0.0, 1e-7, 0.05, 0.1)]
         assert reports[0].direction == "forward"
         assert reports[1].direction == "forward"
         assert reports[2].direction == "backward"
@@ -533,8 +534,8 @@ class TestFileFormats:
         assert len(rows) == len(traj.t) + 1
         assert len(rows[1].split(",")) == 6
 
-    def test_drift_rows(self, fig2_params):
-        reports = drift_profile(fig2_params, levels=[0.0, 0.02])
+    def test_drift_rows(self, fig2_params, fig2_coeffs):
+        reports = [drift_per_period(Y0, fig2_coeffs) for Y0 in (0.0, 0.02)]
         rows = list(drift_csv_rows(reports, fig2_params.k))
         assert rows[0] == DRIFT_HEADER
         assert rows[1].endswith("forward,bed_adjacent")

@@ -31,17 +31,17 @@ def grid_bisect_roots(co, X, y_max=50.0, step=1e-4):
 class TestInfinityIsocline:
     def test_irrotational_single_root_closed_form(self, fig1_coeffs):
         co = fig1_coeffs
-        roots = isocline_roots(0.0, co, 700.0)
+        roots = isocline_roots(0.0, co)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(math.acosh(co.f / co.Ak), rel=1e-12)
 
     def test_no_root_behind_the_crest_for_irrotational(self, fig1_coeffs):
-        assert len(isocline_roots(3 * math.pi / 4, fig1_coeffs, 700.0)) == 0
+        assert len(isocline_roots(3 * math.pi / 4, fig1_coeffs)) == 0
 
     def test_two_roots_against_grid_oracle(self, fig2_coeffs):
         co = fig2_coeffs
         for X in (2.0, 2.5, math.pi):
-            roots = isocline_roots(X, co, 50.0)
+            roots = isocline_roots(X, co)
             oracle = grid_bisect_roots(co, X)
             assert len(roots) == len(oracle) == 2
             assert roots[0] < roots[1]
@@ -49,14 +49,14 @@ class TestInfinityIsocline:
 
     def test_every_root_is_a_stagnation_of_x_velocity(self, fig2_coeffs):
         for X in np.linspace(-math.pi, math.pi, 29):
-            for Y in isocline_roots(float(X), fig2_coeffs, 30.0):
+            for Y in isocline_roots(float(X), fig2_coeffs):
                 dX = fig2_coeffs.H_Y(float(X), Y, np)
                 assert abs(float(dX)) < 1e-10
 
     def test_symmetry_in_x(self, fig2_coeffs):
         for X in (0.4, 1.9, 2.8):
-            plus = isocline_roots(X, fig2_coeffs, 30.0)
-            minus = isocline_roots(-X, fig2_coeffs, 30.0)
+            plus = isocline_roots(X, fig2_coeffs)
+            minus = isocline_roots(-X, fig2_coeffs)
             np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
 
 

@@ -242,8 +242,8 @@ print(json.dumps({
     "unknown_name_raises": not hasattr(shearwave, "no_such_name"),
 }))
 """)
-    assert len(result["all"]) == len(set(result["all"])) == 47
-    assert "TraceError" not in result["all"]
+    assert len(result["all"]) == len(set(result["all"])) == 46
+    assert "TraceError" not in result["all"] and "to_physical" not in result["all"]
     assert result["unresolved"] == []
     assert result["not_bound_by_star"] == []
     assert result["not_in_dir"] == []

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from shearwave import WaveParams, field_identity_residuals
+from shearwave import DomainError, WaveParams, field_identity_residuals
 from shearwave import params as wparams
 from shearwave.cli import PRESETS, _identity_maxima, _validate_points, main
 
@@ -105,6 +105,24 @@ def test_both_reports_follow_the_one_kernel(monkeypatch, capsys):
         assert rows_after[i] != rows_before[i] and rows_after[i].endswith("FAIL")
         assert array_after[i] == scalar_after[i] == pytest.approx(1e-3 * (i + 1))
     assert rows_after[5] == rows_before[5]  # the dispersion residual
+
+
+@pytest.mark.parametrize("y", [[-1.0], [0.5, -800.0], [-800.0, 0.5], [0.5, -1e-300]])
+def test_both_reports_refuse_a_point_below_the_bed(y):
+    # As velocity and pressure do.  Every y is checked, not max(y) alone:
+    # [0.5, -800] has max 0.5, and cosh(k*800) overflows.
+    p = WaveParams.solve(**PRESETS["fig2"]["params"])
+    t = x = [0.0] * len(y)
+    for report in (_identity_maxima, field_identity_residuals):
+        with pytest.raises(DomainError, match="nonnegative"):
+            report(t, x, y, p)
+
+
+def test_both_reports_refuse_an_overflowing_height():
+    p = WaveParams.solve(**PRESETS["fig2"]["params"])
+    for report in (_identity_maxima, field_identity_residuals):
+        with pytest.raises(DomainError, match="hyperbolic"):
+            report([0.0, 0.0], [0.0, 0.0], [0.5, 800.0], p)
 
 
 def test_sample_is_fixed_and_spans_three_periods():
