@@ -12,6 +12,7 @@ same across versions).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -122,7 +123,7 @@ def resolve_params(args) -> tuple[str, WaveParams]:
         file_map = _load_scenario_file(path)
         name = str(file_map.pop("name", path.stem))
         mapping.update(file_map)
-    for key in ("g", "h", "a", "k", "omega", "s", "branch"):
+    for key in ("g", "h", "a", "k", "omega", "branch"):
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
@@ -143,8 +144,10 @@ def _out_dir(args, name: str) -> Path:
 
 
 def _formats(args, allowed=_FORMATS) -> set[str]:
-    formats = {piece.strip() for piece in (args.format or "csv,json").split(",")
-               if piece.strip()}
+    formats = {piece.strip() for piece in args.format.split(",") if piece.strip()}
+    if not formats:
+        raise DomainError(f"--format {args.format!r} names no format: "
+                          f"give a comma list of {','.join(allowed)}")
     unknown = formats - set(allowed)
     if unknown:
         raise DomainError(f"{args.command} writes {','.join(allowed)}, "
@@ -287,6 +290,7 @@ def cmd_bifurcation(args) -> int:
     from . import steady as wsteady
 
     name, p = resolve_params(args)
+    wp._require_bed_frame(p)  # the scan solves every vorticity at s = 0
     formats = _formats(args)
     out = _out_dir(args, name)
     preset = getattr(args, "preset", None)
@@ -298,7 +302,7 @@ def cmd_bifurcation(args) -> int:
     steps = args.steps if args.steps is not None else \
         scan_defaults.get("steps", 61)
     scan = wsteady.bifurcation_scan(p.g, p.h, p.k, p.a, omega_start, omega_stop,
-                                    steps, branch=p.branch, s=p.s)
+                                    steps, branch=p.branch)
     if "csv" in formats:
         rows = ["omega,count,kinds"]
         rows += [f"{r.omega:.17g},{r.count},{'+'.join(r.kinds)}" for r in scan.rows]
@@ -390,7 +394,7 @@ def cmd_validate(args) -> int:
 
 def _add_param_source(sub: argparse.ArgumentParser, formats=_FORMATS):
     """The parameter options, --quiet and, where ``formats`` names what the
-    command writes, --out and --format."""
+    command writes, --out and --format.  No --s: only ``dispersion`` leaves s = 0."""
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--scenario", help="key = value or JSON parameter file")
     sub.add_argument("--g", type=float)
@@ -398,7 +402,6 @@ def _add_param_source(sub: argparse.ArgumentParser, formats=_FORMATS):
     sub.add_argument("--a", type=float)
     sub.add_argument("--k", type=float)
     sub.add_argument("--omega", type=float)
-    sub.add_argument("--s", type=float)
     sub.add_argument("--branch", choices=wp.BRANCHES)
     if formats:
         sub.add_argument("--out", default="out", help="output directory (default: out)")
@@ -413,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear gravity waves on a constant-vorticity current: "
                     "dispersion, steady-frame phase portraits, particle drift.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # Options match only in full: --s must not read as a prefix of --scenario.
+    command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    disp = subs.add_parser("dispersion", help="solve the dispersion relation")
+    disp = command("dispersion", help="solve the dispersion relation")
     disp.add_argument("--g", type=float, required=True)
     disp.add_argument("--h", type=float, required=True)
     disp.add_argument("--k", type=float, required=True)
@@ -424,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     disp.add_argument("--branch", choices=wp.BRANCHES, default="plus")
     disp.set_defaults(func=cmd_dispersion)
 
-    port = subs.add_parser("portrait", help="phase portrait of one period strip")
+    port = command("portrait", help="phase portrait of one period strip")
     _add_param_source(port, _PORTRAIT_FORMATS)
     port.add_argument("--ymax", type=float, default=wp.Y_SEARCH_MAX)
     port.add_argument("--resolution", type=int, default=481)
     port.set_defaults(func=cmd_portrait)
 
-    pth = subs.add_parser("paths", help="integrate particle trajectories")
+    pth = command("paths", help="integrate particle trajectories")
     _add_param_source(pth)
     pth.add_argument("--seeds", help="file with one 'X0 Y0' pair per line")
     pth.add_argument("--t-end", type=float, default=None)
@@ -438,21 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     pth.add_argument("--rtol", type=float, default=1e-10)
     pth.set_defaults(func=cmd_paths)
 
-    drf = subs.add_parser("drift", help="per-period drift over depth levels")
+    drf = command("drift", help="per-period drift over depth levels")
     _add_param_source(drf)
     drf.add_argument("--levels", type=int, default=33)
     drf.add_argument("--find-closed", action="store_true",
                      help="also search for a closed physical orbit")
     drf.set_defaults(func=cmd_drift)
 
-    bif = subs.add_parser("bifurcation", help="critical-point census over vorticity")
+    bif = command("bifurcation", help="critical-point census over vorticity")
     _add_param_source(bif)
     bif.add_argument("--omega-start", type=float, default=None)
     bif.add_argument("--omega-stop", type=float, default=None)
     bif.add_argument("--steps", type=int, default=None)
     bif.set_defaults(func=cmd_bifurcation)
 
-    val = subs.add_parser("validate", help="field-identity residual report")
+    val = command("validate", help="field-identity residual report")
     _add_param_source(val, ())
     val.add_argument("--grid", help="also write a field grid CSV to this path")
     val.set_defaults(func=cmd_validate)

@@ -129,11 +129,9 @@ class Trajectory(NamedTuple):
     x: Sequence[float]
     y: Sequence[float]
     H: Sequence[float]
-    co: SteadyCoeffs
     shifted: bool = False
     layer: str | None = None
     truncated: bool = False
-    method: str = "adaptive"
 
     @property
     def h_drift(self) -> float:
@@ -170,18 +168,17 @@ def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     orbit escapes (see accepted_steps)."""
     check_trajectory_start(X0, Y0, t_end, rtol=rtol, atol=atol)
     ts, Xs, Ys, escaped = accepted_steps(X0, Y0, co, t_end, rtol, atol)
-    return _trajectory(ts, Xs, Ys, co, shifted, escaped, "adaptive")
+    return _trajectory(ts, Xs, Ys, co, shifted, escaped)
 
 
-def _trajectory(ts, Xs, Ys, co, shifted, truncated, method) -> Trajectory:
+def _trajectory(ts, Xs, Ys, co, shifted, truncated) -> Trajectory:
     xs, ys = [], []
     for t, X, Y in zip(ts, Xs, Ys):
         x, y = physical_coords(t, X, Y, co, shifted)
         xs.append(x)
         ys.append(y)
     H = [co.H(X, Y, GUARDED) for X, Y in zip(Xs, Ys)]
-    return Trajectory(t=ts, X=Xs, Y=Ys, x=xs, y=ys, H=H, co=co, shifted=shifted,
-                      truncated=truncated, method=method)
+    return Trajectory(ts, Xs, Ys, xs, ys, H, shifted=shifted, truncated=truncated)
 
 
 def _newton_correction(co: SteadyCoeffs, X: float, Y: float, dt: float,
@@ -241,7 +238,7 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     ts = [i * dt for i in range(len(Xs))]
     if len(Xs) > n:
         ts[-1] = t_end
-    return _trajectory(ts, Xs, Ys, co, shifted, len(Xs) <= n, "midpoint")
+    return _trajectory(ts, Xs, Ys, co, shifted, len(Xs) <= n)
 
 
 # ----------------------------------------------------------------------
@@ -619,20 +616,13 @@ def drift_profile(params: WaveParams, n: int = 64) -> list[DriftReport]:
 
 
 class ClosedOrbit(NamedTuple):
-    """A verified closed physical particle orbit."""
+    """A closed physical particle orbit and the verdict of its closure check."""
 
     Y_level: float
     tau: float
-    drift_residual: float   # |drift| at the returned level, from quadrature
     x_close_err: float      # |x(T) - x(0)| from direct integration
     y_close_err: float      # |y(T) - y(0)| from direct integration
-    wavelength: float
-    depth: float
-
-    @property
-    def verified(self) -> bool:
-        return (self.x_close_err < 1e-10 * self.wavelength
-                and self.y_close_err < 1e-10 * self.depth)
+    verified: bool          # both below 1e-10 of the wavelength and the depth
 
 
 def find_closed_orbit(params: WaveParams) -> ClosedOrbit | None:
@@ -655,17 +645,16 @@ def find_closed_orbit(params: WaveParams) -> ClosedOrbit | None:
     Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
                             what="closed-orbit level")
     report = drift_per_period(Y_star, co_n)
-    residual, tau = abs(report.drift_m), report.tau
-    if report.layer == "vortex" or math.isnan(tau):
+    if report.layer == "vortex" or math.isnan(report.tau):
         raise NumericsError("closed-orbit candidate does not transit",
                             diagnostics={"Y": Y_star})
-    ts, Xs, Ys, _ = accepted_steps(math.pi, Y_star, co_n, tau, 1e-13, 1e-15)
+    ts, Xs, Ys, _ = accepted_steps(math.pi, Y_star, co_n, report.tau, 1e-13, 1e-15)
     x0, y0 = physical_coords(ts[0], Xs[0], Ys[0], co_n, shifted)
     x1, y1 = physical_coords(ts[-1], Xs[-1], Ys[-1], co_n, shifted)
-    return ClosedOrbit(Y_level=float(Y_star), tau=float(tau),
-                       drift_residual=float(residual), x_close_err=abs(x1 - x0),
-                       y_close_err=abs(y1 - y0), wavelength=params.wavelength,
-                       depth=params.h)
+    x_err, y_err = abs(x1 - x0), abs(y1 - y0)
+    return ClosedOrbit(Y_level=float(Y_star), tau=float(report.tau), x_close_err=x_err,
+                       y_close_err=y_err, verified=(x_err < 1e-10 * params.wavelength
+                                                    and y_err < 1e-10 * params.h))
 
 
 def drift_csv_rows(reports: list[DriftReport], k: float):

@@ -66,9 +66,11 @@ def _require_positive(**named):
 
 
 def _require_bed_frame(params: "WaveParams"):
+    """UnsupportedConfig unless s = 0: the one check of the bed frame."""
     if params.s != 0.0:
         raise UnsupportedConfig(
-            "physical field evaluation assumes the bed-frame normalization s = 0")
+            f"s = {params.s!r} is not supported: the steady frame and the field "
+            "formulas assume the bed-frame normalization s = 0")
 
 
 def check_hyperbolic(y: float) -> float:
@@ -316,9 +318,7 @@ def classify_regime(params: WaveParams) -> Regime:
         raise UnsupportedConfig(
             f"regime classification assumes a right-going wave; c = {params.c:.6g}. "
             "Map x -> -x for left-going waves.")
-    if params.s != 0.0:
-        raise UnsupportedConfig(
-            "regime classification requires the bed-frame normalization s = 0")
+    _require_bed_frame(params)
     if params.omega < 0:
         vort = "negative"
     elif params.omega > 0:
@@ -366,10 +366,12 @@ def to_json_str(params: WaveParams) -> str:
 
 
 def _number(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"parameter {key} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):  # float() reads JSON true and false as 1 and 0
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"parameter {key} must be a number, got {value!r}")
 
 
 def from_mapping(mapping: dict) -> WaveParams:

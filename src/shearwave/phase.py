@@ -42,6 +42,9 @@ MAX_RESOLUTION = 500_000
 
 SEPARATRIX_DIRECTIONS = ("unstable+", "unstable-", "stable+", "stable-")
 
+#: The X extent of every portrait: one period strip.
+X_RANGE = (-math.pi, math.pi)
+
 
 def _graph(x_of, p0, p1, n: int, point_of=None) -> list:
     """``n`` points of X = x_of(Y) from ``p0`` to ``p1``, evenly spaced in arc
@@ -184,14 +187,12 @@ class PhasePortrait(NamedTuple):
 
     params: WaveParams
     regime: Regime
-    coeffs: SteadyCoeffs            # as derived from params (Ak may be < 0)
     coeffs_normalized: SteadyCoeffs # effective coefficients with Ak >= 0
     shifted: bool                   # True when X -> X + pi was applied
     critical_points: list[CriticalPoint]
     isoclines: list[IsoclineBranch]
     separatrices: list[SeparatrixTrace]
     separatrix_groups: list[list[int]]  # indexes into separatrices, mirror pairs
-    x_range: tuple[float, float]
     ymax: float
     resolution: int
 
@@ -268,8 +269,7 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise DomainError(f"resolution must be from 2 to {MAX_RESOLUTION}, got {resolution!r}")
     regime = classify_regime(params)
-    co = SteadyCoeffs.from_params(params)
-    co_n, shifted = co.normalized()
+    co_n, shifted = SteadyCoeffs.from_params(params).normalized()
     critical_points = listed(co_n, ymax)
     arms = [_trace(cp, co_n, direction, ymax, resolution)
             for cp in critical_points if cp.kind == "saddle"
@@ -277,9 +277,8 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     # The outward arms of a saddle on X = pi are the saddle alone; drop them.
     arms = [arm for arm in arms if len(arm.points) > 1 or arm.termination != "strip_boundary"]
     isoclines = _assemble_isoclines(co_n, ymax, resolution)
-    return PhasePortrait(params, regime, co, co_n, shifted,
-                         critical_points, isoclines, arms, _group_arms(arms),
-                         (-math.pi, math.pi), ymax, resolution)
+    return PhasePortrait(params, regime, co_n, shifted, critical_points, isoclines,
+                         arms, _group_arms(arms), ymax, resolution)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +307,7 @@ def portrait_summary(portrait: PhasePortrait) -> dict:
                    "s": p.s, "branch": p.branch, "c": p.c, "f": p.f, "A": p.A},
         "regime": portrait.regime._asdict(),
         "shifted": portrait.shifted,
-        "domain": {"x_range": list(portrait.x_range), "ymax": portrait.ymax},
+        "domain": {"x_range": list(X_RANGE), "ymax": portrait.ymax},
         "n_critical_points": len(portrait.critical_points),
         "critical_points": [
             {"label": cp.label, "X": cp.X, "Y": cp.Y, "kind": cp.kind,
@@ -372,7 +371,7 @@ def portrait_svg(portrait: PhasePortrait) -> str:
     ``SVG_STYLE``.  Drawn from the same polyline data as the CSV exports.
     """
     width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
-    xr = portrait.x_range
+    xr = X_RANGE
     x0, x_span, ymax = xr[0], xr[1] - xr[0], portrait.ymax
     w, h, y_top = width - 2 * margin, height - 2 * margin, height - margin
     def x_map(x):

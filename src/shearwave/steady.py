@@ -442,9 +442,8 @@ MAX_SCAN_STEPS = 300_000
 
 class ScanRow(NamedTuple):
     omega: float
-    count: int
+    count: int   # 2 flags an isocline tangency
     kinds: tuple[str, ...]
-    status: str = "regular"  # "degenerate" flags an isocline tangency
 
 
 class BifurcationScan(NamedTuple):
@@ -455,10 +454,10 @@ class BifurcationScan(NamedTuple):
 
 def bifurcation_scan(g: float, h: float, k: float, a: float,
                      omega_start: float, omega_stop: float, steps: int,
-                     branch: str = "plus", s: float = 0.0) -> BifurcationScan:
+                     branch: str = "plus") -> BifurcationScan:
     """``listed`` critical-point census along a vorticity sweep at fixed (g, h, k, a).
 
-    The wave speed is re-solved per vorticity on the chosen branch.  When
+    The wave speed is re-solved per vorticity on the chosen branch, at s = 0.  When
     the census jumps between one and three points across the sweep, the
     transition vorticity is refined by a bracketed solve on the branching
     discriminant evaluated at the actual wave coefficient.  The guards the
@@ -470,8 +469,8 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
 
     def solved(omega: float) -> WaveParams:
         # WaveParams.solve unwarned; recording with catch_warnings is not thread-safe.
-        c = solve_dispersion(g, h, k, omega, s=s, branch=branch)
-        return WaveParams._unwarned(g, h, a, k, omega, c, s, branch)
+        c = solve_dispersion(g, h, k, omega, branch=branch)
+        return WaveParams._unwarned(g, h, a, k, omega, c, 0.0, branch)
 
     try:
         rows = []
@@ -481,8 +480,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
                 flagged.append(p)
             pts = listed(SteadyCoeffs.from_params(p).normalized()[0])
             rows.append(ScanRow(omega=omega, count=len(pts),
-                                kinds=tuple(cp.kind for cp in pts),
-                                status="degenerate" if len(pts) == 2 else "regular"))
+                                kinds=tuple(cp.kind for cp in pts)))
 
         def disc(omega: float) -> float:
             p = solved(omega)  # branching_discriminant refuses A = 0

@@ -269,8 +269,7 @@ def test_criterion_10_closed_orbit_for_large_positive_vorticity(fig4_left_params
 
 def test_criterion_11_bifurcation_scan(fig2_params):
     p = fig2_params
-    scan = bifurcation_scan(p.g, p.h, p.k, p.a, 0.0, p.omega, 61,
-                            branch="plus", s=0.0)
+    scan = bifurcation_scan(p.g, p.h, p.k, p.a, 0.0, p.omega, 61, branch="plus")
     counts = [row.count for row in scan.rows]
     jump = counts.index(3)
     assert all(c == 1 for c in counts[:jump])

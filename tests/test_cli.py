@@ -301,6 +301,17 @@ class TestOptionsPerCommand:
         assert err == f"error: {command} writes csv,json, not svg\n"
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("command", ["portrait", "paths", "drift", "bifurcation"])
+    @pytest.mark.parametrize("formats", [",", "", " , "])
+    def test_a_format_that_names_no_format_exits_2(self, command, formats, capsys,
+                                                   tmp_path):
+        code, out, err = run(capsys, command, "--preset", "fig1", "--format", formats,
+                             "--out", str(tmp_path))
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: --format {formats!r} names no format")
+        assert not os.listdir(tmp_path)
+
     def test_portrait_names_an_unknown_format(self, capsys, tmp_path):
         code, _, err = run(capsys, "portrait", "--preset", "fig1", "--format", "svg,png",
                            "--out", str(tmp_path), "--quiet")

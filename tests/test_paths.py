@@ -185,8 +185,7 @@ class TestFrameConversion:
         t = np.linspace(0, 1, 5)
         X = np.full(5, 0.7)
         Y = np.full(5, 0.4)
-        traj = Trajectory(t=t, X=X, Y=Y, x=np.empty(5), y=np.empty(5),
-                          H=np.zeros(5), co=co)
+        traj = Trajectory(t=t, X=X, Y=Y, x=np.empty(5), y=np.empty(5), H=np.zeros(5))
         x, y = physical_coords(traj.t, traj.X, traj.Y, co, traj.shifted)
         assert np.all(x == 0.35)
         assert np.all(y == 0.2)

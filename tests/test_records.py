@@ -11,6 +11,9 @@ import pytest
 from shearwave import (CriticalPoint, DriftReport, SteadyCoeffs, WaveParams,
                        drift_per_period, find_critical_points)
 from shearwave.cli import PRESETS
+from shearwave.drift import ClosedOrbit, Trajectory
+from shearwave.phase import X_RANGE, PhasePortrait
+from shearwave.steady import ScanRow
 
 
 @pytest.fixture
@@ -69,3 +72,12 @@ def test_guard_flags_are_derived(fig2):
     eps_om = 0.2 * 6.0 * math.sqrt(1.0 / 9.81)
     assert (big.amplitude_flag, big.validity_flag) == (True, eps_om >= 0.3)
     assert "amplitude_flag" not in fig2._fields
+
+
+def test_records_hold_no_field_that_nothing_reads():
+    removed = {Trajectory: {"co", "method"},
+               ClosedOrbit: {"drift_residual", "wavelength", "depth"},
+               PhasePortrait: {"coeffs", "x_range"}, ScanRow: {"status"}}
+    for record, names in removed.items():
+        assert not names & set(record._fields), record.__name__
+    assert ClosedOrbit._fields[-1] == "verified" and X_RANGE == (-math.pi, math.pi)

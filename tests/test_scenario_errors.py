@@ -50,3 +50,12 @@ def test_non_scalar_json_value_exits_2(capsys, tmp_path, key):
     assert code == EXIT_BAD_INPUT
     assert err == [f"error: parameter {key} must be a number, got [1]"]
 
+
+@pytest.mark.parametrize("key,value", [("h", True), ("a", False), ("omega", False)])
+def test_json_boolean_value_exits_2(capsys, tmp_path, key, value):
+    # float(True) is 1.0: a boolean must not pass for a number.
+    scen = tmp_path / "bad.json"
+    scen.write_text(json.dumps({**VALID, key: value}), encoding="utf-8")
+    code, err = run_validate(capsys, scen)
+    assert code == EXIT_BAD_INPUT
+    assert err == [f"error: parameter {key} must be a number, got {value!r}"]
