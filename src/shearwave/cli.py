@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import params as wp
-from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
+from .errors import DomainError, NumericsError, ShearwaveError
 from .params import WaveParams, classify_regime, dispersion_residual
 
 # The solver modules are imported inside the commands that use them, so
@@ -122,6 +122,10 @@ def resolve_params(args) -> tuple[str, WaveParams]:
         path = Path(scenario)
         file_map = _load_scenario_file(path)
         name = str(file_map.pop("name", path.stem))
+        # The name is one directory level below --out: no separators.
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise DomainError(f"scenario name {name!r} is not a plain directory "
+                              "name (no path separators, not '.' or '..')")
         mapping.update(file_map)
     for key in ("g", "h", "a", "k", "omega", "branch"):
         value = getattr(args, key, None)
@@ -133,17 +137,8 @@ def resolve_params(args) -> tuple[str, WaveParams]:
     return name, wp.from_mapping(mapping)
 
 
-def _out_dir(args, name: str) -> Path:
-    # The name comes from the scenario file: it must stay one directory
-    # level below --out.  The directory is made at the first write, so a
-    # run that fails before writing leaves none behind.
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise DomainError(f"scenario name {name!r} is not a plain directory "
-                          "name (no path separators, not '.' or '..')")
-    return Path(getattr(args, "out", "out")) / name
-
-
-def _formats(args, allowed=_FORMATS) -> set[str]:
+def _formats(args) -> set[str]:
+    allowed = _PORTRAIT_FORMATS if args.command == "portrait" else _FORMATS
     formats = {piece.strip() for piece in args.format.split(",") if piece.strip()}
     if not formats:
         raise DomainError(f"--format {args.format!r} names no format: "
@@ -155,26 +150,30 @@ def _formats(args, allowed=_FORMATS) -> set[str]:
     return formats
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
-def _write_rows(path: Path, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def _say(args, message: str):
-    if not getattr(args, "quiet", False):
-        print(message)
+def _write(files: dict):
+    """Write each ``{path: body}``: a dict as indented JSON, a str as it is,
+    any other iterable one row per line, and a callable (a body that costs
+    time to build) as what it returns.  Parent directories are made at the
+    first write."""
+    for path, body in files.items():
+        if callable(body):
+            body = body()
+        if isinstance(body, dict):
+            body = json.dumps(body, indent=2)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            if isinstance(body, str):
+                fh.write(body)
+            else:
+                for row in body:
+                    fh.write(row + "\n")
 
 
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
+# A writing command returns (scenario name, summary line, {file name: body})
+# and writes nothing: ``main`` writes the files once the run has succeeded.
 
 def cmd_dispersion(args) -> int:
     p = WaveParams.solve(args.g, args.h, args.k, args.omega,
@@ -191,26 +190,20 @@ def cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-def cmd_portrait(args) -> int:
+def cmd_portrait(args) -> tuple[str, str, dict]:
     from . import phase as wphase
 
     name, p = resolve_params(args)
-    formats = _formats(args, _PORTRAIT_FORMATS)
-    out = _out_dir(args, name)
     portrait = wphase.build_phase_portrait(p, ymax=args.ymax,
                                           resolution=args.resolution)
-    if "json" in formats:
-        _write_text(out / "portrait.json", wphase.portrait_json(portrait))
-    if "csv" in formats:
-        _write_rows(out / "isoclines.csv", wphase.isocline_csv_rows(portrait))
-        _write_rows(out / "separatrices.csv", wphase.separatrix_csv_rows(portrait))
-    if "svg" in formats:
-        _write_text(out / "portrait.svg", wphase.portrait_svg(portrait))
     kinds = ",".join(cp.kind for cp in portrait.critical_points)
-    _say(args, f"{name}: {len(portrait.critical_points)} critical point(s) "
-               f"[{kinds}], {len(portrait.separatrix_groups)} separatrix(es) "
-               f"-> {out}")
-    return EXIT_OK
+    return name, (f"{len(portrait.critical_points)} critical point(s) [{kinds}], "
+                  f"{len(portrait.separatrix_groups)} separatrix(es)"), {
+        "portrait.json": wphase.portrait_summary(portrait),
+        "isoclines.csv": wphase.isocline_csv_rows(portrait),
+        "separatrices.csv": wphase.separatrix_csv_rows(portrait),
+        "portrait.svg": functools.partial(wphase.portrait_svg, portrait),
+    }
 
 
 def _default_seeds(p: WaveParams) -> list[tuple[float, float]]:
@@ -221,50 +214,35 @@ def _default_seeds(p: WaveParams) -> list[tuple[float, float]]:
     return seeds
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args) -> tuple[str, str, dict]:
     from . import drift as wdrift
     from .steady import SteadyCoeffs
 
     name, p = resolve_params(args)
-    formats = _formats(args)
-    out = _out_dir(args, name)
-    co = SteadyCoeffs.from_params(p)
-    co_n, shifted = co.normalized()
+    co_n, shifted = SteadyCoeffs.from_params(p).normalized()
     if args.seeds:
         seeds = wdrift.read_seeds(_read_utf8(Path(args.seeds), "seeds file"))
     else:
         seeds = _default_seeds(p)
     t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / abs(p.f)
-    summary = {"scenario": name, "t_end": t_end, "trajectories": []}
-    for idx, (X0, Y0) in enumerate(seeds):
-        traj = wdrift.steady_trajectory(X0, Y0, co_n, t_end, rtol=args.rtol,
-                                        shifted=shifted)
-        if "csv" in formats:
-            _write_rows(out / f"trajectory_{idx:03d}.csv",
-                        wdrift.trajectory_csv_rows(traj))
-        summary["trajectories"].append({
-            "index": idx, "X0": X0, "Y0": Y0,
-            "n_steps": len(traj.t),
-            "h_drift_scaled": traj.h_drift_scaled,
-            "truncated": traj.truncated,
-        })
-    if "json" in formats:
-        _write_text(out / "paths.json", json.dumps(summary, indent=2))
-    worst = max((t["h_drift_scaled"] for t in summary["trajectories"]), default=0.0)
-    _say(args, f"{name}: {len(seeds)} trajectories over t_end={t_end:.6g}s, "
-               f"worst scaled H drift {worst:.3e} -> {out}")
-    return EXIT_OK
+    trajs = [wdrift.steady_trajectory(X0, Y0, co_n, t_end, rtol=args.rtol,
+                                      shifted=shifted) for X0, Y0 in seeds]
+    files = {f"trajectory_{idx:03d}.csv": wdrift.trajectory_csv_rows(traj)
+             for idx, traj in enumerate(trajs)}
+    files["paths.json"] = {"scenario": name, "t_end": t_end, "trajectories": [
+        {"index": idx, "X0": X0, "Y0": Y0, "n_steps": len(traj.t),
+         "h_drift_scaled": traj.h_drift_scaled, "truncated": traj.truncated}
+        for idx, ((X0, Y0), traj) in enumerate(zip(seeds, trajs))]}
+    worst = max((traj.h_drift_scaled for traj in trajs), default=0.0)
+    return name, (f"{len(seeds)} trajectories over t_end={t_end:.6g}s, "
+                  f"worst scaled H drift {worst:.3e}"), files
 
 
-def cmd_drift(args) -> int:
+def cmd_drift(args) -> tuple[str, str, dict]:
     from . import drift as wdrift
 
     name, p = resolve_params(args)
-    formats = _formats(args)
-    out = _out_dir(args, name)
     reports = wdrift.drift_profile(p, n=args.levels)
-    if "csv" in formats:
-        _write_rows(out / "drift.csv", wdrift.drift_csv_rows(reports, p.k))
     counts: dict = {}
     for r in reports:
         counts[r.direction] = counts.get(r.direction, 0) + 1
@@ -280,44 +258,32 @@ def cmd_drift(args) -> int:
                 "y_close_err": orbit.y_close_err,
                 "verified": orbit.verified,
             }
-    if "json" in formats:
-        _write_text(out / "drift.json", json.dumps(summary, indent=2))
-    _say(args, f"{name}: drift over {len(reports)} levels {counts} -> {out}")
-    return EXIT_OK
+    return name, f"drift over {len(reports)} levels {counts}", {
+        "drift.csv": wdrift.drift_csv_rows(reports, p.k), "drift.json": summary}
 
 
-def cmd_bifurcation(args) -> int:
+def cmd_bifurcation(args) -> tuple[str, str, dict]:
     from . import steady as wsteady
 
     name, p = resolve_params(args)
     wp._require_bed_frame(p)  # the scan solves every vorticity at s = 0
-    formats = _formats(args)
-    out = _out_dir(args, name)
-    preset = getattr(args, "preset", None)
-    scan_defaults = PRESETS.get(preset, {}).get("scan", {}) if preset else {}
-    omega_start = args.omega_start if args.omega_start is not None else \
-        scan_defaults.get("omega_start", 0.0)
-    omega_stop = args.omega_stop if args.omega_stop is not None else \
-        scan_defaults.get("omega_stop", p.omega)
-    steps = args.steps if args.steps is not None else \
-        scan_defaults.get("steps", 61)
-    scan = wsteady.bifurcation_scan(p.g, p.h, p.k, p.a, omega_start, omega_stop,
-                                    steps, branch=p.branch)
-    if "csv" in formats:
-        rows = ["omega,count,kinds"]
-        rows += [f"{r.omega:.17g},{r.count},{'+'.join(r.kinds)}" for r in scan.rows]
-        _write_rows(out / "bifurcation.csv", rows)
-    summary = {
-        "scenario": name, "branch": scan.branch,
-        "omega_range": [omega_start, omega_stop], "steps": steps,
-        "counts": sorted({r.count for r in scan.rows}),
-        "omega_star": scan.omega_star,
+    # Built-in defaults, then the preset's scan, then the flags given.
+    sweep = {"omega_start": 0.0, "omega_stop": p.omega, "steps": 61,
+             **PRESETS.get(args.preset, {}).get("scan", {})}
+    sweep.update({key: value for key in sweep
+                  if (value := getattr(args, key)) is not None})
+    scan = wsteady.bifurcation_scan(p.g, p.h, p.k, p.a, **sweep, branch=p.branch)
+    counts = sorted({r.count for r in scan.rows})
+    return name, f"counts {counts}, transition omega* = {scan.omega_star}", {
+        "bifurcation.csv": ["omega,count,kinds"] + [
+            f"{r.omega:.17g},{r.count},{'+'.join(r.kinds)}" for r in scan.rows],
+        "bifurcation.json": {
+            "scenario": name, "branch": scan.branch,
+            "omega_range": [sweep["omega_start"], sweep["omega_stop"]],
+            "steps": sweep["steps"], "counts": counts,
+            "omega_star": scan.omega_star,
+        },
     }
-    if "json" in formats:
-        _write_text(out / "bifurcation.json", json.dumps(summary, indent=2))
-    _say(args, f"{name}: counts {summary['counts']}, "
-               f"transition omega* = {scan.omega_star} -> {out}")
-    return EXIT_OK
 
 
 def _validate_points(p: WaveParams) -> tuple[list[float], list[float], list[float]]:
@@ -370,21 +336,21 @@ def cmd_validate(args) -> int:
     failed = [label for label, value, tol in checks if not value < tol]
     for label, value, tol in checks:
         line = f"{name}: {label:>20s}  max|residual| = {value:.3e}  (tol {tol:.1e})  "
-        if value < tol:
-            _say(args, line + "PASS")
-        else:
+        if not value < tol:
             print(line + "FAIL")  # --quiet keeps the rows that fail
-    if args.grid:
-        import numpy as np
-
-        from .fields import write_field_grid
-
-        xg = np.linspace(0.0, p.wavelength, 25)
-        yg = np.linspace(0.0, p.h + p.a, 13)
-        write_field_grid(Path(args.grid), p, t=0.0, x_grid=xg, y_grid=yg)
+        elif not args.quiet:
+            print(line + "PASS")
     if failed:
         raise NumericsError(f"{len(failed)} field identities exceed tolerance",
                             diagnostics={"failed": failed})
+    if args.grid:
+        import numpy as np
+
+        from .fields import field_grid_rows
+
+        xg = np.linspace(0.0, p.wavelength, 25)
+        yg = np.linspace(0.0, p.h + p.a, 13)
+        _write({Path(args.grid): field_grid_rows(p, 0.0, xg, yg)})
     return EXIT_OK
 
 
@@ -466,13 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, UnsupportedConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        if "format" not in args:  # dispersion and validate print their results
+            return args.func(args)
+        formats = _formats(args)
+        name, line, files = args.func(args)
+        out = Path(args.out) / name
+        _write({out / file: body for file, body in files.items()
+                if file.rpartition(".")[2] in formats})
+        if not args.quiet:
+            print(f"{name}: {line} -> {out}")
+        return EXIT_OK
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

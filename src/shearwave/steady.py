@@ -248,8 +248,6 @@ def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
             y0 = -f / omega
             return [y0] if 0.0 < y0 <= Y_GUARD else []
         return []
-    if b < 0.0 and omega >= 0:
-        return []  # phi strictly decreasing from phi(0) < 0
 
     breaks = [0.0]
     ratio = omega / b
