@@ -12,6 +12,7 @@ same across versions).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -154,19 +155,28 @@ def _write(files: dict):
     """Write each ``{path: body}``: a dict as indented JSON, a str as it is,
     any other iterable one row per line, and a callable (a body that costs
     time to build) as what it returns.  Parent directories are made at the
-    first write."""
-    for path, body in files.items():
-        if callable(body):
-            body = body()
-        if isinstance(body, dict):
-            body = json.dumps(body, indent=2)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if isinstance(body, str):
-                fh.write(body)
-            else:
-                for row in body:
-                    fh.write(row + "\n")
+    first write.  A write that fails removes the files and directories this
+    call made, newest first, before the error propagates."""
+    made = []  # what this call creates, parents first
+    try:
+        for path, body in files.items():
+            if callable(body):
+                body = body()
+            if isinstance(body, dict):
+                body = json.dumps(body, indent=2)
+            made += [new for new in (*reversed(path.parents), path) if not new.exists()]
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                if isinstance(body, str):
+                    fh.write(body)
+                else:
+                    for row in body:
+                        fh.write(row + "\n")
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                (path.rmdir if path.is_dir() else path.unlink)()
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -249,15 +259,7 @@ def cmd_drift(args) -> tuple[str, str, dict]:
     summary = {"scenario": name, "n_levels": len(reports), "directions": counts}
     if args.find_closed:
         orbit = wdrift.find_closed_orbit(p)
-        if orbit is None:
-            summary["closed_orbit"] = None
-        else:
-            summary["closed_orbit"] = {
-                "Y_level": orbit.Y_level, "tau": orbit.tau,
-                "x_close_err": orbit.x_close_err,
-                "y_close_err": orbit.y_close_err,
-                "verified": orbit.verified,
-            }
+        summary["closed_orbit"] = None if orbit is None else orbit._asdict()
     return name, f"drift over {len(reports)} levels {counts}", {
         "drift.csv": wdrift.drift_csv_rows(reports, p.k), "drift.json": summary}
 

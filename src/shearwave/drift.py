@@ -41,8 +41,8 @@ from typing import NamedTuple
 from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
 from .params import WaveParams
-from .steady import (GUARDED, Y_GUARD, SteadyCoeffs, bracketed_root, column_crossing,
-                     find_critical_points, level_end, linspace)
+from .steady import (GUARDED, Y_GUARD, SteadyCoeffs, bracketed_root, find_critical_points,
+                     level_end, linspace)
 
 #: |Y| above which a step-size collapse is read as an escape to infinity
 #: (the hyperbolic blow-up outruns the representable time resolution long
@@ -248,25 +248,22 @@ def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
 def layer_boundaries(co_n: SteadyCoeffs) -> dict:
     """A report of the census and, in the paper's topologies (a saddle P0
     lowest at X = 0, none or two points P1 < P2 at X = pi), H0 = H(P0), Y_P0,
-    Y_P1, Y_P2 and the crossings Y_lower (below P1) and Y_upper (between P1
-    and P2) of H0 on X = pi.  The drift layers are read from the census alone."""
+    Y_P1, Y_P2 and where P0's level meets X = pi: Y_lower, the end of its
+    walk down from P0, and, with P1 and P2, Y_upper, the end of its walk up
+    (``level_end``, which also ends the portrait's P0 arms), each where that
+    walk ends on X = pi.  The drift layers are read from the census alone."""
     cps = find_critical_points(co_n)
     out = {"critical_points": cps}
     at_zero = [cp for cp in cps if cp.X == 0.0]
     roots = [cp.Y for cp in cps if cp.X != 0.0]
     if not at_zero or at_zero[0].kind != "saddle" or len(roots) not in (0, 2):
         return out
-    H0 = out["H0"] = at_zero[0].H_value
-    out["Y_P0"] = at_zero[0].Y
+    out["H0"], out["Y_P0"] = at_zero[0].H_value, at_zero[0].Y
     out.update(zip(("Y_P1", "Y_P2"), roots))
-    fn = lambda Y: co_n.H(math.pi, Y, GUARDED) - H0
-    bounds = [0.0, *roots, None]
-    for key, start, stop in zip(("Y_lower", "Y_upper"), bounds, bounds[1:]):
-        met = column_crossing(co_n, H0, fn, start, True,
-                              [cp for cp in cps if cp.X != 0.0 and cp.Y > start],
-                              math.copysign(1.0, fn(start)), stop)
-        if met is not None:
-            out[key] = met[0]
+    for key, up in (("Y_lower", False), ("Y_upper", True))[:1 + len(roots) // 2]:
+        end = level_end(co_n, 0.0, out["Y_P0"], up)
+        if end is not None and end[1] == math.pi:
+            out[key] = end[0]
     return out
 
 
@@ -567,15 +564,10 @@ def drift_per_period(Y0: float, co: SteadyCoeffs) -> DriftReport:
     # Vortex: closed steady orbit.
     loop = _loop_period(Y0, Y_end, co_n)
     if loop is None:
-        # The center itself: straight-line forward motion at speed f/k,
-        # measured from an actual integration rather than asserted.
-        ts, Xs, Ys, _ = accepted_steps(math.pi, Y0, co_n, 10.0 * (2.0 * math.pi / f),
-                                       1e-12, 1e-14)
-        x_start = physical_coords(ts[0], Xs[0], Ys[0], co_n, False)[0]
-        x_end = physical_coords(ts[-1], Xs[-1], Ys[-1], co_n, False)[0]
+        # The center itself, at rest in the steady frame: straight-line
+        # forward motion at speed f/k.
         return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
-                           direction="always_forward", layer=layer,
-                           mean_speed=(x_end - x_start) / (ts[-1] - ts[0]))
+                           direction="always_forward", layer=layer, mean_speed=f / k)
     T, tau_err, min_xdot = loop
     drift = f * T / k
     direction = "always_forward" if min_xdot > -f else "forward"

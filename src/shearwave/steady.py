@@ -294,8 +294,9 @@ def column_crossing(co: SteadyCoeffs, H0: float, fn, Y0: float, up: bool, cuts,
     bed or Y_GUARD.  ``cuts``, the column's critical points beyond Y0 in walk
     order, split it into monotone pieces: the sign is checked at each, then
     at the bed or at doublings of the open top piece, and one Brent call
-    (xtol 1e-15) runs on the piece where it changed.  A cut where fn is zero
-    within rounding is met tangentially and gives its label, else ""."""
+    runs on the piece where it changed, to a few ulps of the height
+    (``_BRENT_RTOL`` alone).  A cut where fn is zero within rounding is met
+    tangentially and gives its label, else ""."""
     ends = [(cp.Y, cp.label) for cp in cuts] + ([] if up else [(0.0, "")])
     if stop is not None:
         ends = [end for end in ends if (end[0] < stop) == up] + [(stop, "")]
@@ -316,7 +317,7 @@ def column_crossing(co: SteadyCoeffs, H0: float, fn, Y0: float, up: bool, cuts,
             Y *= 2.0
         if Y > Y_GUARD:
             return None
-    return bracketed_root(fn, *sorted((lo, Y)), 1e-15, maxiter=300,
+    return bracketed_root(fn, *sorted((lo, Y)), 0.0, maxiter=300,
                           what="level crossing of a section"), ""
 
 

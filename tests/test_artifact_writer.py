@@ -1,13 +1,16 @@
 """One writer for every output file: a command returns its files and ``main``
 writes them once the run has succeeded.
 
-A run that exits non-zero writes no file and makes no directory; ``--format``
-is refused before the parameters are read; ``validate --grid`` writes
-through the same writer, making missing parent directories.
+A run that exits non-zero writes no file and makes no directory; a write
+that fails part way removes what the run made and keeps what was there;
+``--format`` is refused before the parameters are read; ``validate --grid``
+writes through the same writer, making missing parent directories.
 """
 
+import pytest
+
 import shearwave.cli as cli
-from shearwave.cli import EXIT_BAD_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from shearwave.cli import EXIT_BAD_INPUT, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from shearwave.fields import GRID_HEADER
 
 
@@ -25,6 +28,28 @@ def test_paths_failing_at_its_second_seed_leaves_no_out_directory(capsys, tmp_pa
     assert code == EXIT_BAD_INPUT
     assert out == "" and err.startswith("error: Y0")
     assert not (tmp_path / "out").exists()
+
+
+def test_paths_failing_at_its_json_leaves_only_what_was_there(capsys, tmp_path):
+    fig1 = tmp_path / "out" / "fig1"
+    (fig1 / "paths.json").mkdir(parents=True)
+    (fig1 / "keep.csv").write_text("kept\n", encoding="utf-8")
+    code, out, err = run(capsys, "paths", "--preset", "fig1", "--periods", "1",
+                         "--out", str(tmp_path / "out"))
+    assert code == EXIT_IO
+    assert out == "" and err.startswith("i/o error:") and "paths.json" in err
+    assert sorted(p.name for p in fig1.iterdir()) == ["keep.csv", "paths.json"]
+    assert (fig1 / "keep.csv").read_text(encoding="utf-8") == "kept\n"
+    assert not any((fig1 / "paths.json").iterdir())
+
+
+def test_a_failed_write_removes_the_directories_it_made(tmp_path):
+    def fails():
+        raise OSError("disk full")
+    new = tmp_path / "new"
+    with pytest.raises(OSError, match="disk full"):
+        cli._write({new / "a" / "x.csv": "x\n", new / "b" / "y.json": fails})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_whose_checks_fail_writes_no_grid(capsys, tmp_path, monkeypatch):
