@@ -99,6 +99,13 @@ def _read_utf8(path: Path, what: str) -> str:
                           f"(byte {exc.start}: {exc.reason})") from None
 
 
+def _path(text: str, option: str) -> Path:
+    """``text`` as a path; DomainError if it is empty and so names no file."""
+    if not text:
+        raise DomainError(f"{option} '' names no file")
+    return Path(text)
+
+
 def _load_scenario_file(path: Path) -> dict:
     text = _read_utf8(path, "scenario file")
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
@@ -119,14 +126,15 @@ def resolve_params(args) -> tuple[str, WaveParams]:
         mapping.update(PRESETS[preset]["params"])
         name = preset
     scenario = getattr(args, "scenario", None)
-    if scenario:
-        path = Path(scenario)
+    if scenario is not None:
+        path = _path(scenario, "--scenario")
         file_map = _load_scenario_file(path)
-        name = str(file_map.pop("name", path.stem))
+        name = file_map.pop("name", path.stem)
         # The name is one directory level below --out: no separators.
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(c in name for c in "/\\\0")):
             raise DomainError(f"scenario name {name!r} is not a plain directory "
-                              "name (no path separators, not '.' or '..')")
+                              "name (a string, no path separators, not '.' or '..')")
         mapping.update(file_map)
     for key in ("g", "h", "a", "k", "omega", "branch"):
         value = getattr(args, key, None)
@@ -186,15 +194,19 @@ def _write(files: dict):
 # and writes nothing: ``main`` writes the files once the run has succeeded.
 
 def cmd_dispersion(args) -> int:
+    # A bed speed shifts c and f = k*c alone: A and the residual are the bed frame's.
+    c = wp.solve_dispersion(args.g, args.h, args.k, args.omega,
+                            s=args.s, branch=args.branch)
+    wp._require_finite(c=c)
     p = WaveParams.solve(args.g, args.h, args.k, args.omega,
-                         a=args.a, s=args.s, branch=args.branch)
+                         a=args.a, branch=args.branch)
     regime = None
-    if p.c > 0 and p.s == 0.0:
+    if c > 0 and args.s == 0.0:
         r = classify_regime(p)
         regime = {"vorticity_sign": r.vorticity_sign, "crest_shift": r.crest_shift,
                   "supercritical": r.supercritical,
                   "branching_positive": r.branching_positive}
-    report = {"c": p.c, "f": p.f, "A": p.A, "regime": regime,
+    report = {"c": c, "f": p.k * c, "A": p.A, "regime": regime,
               "residual": dispersion_residual(p)}
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -230,8 +242,8 @@ def cmd_paths(args) -> tuple[str, str, dict]:
 
     name, p = resolve_params(args)
     co_n, shifted = SteadyCoeffs.from_params(p).normalized()
-    if args.seeds:
-        seeds = wdrift.read_seeds(_read_utf8(Path(args.seeds), "seeds file"))
+    if args.seeds is not None:
+        seeds = wdrift.read_seeds(_read_utf8(_path(args.seeds, "--seeds"), "seeds file"))
     else:
         seeds = _default_seeds(p)
     t_end = args.t_end if args.t_end is not None else args.periods * 2.0 * math.pi / abs(p.f)
@@ -268,7 +280,6 @@ def cmd_bifurcation(args) -> tuple[str, str, dict]:
     from . import steady as wsteady
 
     name, p = resolve_params(args)
-    wp._require_bed_frame(p)  # the scan solves every vorticity at s = 0
     # Built-in defaults, then the preset's scan, then the flags given.
     sweep = {"omega_start": 0.0, "omega_stop": p.omega, "steps": 61,
              **PRESETS.get(args.preset, {}).get("scan", {})}
@@ -306,9 +317,9 @@ def _max_abs(values) -> float:
 
 
 def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
-    """max |residual| of the five ``params.field_identities`` (P0 = 0) over
-    the points (t, x, y), one at a time on ``m``; numpy's cosh and sinh may
-    differ from ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
+    """max |residual| of the five ``params.field_identities`` over the points
+    (t, x, y), one at a time on ``m``; numpy's cosh and sinh may differ from
+    ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
     if any(v < 0.0 for v in y):
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     wp.check_hyperbolic(p.k * max(y, default=0.0))  # max |k*y|: no y is negative
@@ -324,7 +335,7 @@ def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
 
 def cmd_validate(args) -> int:
     name, p = resolve_params(args)
-    wp._require_bed_frame(p)  # the field formulas assume s = 0
+    grid = None if args.grid is None else _path(args.grid, "--grid")
     div, curl, bed, kin, dyn = _identity_maxima(*_validate_points(p), p)
     dyn_tol = 1e-9 * p.g * p.a if p.a > 0 else 1e-12
     checks = [
@@ -345,14 +356,14 @@ def cmd_validate(args) -> int:
     if failed:
         raise NumericsError(f"{len(failed)} field identities exceed tolerance",
                             diagnostics={"failed": failed})
-    if args.grid:
+    if grid is not None:
         import numpy as np
 
         from .fields import field_grid_rows
 
         xg = np.linspace(0.0, p.wavelength, 25)
         yg = np.linspace(0.0, p.h + p.a, 13)
-        _write({Path(args.grid): field_grid_rows(p, 0.0, xg, yg)})
+        _write({grid: field_grid_rows(p, 0.0, xg, yg)})
     return EXIT_OK
 
 
@@ -362,7 +373,7 @@ def cmd_validate(args) -> int:
 
 def _add_param_source(sub: argparse.ArgumentParser, formats=_FORMATS):
     """The parameter options, --quiet and, where ``formats`` names what the
-    command writes, --out and --format.  No --s: only ``dispersion`` leaves s = 0."""
+    command writes, --out and --format.  No --s: ``WaveParams.solve`` refuses s != 0."""
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--scenario", help="key = value or JSON parameter file")
     sub.add_argument("--g", type=float)

@@ -4,13 +4,13 @@ Physical fields (bed-frame normalization s = 0, phase theta = k*x - f*t):
 
     u = -omega*y + A*cos(theta)*cosh(k*y)
     v =            A*sin(theta)*sinh(k*y)
-    P = P0 + g*(h - y) + (A/k)*cos(theta)*((f + k*omega*y)*cosh(k*y)
-                                           - omega*sinh(k*y))
+    P = g*(h - y) + (A/k)*cos(theta)*((f + k*omega*y)*cosh(k*y)
+                                      - omega*sinh(k*y))
     eta = h + a*cos(theta)
 
-with A = a*(f + k*h*omega)/sinh(k*h).  This is the one module that
-evaluates on numpy; the steady-frame system is written once, in
-``steady.SteadyCoeffs``, and the package evaluates it on ``math``.
+with A = a*(f + k*h*omega)/sinh(k*h) and P = 0 on y = h at rest.  This is
+the one module that evaluates on numpy; the steady-frame system is written
+once, in ``steady.SteadyCoeffs``, and the package evaluates it on ``math``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import params as wp
 from .errors import DomainError
-from .params import WaveParams, _require_bed_frame, _require_finite, check_hyperbolic
+from .params import WaveParams, _require_finite, check_hyperbolic
 
 #: Columns of the field-grid CSV export.
 GRID_HEADER = "x,y,t,u,v,P,eta_flag"
@@ -53,7 +53,6 @@ def velocity(t, x, y, params: WaveParams):
     analysis extends into the half-plane y >= 0); use :func:`in_fluid` to
     flag points outside the fluid domain.
     """
-    _require_bed_frame(params)
     y, ky = _heights(y, params)
     theta = _phase(t, x, params)
     A = params.A
@@ -62,15 +61,14 @@ def velocity(t, x, y, params: WaveParams):
     return u, v
 
 
-def pressure(t, x, y, params: WaveParams, P0: float = 0.0):
-    """Pressure per unit density (m^2/s^2) at time t and position (x, y)."""
-    _require_bed_frame(params)
+def pressure(t, x, y, params: WaveParams):
+    """Pressure per unit density (m^2/s^2) at (t, x, y), zero on y = h at rest."""
     y, ky = _heights(y, params)
     theta = _phase(t, x, params)
     wave = (params.A / params.k) * np.cos(theta) * (
         (params.f + params.k * params.omega * y) * np.cosh(ky)
         - params.omega * np.sinh(ky))
-    return P0 + params.g * (params.h - y) + wave
+    return params.g * (params.h - y) + wave
 
 
 def surface(t, x, params: WaveParams):
@@ -93,11 +91,10 @@ class FieldResiduals(NamedTuple):
     curl_defect: float      # (v_x - u_y) - omega, constant-vorticity defect
     bed_v: float            # v at y = 0, impermeable bed
     kinematic_defect: float # v - (eta_t + U(h)*eta_x) at y = h
-    dynamic_defect: float   # P - P0 - g*(eta - h) at y = h
+    dynamic_defect: float   # P - g*(eta - h) at y = h
 
 
-def field_identity_residuals(t, x, y, params: WaveParams,
-                             P0: float = 0.0) -> FieldResiduals:
+def field_identity_residuals(t, x, y, params: WaveParams) -> FieldResiduals:
     """Residuals of the linearized governing equations at (t, x, y).
 
     Divergence, curl defect and bed velocity vanish identically for any
@@ -108,10 +105,9 @@ def field_identity_residuals(t, x, y, params: WaveParams,
     :func:`params.field_identities`, evaluated here on numpy.  A point
     below the bed is refused, as by :func:`velocity` and :func:`pressure`.
     """
-    _require_bed_frame(params)
     y, _ = _heights(y, params)
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    return FieldResiduals(*wp.field_identities(params, np, P0)(t, x, y))
+    return FieldResiduals(*wp.field_identities(params, np)(t, x, y))
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +124,10 @@ def _grid_axis(name, values):
     return axis
 
 
-def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
+def _grid_lines(params: WaveParams, t, x_grid, y_grid):
     """Check the inputs, then return an iterator of grid lines: one text per
     x value, its rows each ending in a newline."""
-    _require_bed_frame(params)
-    _require_finite(t=t, P0=P0)
+    _require_finite(t=t)
     x = _grid_axis("x_grid", x_grid)
     y, _ = _heights(_grid_axis("y_grid", y_grid), params)
     # One row per y, its y and t cells already in place: each line is one
@@ -147,7 +142,7 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
         for start in range(0, len(x), block):
             xb = x[start:start + block, None]
             u, v = velocity(t, xb, y, params)
-            P = pressure(t, xb, y, params, P0)
+            P = pressure(t, xb, y, params)
             inside = in_fluid(t, xb, y, params)
             for xv, ui, vi, Pi, fi in zip(xb[:, 0].tolist(), u.tolist(), v.tolist(),
                                           P.tolist(), inside.tolist()):
@@ -159,27 +154,25 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid, P0):
     return lines()
 
 
-def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid,
-                    P0: float = 0.0):
+def field_grid_rows(params: WaveParams, t: float, x_grid, y_grid):
     """Yield CSV rows (header first) of the fields on an x (outer) by y
     (inner) grid, floats at 17 significant digits.
 
     The inputs are checked before any row is yielded: the axes must be
-    one-dimensional and, like t and P0, finite.  The values come from
+    one-dimensional and, like t, finite.  The values come from
     :func:`velocity`, :func:`pressure` and :func:`in_fluid`, one call each
     per block of whole grid lines; the block, about ``_GRID_BLOCK``
     points, bounds the memory.
     """
-    lines = _grid_lines(params, t, x_grid, y_grid, P0)
+    lines = _grid_lines(params, t, x_grid, y_grid)
     yield GRID_HEADER
     for text in lines:
         yield from text.splitlines()
 
 
-def write_field_grid(path, params: WaveParams, t: float, x_grid, y_grid,
-                     P0: float = 0.0):
+def write_field_grid(path, params: WaveParams, t: float, x_grid, y_grid):
     """Write the field grid CSV to ``path``, one write per grid line."""
-    lines = _grid_lines(params, t, x_grid, y_grid, P0)
+    lines = _grid_lines(params, t, x_grid, y_grid)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(GRID_HEADER + "\n")
         fh.writelines(lines)

@@ -1,12 +1,12 @@
 """Wave parameters, the dispersion relation, and regime classification.
 
 Physical setup: a periodic gravity wave of amplitude ``a`` and wavenumber
-``k`` rides on the sheared current ``U(y) = s*sqrt(g*h) - omega*y`` over a
-flat bed at ``y = 0``, with mean water level ``y = h`` and constant
-vorticity ``omega``.  The wave speed ``c`` is not a free parameter: the
-linear surface conditions pin it to ``(g, h, k, omega, s)`` through a
-dispersion relation with two branches, distinguished by the sign of the
-relative surface speed ``c - s*sqrt(g*h) + h*omega``.
+``k`` rides on the sheared current ``U(y) = -omega*y``, zero at the flat
+bed ``y = 0``, with mean water level ``y = h``.  The linear surface
+conditions pin the speed ``c`` to ``(g, h, k, omega)`` through a dispersion
+relation with two branches, the signs of ``c + h*omega``.  A bed speed
+``s*sqrt(g*h)`` shifts ``c`` and ``u`` and nothing else (Galilean), so only
+:func:`solve_dispersion` takes ``s``; ``WaveParams.solve`` refuses s != 0.
 
 All quantities are SI: meters, seconds, rad/m, rad/s.
 """
@@ -25,7 +25,7 @@ BRANCHES = ("plus", "minus")
 
 #: Serialized parameter keys; speed, frequency and the wave coefficient are
 #: always recomputed on load, never trusted from a file.
-PARAM_KEYS = ("g", "h", "a", "k", "omega", "s", "branch")
+PARAM_KEYS = ("g", "h", "a", "k", "omega", "branch")
 _DERIVED_KEYS = ("c", "f", "A", "lambda", "wavelength", "name")
 
 # Guard thresholds (warnings, not errors).  The linear solution solves the
@@ -35,7 +35,7 @@ _DERIVED_KEYS = ("c", "f", "A", "lambda", "wavelength", "name")
 AMPLITUDE_RATIO_MAX = 0.1
 VORTICITY_PRODUCT_MAX = 0.3
 
-# |c + h*omega - s*sqrt(gh)| must exceed this times sqrt(gh); the closed-form
+# |c + h*omega| must exceed this times sqrt(gh); the closed-form
 # speed keeps it bounded away from zero, so a violation means inconsistent
 # externally supplied parameters.
 BRANCH_MARGIN = 1e-8
@@ -63,14 +63,6 @@ def _require_positive(**named):
     for name, value in named.items():
         if not value > 0:
             raise DomainError(f"{name} must be positive, got {value!r}")
-
-
-def _require_bed_frame(params: "WaveParams"):
-    """UnsupportedConfig unless s = 0: the one check of the bed frame."""
-    if params.s != 0.0:
-        raise UnsupportedConfig(
-            f"s = {params.s!r} is not supported: the steady frame and the field "
-            "formulas assume the bed-frame normalization s = 0")
 
 
 def check_hyperbolic(y: float) -> float:
@@ -143,7 +135,6 @@ class _WaveParamsFields(NamedTuple):
     k: float
     omega: float
     c: float
-    s: float = 0.0
     branch: str = "plus"
 
 
@@ -162,17 +153,17 @@ class WaveParams(_WaveParamsFields):
     __slots__ = ()
 
     def __new__(cls, g: float, h: float, a: float, k: float, omega: float,
-                c: float, s: float = 0.0, branch: str = "plus"):
-        self = cls._unwarned(g, h, a, k, omega, c, s, branch)
+                c: float, branch: str = "plus"):
+        self = cls._unwarned(g, h, a, k, omega, c, branch)
         for message in self._guard_messages():
             warnings.warn(message, stacklevel=_caller_level())
         return self
 
     @classmethod
-    def _unwarned(cls, g, h, a, k, omega, c, s, branch) -> "WaveParams":
+    def _unwarned(cls, g, h, a, k, omega, c, branch) -> "WaveParams":
         """``WaveParams(...)`` without the warnings of ``_guard_messages``."""
-        self = super().__new__(cls, g, h, a, k, omega, c, s, branch)
-        _require_finite(g=g, h=h, a=a, k=k, omega=omega, s=s, c=c)
+        self = super().__new__(cls, g, h, a, k, omega, c, branch)
+        _require_finite(g=g, h=h, a=a, k=k, omega=omega, c=c)
         _require_positive(g=g, h=h, k=k)
         if a < 0:
             raise DomainError(f"amplitude must be nonnegative, got {a}")
@@ -188,15 +179,14 @@ class WaveParams(_WaveParamsFields):
             raise DomainError(f"|omega| must be at most {OMEGA_MAX:g}, got {abs(omega)!r}")
         if not math.isfinite(self.A):
             raise DomainError(f"A = a*(f + k*h*omega)/sinh(k*h) overflows at a = {a:.3g}")
-        sqrt_gh = math.sqrt(g * h)
-        q = c - s * sqrt_gh + h * omega
-        if abs(q) <= BRANCH_MARGIN * sqrt_gh:
+        q = c + h * omega
+        if abs(q) <= BRANCH_MARGIN * math.sqrt(g * h):
             raise UnsupportedConfig(
-                "c + h*omega - s*sqrt(gh) is (numerically) zero; no linear wave "
+                "c + h*omega is (numerically) zero; no linear wave "
                 "propagates at the speed of the sheared surface current")
         if (q > 0) != (branch == "plus"):
             raise UnsupportedConfig(
-                f"sign of c + h*omega - s*sqrt(gh) = {q:.6g} contradicts "
+                f"sign of c + h*omega = {q:.6g} contradicts "
                 f"branch={branch!r}")
         return self
 
@@ -217,9 +207,14 @@ class WaveParams(_WaveParamsFields):
     @classmethod
     def solve(cls, g: float, h: float, k: float, omega: float,
               a: float = 0.0, s: float = 0.0, branch: str = "plus") -> "WaveParams":
-        """Build a parameter set whose speed satisfies the dispersion relation."""
+        """Build a parameter set whose speed satisfies the dispersion relation;
+        refuses s != 0 after solving, so a non-finite s stays a DomainError."""
         c = solve_dispersion(g, h, k, omega, s=s, branch=branch)
-        return cls(g=g, h=h, a=a, k=k, omega=omega, c=c, s=s, branch=branch)
+        if s != 0.0:
+            raise UnsupportedConfig(
+                f"s = {s!r} is not supported: the steady frame and the field "
+                "formulas assume the bed-frame normalization s = 0")
+        return cls(g=g, h=h, a=a, k=k, omega=omega, c=c, branch=branch)
 
     def _vorticity_product(self) -> float:
         return (self.a / self.h) * abs(self.omega) * math.sqrt(self.h / self.g)
@@ -266,22 +261,22 @@ def dispersion_residual(params: WaveParams) -> float:
     """Dimensionless defect of the solvability relation.
 
     Returns |q*(kh*q*coth(kh) - omega_nd) - 1| with omega_nd =
-    omega*sqrt(h/g), q = c/sqrt(g*h) - s + omega_nd and kh = 2*pi*h over
+    omega*sqrt(h/g), q = c/sqrt(g*h) + omega_nd and kh = 2*pi*h over
     the wavelength.  Zero (to rounding) iff the stored speed came from
     :func:`solve_dispersion` on either branch.
     """
     g, h = params.g, params.h
     kh = 2.0 * math.pi * (h / params.wavelength)
     omega_nd = params.omega * math.sqrt(h / g)
-    q = params.c / math.sqrt(g * h) - params.s + omega_nd
+    q = params.c / math.sqrt(g * h) + omega_nd
     return abs(q * (kh * q / math.tanh(kh) - omega_nd) - 1.0)
 
 
-def field_identities(params: WaveParams, m, P0: float = 0.0):
+def field_identities(params: WaveParams, m):
     """``at(t, x, y)``: the five residuals of ``fields.FieldResiduals`` at
     (t, x, y), each in the operand order of its per-term formula, which
     fixes its bits, with sin, cos, cosh and sinh from ``m``: ``math`` for
-    one point, ``numpy`` for arrays.  The caller checks s = 0 and |k*y| <= 700."""
+    one point, ``numpy`` for arrays.  The caller checks |k*y| <= 700."""
     A, k, f, omega = params.A, params.k, params.f, params.omega
     a, h, g = params.a, params.h, params.g
     mAk, Ak, af, mOh, mak, A_k = -A * k, A * k, a * f, -omega * h, -a * k, A / k
@@ -301,14 +296,14 @@ def field_identities(params: WaveParams, m, P0: float = 0.0):
                 A * sin_t * sinh_0,                               # v at y = 0
                 # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h
                 A * sin_t * sinh_kh - (af * sin_t + mOh * (mak * sin_t)),
-                # P(h) - P0 - g*(eta - h)
-                (P0 + A_k * cos_t * p_shape) - P0 - g * ((h + a * cos_t) - h))
+                # P(h) - g*(eta - h), P = 0 on the mean level at rest
+                A_k * cos_t * p_shape - g * ((h + a * cos_t) - h))
 
     return at
 
 
 def classify_regime(params: WaveParams) -> Regime:
-    """Classify a right-going configuration (requires c > 0 and s = 0).
+    """Classify a right-going configuration (requires c > 0).
 
     The steady-frame analysis places the crest at X = 0 when
     c + h*omega > 0 and at X = pi when c + h*omega < 0 (the sign of the
@@ -318,7 +313,6 @@ def classify_regime(params: WaveParams) -> Regime:
         raise UnsupportedConfig(
             f"regime classification assumes a right-going wave; c = {params.c:.6g}. "
             "Map x -> -x for left-going waves.")
-    _require_bed_frame(params)
     if params.omega < 0:
         vort = "negative"
     elif params.omega > 0:
@@ -354,7 +348,7 @@ def branching_discriminant(alpha: float, omega: float, f: float) -> float:
 # ----------------------------------------------------------------------
 
 def to_kv(params: WaveParams) -> str:
-    """Serialize to ``key = value`` lines (keys: g h a k omega s branch)."""
+    """Serialize to ``key = value`` lines (keys: g h a k omega branch)."""
     lines = [f"{key} = {getattr(params, key)!r}" if key != "branch"
              else f"branch = {params.branch}"
              for key in PARAM_KEYS]
@@ -378,10 +372,10 @@ def from_mapping(mapping: dict) -> WaveParams:
     """Build params from a key/value mapping, re-solving the speed.
 
     Derived quantities (c, f, A, wavelength) present in the mapping are
-    ignored; the speed is always recomputed from the stored branch.
-    Unknown keys raise :class:`DomainError`.
+    ignored; the speed is always recomputed from the stored branch, and
+    ``s`` goes to :meth:`WaveParams.solve`.  Unknown keys raise :class:`DomainError`.
     """
-    unknown = set(mapping) - set(PARAM_KEYS) - set(_DERIVED_KEYS)
+    unknown = set(mapping) - {*PARAM_KEYS, "s", *_DERIVED_KEYS}
     if unknown:
         raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
     try:

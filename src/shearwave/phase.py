@@ -304,7 +304,7 @@ def portrait_summary(portrait: PhasePortrait) -> dict:
     p = portrait.params
     return {
         "params": {"g": p.g, "h": p.h, "a": p.a, "k": p.k, "omega": p.omega,
-                   "s": p.s, "branch": p.branch, "c": p.c, "f": p.f, "A": p.A},
+                   "s": 0.0, "branch": p.branch, "c": p.c, "f": p.f, "A": p.A},
         "regime": portrait.regime._asdict(),
         "shifted": portrait.shifted,
         "domain": {"x_range": list(X_RANGE), "ymax": portrait.ymax},

@@ -16,8 +16,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
-from .params import (HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, WaveParams, _require_bed_frame,
-                     branching_discriminant, check_hyperbolic, solve_dispersion)
+from .params import (HYPERBOLIC_ARG_MAX, Y_SEARCH_MAX, WaveParams, branching_discriminant,
+                     check_hyperbolic, solve_dispersion)
 
 #: Brent tolerance of the isocline roots.
 ROOT_XTOL = 1e-14
@@ -88,7 +88,6 @@ class SteadyCoeffs:
 
     @classmethod
     def from_params(cls, params: WaveParams) -> "SteadyCoeffs":
-        _require_bed_frame(params)
         return cls(Ak=params.A * params.k, omega=params.omega,
                    f=params.f, k=params.k)
 
@@ -469,7 +468,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
     def solved(omega: float) -> WaveParams:
         # WaveParams.solve unwarned; recording with catch_warnings is not thread-safe.
         c = solve_dispersion(g, h, k, omega, branch=branch)
-        return WaveParams._unwarned(g, h, a, k, omega, c, 0.0, branch)
+        return WaveParams._unwarned(g, h, a, k, omega, c, branch)
 
     try:
         rows = []

@@ -89,7 +89,7 @@ def test_criterion_04_field_identities(fig1_params, fig2_params):
         assert np.max(np.abs(res.kinematic_defect)) < 1e-10
         assert np.max(np.abs(res.dynamic_defect)) < 1e-9 * p.g * p.a
         bad = WaveParams(g=p.g, h=p.h, a=p.a, k=p.k, omega=p.omega,
-                         c=1.05 * p.c, s=p.s, branch=p.branch)
+                         c=1.05 * p.c, branch=p.branch)
         res_bad = field_identity_residuals(t, x, y, bad)
         assert np.max(np.abs(res_bad.dynamic_defect)) > 1e-3 * p.g * p.a
     report(4, "divergence/curl/bed/kinematic < 1e-10 at 1e4 points; dynamic "

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
-                       WaveParams, field_identity_residuals, in_fluid,
-                       pressure, surface, velocity)
+from shearwave import (DomainError, SteadyCoeffs, WaveParams, field_identity_residuals,
+                       in_fluid, pressure, surface, velocity)
 from shearwave.drift import _scalar_rhs
 from shearwave.fields import field_grid_rows
 
@@ -53,17 +52,13 @@ class TestVelocity:
             velocity(0.0, 0.0, -0.01, fig1_params)
         with pytest.raises(DomainError):
             velocity(0.0, 0.0, 710.0, fig1_params)
-        p = WaveParams.solve(G, 1.0, 1.0, 0.0, a=0.01, s=0.2)
-        with pytest.raises(UnsupportedConfig):
-            velocity(0.0, 0.0, 0.5, p)
 
 
 class TestPressure:
     def test_hydrostatic_when_flat(self):
         p = WaveParams.solve(G, 1.0, 1.0, 1.5, a=0.0)
         assert float(pressure(0.0, 0.0, p.h, p)) == pytest.approx(0.0, abs=1e-14)
-        assert float(pressure(0.0, 2.0, 0.0, p, P0=3.0)) == pytest.approx(
-            3.0 + G * p.h, rel=1e-14)
+        assert float(pressure(0.0, 2.0, 0.0, p)) == pytest.approx(G * p.h, rel=1e-14)
 
     def test_irrotational_reduction(self, fig1_params):
         # With omega = 0 the wave part collapses to
@@ -182,7 +177,7 @@ class TestFieldIdentities:
 
         def max_defect(c_factor):
             bad = WaveParams(g=p.g, h=p.h, a=p.a, k=p.k, omega=p.omega,
-                             c=c_factor * p.c, s=p.s, branch=p.branch)
+                             c=c_factor * p.c, branch=p.branch)
             t = np.zeros(64)
             x = np.linspace(0, p.wavelength, 64)
             res = field_identity_residuals(t, x, np.full(64, 0.5), bad)

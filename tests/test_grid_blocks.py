@@ -15,8 +15,8 @@ def perturbed_velocity(t, x, y, params):
     return u + 1.0, -v
 
 
-def perturbed_pressure(t, x, y, params, P0=0.0):
-    return pressure(t, x, y, params, P0) + 2.0
+def perturbed_pressure(t, x, y, params):
+    return pressure(t, x, y, params) + 2.0
 
 
 def perturbed_in_fluid(t, x, y, params):

@@ -6,22 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from shearwave import DomainError, UnsupportedConfig, WaveParams
+from shearwave import DomainError, WaveParams
 from shearwave.cli import PRESETS
 from shearwave.fields import (GRID_HEADER, field_grid_rows, in_fluid, pressure,
                               velocity, write_field_grid)
 
-BED_FRAME_PRESETS = [name for name, spec in PRESETS.items()
-                     if spec["params"]["s"] == 0.0]
 
-
-def per_point_rows(params, t, x_grid, y_grid, P0=0.0):
+def per_point_rows(params, t, x_grid, y_grid):
     """The grid evaluated one point at a time through the public fields."""
     yield GRID_HEADER
     for x in np.asarray(x_grid, dtype=float):
         for y in np.asarray(y_grid, dtype=float):
             u, v = velocity(t, x, y, params)
-            P = pressure(t, x, y, params, P0=P0)
+            P = pressure(t, x, y, params)
             flag = "inside" if bool(in_fluid(t, x, y, params)) else "outside"
             yield (f"{x:.17g},{y:.17g},{t:.17g},"
                    f"{float(u):.17g},{float(v):.17g},{float(P):.17g},{flag}")
@@ -31,21 +28,21 @@ def preset_params(name):
     return WaveParams.solve(**PRESETS[name]["params"])
 
 
-def assert_same_rows(params, t, x_grid, y_grid, P0=0.0):
-    got = list(field_grid_rows(params, t, x_grid, y_grid, P0=P0))
-    want = list(per_point_rows(params, t, x_grid, y_grid, P0=P0))
+def assert_same_rows(params, t, x_grid, y_grid):
+    got = list(field_grid_rows(params, t, x_grid, y_grid))
+    want = list(per_point_rows(params, t, x_grid, y_grid))
     assert got == want
     return got
 
 
-@pytest.mark.parametrize("name", BED_FRAME_PRESETS)
+@pytest.mark.parametrize("name", list(PRESETS))
 def test_matches_per_point_on_every_preset(name):
     p = preset_params(name)
     rng = np.random.default_rng(20261017)
     t = float(rng.uniform(0.0, 2.0 * np.pi / p.f))
     x_grid = np.linspace(0.0, p.wavelength, 17)
     y_grid = np.linspace(0.0, p.h + p.a, 11)
-    rows = assert_same_rows(p, t, x_grid, y_grid, P0=float(rng.normal()))
+    rows = assert_same_rows(p, t, x_grid, y_grid)
     assert len(rows) == 1 + 17 * 11
 
 
@@ -66,13 +63,12 @@ def test_single_point_and_empty_grids():
     assert assert_same_rows(p, 0.5, [0.1, 0.2], []) == [GRID_HEADER]
 
 
-def rows_before_error(params, y_grid, exc_type, t=0.0, x_grid=(0.0, 1.0), P0=0.0,
-                      match=None):
+def rows_before_error(params, y_grid, exc_type, t=0.0, x_grid=(0.0, 1.0), match=None):
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no numpy RuntimeWarning on the way
         with pytest.raises(exc_type, match=match):
-            for row in field_grid_rows(params, t, x_grid, y_grid, P0=P0):
+            for row in field_grid_rows(params, t, x_grid, y_grid):
                 rows.append(row)
     assert rows == []
 
@@ -86,11 +82,6 @@ def test_hyperbolic_overflow_raises_before_any_data_row():
     rows_before_error(p, [0.5, 701.0 / p.k], DomainError)
 
 
-def test_moving_frame_raises_before_any_data_row():
-    p = WaveParams.solve(9.81, 1.0, 1.0, 0.0, a=0.01, s=0.2)
-    rows_before_error(p, [0.0, 0.5], UnsupportedConfig)
-
-
 # The workload shapes of the field-grid benchmark, 2400 points each.
 @pytest.mark.parametrize("name,nx,ny", [("fig1", 30, 80), ("fig2", 48, 50),
                                         ("fig3", 60, 40), ("fig4-left", 80, 30)])
@@ -101,13 +92,6 @@ def test_matches_per_point_on_benchmark_shapes(name, nx, ny):
     y_grid = np.linspace(0.0, p.h + p.a, ny)
     rows = assert_same_rows(p, t, x_grid, y_grid)
     assert len(rows) == 1 + nx * ny
-
-
-@pytest.mark.parametrize("P0", [-0.0, 1.5])
-def test_matches_per_point_with_reference_pressure(P0):
-    p = preset_params("fig2")
-    assert_same_rows(p, 0.7, np.linspace(0.0, p.wavelength, 6),
-                     np.linspace(0.0, p.h, 7), P0=P0)
 
 
 def test_flag_boundary_at_the_surface_height():
@@ -129,8 +113,8 @@ def test_written_file_is_the_rows(tmp_path):
     p = preset_params("fig2")
     args = (p, 1.1, np.linspace(-1.0, p.wavelength, 9), np.linspace(0.0, p.h + p.a, 13))
     path = tmp_path / "grid.csv"
-    write_field_grid(path, *args, P0=0.25)
-    want = "\n".join(field_grid_rows(*args, P0=0.25)) + "\n"
+    write_field_grid(path, *args)
+    want = "\n".join(field_grid_rows(*args)) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
 
 
@@ -141,8 +125,8 @@ def test_written_file_is_the_rows(tmp_path):
     ({"y_grid": [[0.1], [0.2]]}, "y_grid must be one-dimensional"),
     ({"t": math.nan}, "t must be finite"),
     ({"t": -math.inf}, "t must be finite"),
-    ({"P0": math.nan}, "P0 must be finite"),
-    ({"P0": math.inf}, "P0 must be finite"),
+    ({"y_grid": [0.1, -0.2]}, "y must be nonnegative"),
+    ({"y_grid": [0.1, 800.0]}, "hyperbolic argument exceeds"),
     ({"x_grid": [0.0, math.inf]}, "x_grid must be finite"),
     ({"x_grid": [math.nan, 1.0]}, "x_grid must be finite"),
     ({"y_grid": [0.1, math.nan]}, "y_grid must be finite"),
@@ -150,10 +134,10 @@ def test_written_file_is_the_rows(tmp_path):
 ])
 def test_bad_inputs_raise_before_any_row(kwargs, match, tmp_path):
     p = preset_params("fig2")
-    args = {"t": 0.0, "x_grid": [0.0, 1.0], "y_grid": [0.1, 0.2], "P0": 0.0, **kwargs}
+    args = {"t": 0.0, "x_grid": [0.0, 1.0], "y_grid": [0.1, 0.2], **kwargs}
     y_grid = args.pop("y_grid")
     rows_before_error(p, y_grid, DomainError, match=match, **args)
     path = tmp_path / "grid.csv"
     with pytest.raises(DomainError, match=match):
-        write_field_grid(path, p, args["t"], args["x_grid"], y_grid, P0=args["P0"])
+        write_field_grid(path, p, args["t"], args["x_grid"], y_grid)
     assert not path.exists()

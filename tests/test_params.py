@@ -84,7 +84,7 @@ class TestDispersionResidual:
     def test_perturbed_speed_is_detected(self, fig1_params):
         p = fig1_params
         bad = WaveParams(g=p.g, h=p.h, a=p.a, k=p.k, omega=p.omega,
-                         c=1.1 * p.c, s=p.s, branch=p.branch)
+                         c=1.1 * p.c, branch=p.branch)
         assert dispersion_residual(bad) > 1e-3
 
     def test_irrotational_identity(self):
@@ -154,9 +154,9 @@ class TestClassifyRegime:
             classify_regime(p)
 
     def test_nonzero_shear_offset_rejected(self):
-        p = WaveParams.solve(G, 1.0, 1.0, 0.0, s=0.4, branch="plus")
-        with pytest.raises(UnsupportedConfig):
-            classify_regime(p)
+        # No set with s != 0 reaches classify_regime: solve refuses it.
+        with pytest.raises(UnsupportedConfig, match=r"^s = 0\.4 "):
+            WaveParams.solve(G, 1.0, 1.0, 0.0, s=0.4, branch="plus")
 
 
 class TestWaveParamsConstruction:
@@ -209,8 +209,9 @@ class TestWaveParamsConstruction:
     @pytest.mark.parametrize("key", ["g", "h", "a", "k", "omega", "s", "c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_refused_by_name(self, fig2_params, key, value):
-        with pytest.raises(DomainError, match=f"^{key} must be finite"):
-            fig2_params._replace(**{key: value})
+        if key in WaveParams._fields:  # not s, which only solve takes
+            with pytest.raises(DomainError, match=f"^{key} must be finite"):
+                fig2_params._replace(**{key: value})
         if key != "c":
             solved = dict(g=G, h=1.0, k=1.0, omega=-6.0, a=0.01, s=0.0)
             solved[key] = value

@@ -41,9 +41,9 @@ def test_fields_cannot_be_assigned(fig2, name):
 
 
 def test_records_are_tuples(fig2):
-    g, h, a, k, omega, c, s, branch = fig2
-    assert fig2 == (g, h, a, k, omega, c, s, branch)
-    assert (g, h, a, k, omega, s, branch) == (9.81, 1.0, 0.01, 1.0, -6.0, 0.0, "minus")
+    g, h, a, k, omega, c, branch = fig2
+    assert fig2 == (g, h, a, k, omega, c, branch)
+    assert (g, h, a, k, omega, branch) == (9.81, 1.0, 0.01, 1.0, -6.0, "minus")
     cp = records(fig2)["CriticalPoint"]
     assert isinstance(cp, CriticalPoint) and tuple(cp) == (
         cp.X, cp.Y, cp.kind, cp.hessian_eigs, cp.H_value, cp.label)

@@ -65,3 +65,13 @@ def test_plain_name_is_one_level_below_out(capsys, tmp_path):
     assert code == EXIT_OK and err == []
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fig1 copy.v2"]
     assert (tmp_path / "out" / "fig1 copy.v2" / "portrait.json").is_file()
+
+
+@pytest.mark.parametrize("name", [None, 7, ["fig1"]])
+def test_a_name_that_is_not_a_string_exits_2(capsys, tmp_path, name):
+    scen = write_scenario(tmp_path, name)
+    code, err = run(capsys, "drift", "--scenario", str(scen), "--levels", "3",
+                    "--out", str(tmp_path / "out"), "--quiet")
+    assert code == EXIT_BAD_INPUT
+    assert len(err) == 1 and err[0].startswith(f"error: scenario name {name!r} ")
+    assert list(tmp_path.iterdir()) == [scen]

@@ -86,8 +86,8 @@ def test_both_reports_follow_the_one_kernel(monkeypatch, capsys):
     t, x, y = _validate_points(p)
     kernel = wparams.field_identities
 
-    def perturbed(params, m, P0=0.0):
-        at = kernel(params, m, P0)
+    def perturbed(params, m):
+        at = kernel(params, m)
         return lambda t, x, y: tuple(r + 1e-3 * (i + 1) for i, r in enumerate(at(t, x, y)))
 
     def reports():
