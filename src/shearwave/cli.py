@@ -320,7 +320,7 @@ def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
     """max |residual| of the five ``params.field_identities`` over the points
     (t, x, y), one at a time on ``m``; numpy's cosh and sinh may differ from
     ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
-    if any(v < 0.0 for v in y):
+    if any(not v >= 0.0 for v in y):  # NaN too
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     wp.check_hyperbolic(p.k * max(y, default=0.0))  # max |k*y|: no y is negative
     div, curl, bed, kin, dyn = columns = [], [], [], [], []
@@ -450,8 +450,9 @@ def main(argv=None) -> int:
         if "format" not in args:  # dispersion and validate print their results
             return args.func(args)
         formats = _formats(args)
+        out = _path(args.out, "--out")
         name, line, files = args.func(args)
-        out = Path(args.out) / name
+        out /= name
         _write({out / file: body for file, body in files.items()
                 if file.rpartition(".")[2] in formats})
         if not args.quiet:

@@ -447,9 +447,9 @@ def transit_time_tau(Y0: float, co: SteadyCoeffs) -> float | None:
 
 
 def _loop_period(Y0: float, Y1: float,
-                 co_n: SteadyCoeffs) -> tuple[float, float, float] | None:
-    """Period of the vortex loop from (pi, Y0) back to (pi, Y1), an error
-    estimate of it and the least dX/dt on the loop; None at the center.
+                 co_n: SteadyCoeffs) -> tuple[float, float] | None:
+    """Period of the vortex loop from (pi, Y0) back to (pi, Y1) and an error
+    estimate of it; None at the center.
 
     The loop is the graph cos X = G(Y) = (H0 + omega*Y^2/2 + f*Y)/(Ak sinh Y)
     between Ya < Yb, run once on each side of X = pi, so
@@ -459,6 +459,10 @@ def _loop_period(Y0: float, Y1: float,
     its level from its end Ye, so (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y),
     and the substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes
     the 1/sqrt singularity at Ye.
+
+    The loop's least dX/dt is H_Y(pi, Ya), at its bottom: on the loop
+    dX/dt = H_Y(X, Y) >= H_Y(pi, Y), as Ak >= 0, and H_Y(pi, .) is concave,
+    negative at Ya below the center and positive at Yb below the saddle.
     """
     Ak, omega, f = co_n.Ak, co_n.omega, co_n.f
     Ya, Yb = sorted((Y0, Y1))
@@ -481,28 +485,7 @@ def _loop_period(Y0: float, Y1: float,
         return _tanh_sinh(dt_dX)
 
     (Ta, err_a), (Tb, err_b) = half(Ya), half(Yb)
-    H0 = co_n.H(math.pi, Y0, GUARDED)
-    xdot = lambda Y: (H0 + (0.5 * omega * Y + f) * Y) / math.tanh(Y) - omega * Y - f
-    return 2.0 * (Ta + Tb), 2.0 * (err_a + err_b), _least_value(xdot, Ya, Yb)
-
-
-def _least_value(fn, lo: float, hi: float) -> float:
-    """Least value of ``fn`` on [lo, hi]: 44 golden-section steps, which
-    narrow the bracket to 1e-9 of the interval, and the two ends."""
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(44):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = fn(d)
-    return min(fn(lo), fn(hi), fc, fd)
+    return 2.0 * (Ta + Tb), 2.0 * (err_a + err_b)
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +551,11 @@ def drift_per_period(Y0: float, co: SteadyCoeffs) -> DriftReport:
         # forward motion at speed f/k.
         return DriftReport(Y0=Y0, tau=math.nan, drift_m=math.nan,
                            direction="always_forward", layer=layer, mean_speed=f / k)
-    T, tau_err, min_xdot = loop
+    T, tau_err = loop
     drift = f * T / k
-    direction = "always_forward" if min_xdot > -f else "forward"
+    # The loop's least dX/dt is at its bottom (``_loop_period``).
+    bottom_xdot = co_n.H_Y(math.pi, min(Y0, Y_end), math)
+    direction = "always_forward" if bottom_xdot > -f else "forward"
     return DriftReport(Y0=Y0, tau=T, drift_m=drift, direction=direction,
                        layer=layer, mean_speed=f / k, tau_err=tau_err)
 

@@ -33,9 +33,9 @@ _GRID_BLOCK = 4096
 
 
 def _heights(y, params):
-    """``y`` as an array and ``k*y``, after the y >= 0 and hyperbolic checks."""
+    """``y`` as an array and ``k*y``, after the y >= 0 (no NaN) and hyperbolic checks."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
+    if not np.all(y >= 0):
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     ky = params.k * y
     check_hyperbolic(float(np.max(np.abs(ky), initial=0.0)))

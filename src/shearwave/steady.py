@@ -234,7 +234,10 @@ def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
 
     phi is convex in Y where cos(X) > 0 and concave where cos(X) < 0, so it
     has at most two roots; brackets come from the interior stationary point
-    rather than a fixed grid, which cannot miss a near-tangent pair.
+    rather than a fixed grid.  A near-tangent pair is two roots, one on each
+    side of that point, or none where phi's extremum does not pass zero; a
+    pair degenerate to rounding has a degenerate Hessian, which
+    ``classify_critical_point`` refuses.
     """
     b = co.Ak * math.cos(X)
     omega, f = co.omega, co.f
@@ -255,14 +258,6 @@ def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
         if 0.0 < ym < Y_GUARD:
             breaks.append(ym)
     breaks.append(Y_GUARD)
-
-    # Concave case: report an (at most) double root at the maximum as a
-    # single tangency root instead of forcing it into the 0/2-root bins.
-    if b < 0.0 and len(breaks) == 3:
-        vmax = fn(breaks[1])
-        scale = abs(b) * math.cosh(breaks[1]) + abs(omega) * breaks[1] + abs(f)
-        if abs(vmax) <= 1e-13 * max(scale, 1.0):
-            return [breaks[1]]
 
     roots = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -440,7 +435,7 @@ MAX_SCAN_STEPS = 300_000
 
 class ScanRow(NamedTuple):
     omega: float
-    count: int   # 2 flags an isocline tangency
+    count: int   # census points listed; 1 or 3 on the paper's flows
     kinds: tuple[str, ...]
 
 
@@ -488,7 +483,7 @@ def bifurcation_scan(g: float, h: float, k: float, a: float,
         for lo, hi in zip(rows[:-1], rows[1:]):
             if {lo.count, hi.count} == {1, 3}:
                 d_lo, d_hi = disc(lo.omega), disc(hi.omega)
-                if d_lo * d_hi < 0:
+                if d_lo * d_hi <= 0:
                     omega_star = float(bracketed_root(disc, lo.omega, hi.omega, 1e-9,
                                                       what="branching discriminant"))
                 break

@@ -1,6 +1,6 @@
-"""An empty path names no file: ``--scenario ''``, ``--seeds ''`` and
-``--grid ''`` exit 2 with one ``error:`` line naming the option, print
-nothing on stdout and write nothing, as ``--format ,`` does."""
+"""An empty path names no file: ``--scenario ''``, ``--seeds ''``,
+``--grid ''`` and ``--out ''`` exit 2 with one ``error:`` line naming the
+option, print nothing on stdout and write nothing, as ``--format ,`` does."""
 
 import pytest
 
@@ -19,4 +19,14 @@ def test_empty_path_exits_2_and_writes_nothing(argv, option, capsys, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {option} '' names no file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_out_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    # Read before the run, as the other paths are: not the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["drift", "--preset", "fig1", "--levels", "3", "--out", ""]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out '' names no file\n"
     assert list(tmp_path.iterdir()) == []

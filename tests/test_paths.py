@@ -480,7 +480,8 @@ class TestDrift:
             other = brentq(lambda Y: co.H(math.pi, Y, np) - H0, *piece, xtol=1e-15)
             layer, _, Y1 = drift._orbit(math.pi, r.Y0, co)
             assert (layer, Y1) == ("vortex", pytest.approx(other, rel=1e-13))
-            T, _, least = drift._loop_period(r.Y0, Y1, co)
+            T, _ = drift._loop_period(r.Y0, Y1, co)
+            least = co.H_Y(math.pi, min(r.Y0, Y1), math)
             Y = np.linspace(min(r.Y0, other), max(r.Y0, other), 20_001)
             G = (H0 + 0.5 * co.omega * Y * Y + co.f * Y) / (co.Ak * np.sinh(Y))
             scan = co.H_Y(np.arccos(np.clip(G, -1.0, 1.0)), Y, np)
