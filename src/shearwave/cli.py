@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -163,23 +164,30 @@ def _write(files: dict):
     """Write each ``{path: body}``: a dict as indented JSON, a str as it is,
     any other iterable one row per line, and a callable (a body that costs
     time to build) as what it returns.  Parent directories are made at the
-    first write.  A write that fails removes the files and directories this
-    call made, newest first, before the error propagates."""
+    first write.  Bodies go to temporary files renamed onto their paths once
+    all are written, so a write that fails keeps what was there as it was: it
+    removes what this call made, newest first, before the error propagates."""
     made = []  # what this call creates, parents first
+    staged = {}  # path: its temporary file
     try:
         for path, body in files.items():
             if callable(body):
                 body = body()
             if isinstance(body, dict):
                 body = json.dumps(body, indent=2)
-            made += [new for new in (*reversed(path.parents), path) if not new.exists()]
+            if path.is_dir():  # a rename onto it would fail after others were done
+                raise IsADirectoryError(f"{path} is a directory")
+            staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            made += [new for new in (*reversed(path.parents), staged[path]) if not new.exists()]
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
                 if isinstance(body, str):
                     fh.write(body)
                 else:
                     for row in body:
                         fh.write(row + "\n")
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
     except BaseException:
         for path in reversed(made):
             with contextlib.suppress(OSError):
@@ -280,9 +288,12 @@ def cmd_bifurcation(args) -> tuple[str, str, dict]:
     from . import steady as wsteady
 
     name, p = resolve_params(args)
-    # Built-in defaults, then the preset's scan, then the flags given.
-    sweep = {"omega_start": 0.0, "omega_stop": p.omega, "steps": 61,
-             **PRESETS.get(args.preset, {}).get("scan", {})}
+    # Built-in defaults, then the preset's scan if the flow keeps the preset's
+    # vorticity, then the flags given.
+    preset = PRESETS.get(args.preset, {"params": {}})
+    sweep = {"omega_start": 0.0, "omega_stop": p.omega, "steps": 61}
+    if p.omega == preset["params"].get("omega"):
+        sweep.update(preset.get("scan", {}))
     sweep.update({key: value for key in sweep
                   if (value := getattr(args, key)) is not None})
     scan = wsteady.bifurcation_scan(p.g, p.h, p.k, p.a, **sweep, branch=p.branch)

@@ -230,14 +230,14 @@ def _brentq(fn, a: float, b: float, xtol: float, maxiter: int) -> float:
 
 
 def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
-    """All Y in (0, Y_GUARD] with phi(Y; X) = 0, ascending.
+    """All Y in (0, Y_GUARD) where phi(Y; X) changes sign, ascending.
 
-    phi is convex in Y where cos(X) > 0 and concave where cos(X) < 0, so it
-    has at most two roots; brackets come from the interior stationary point
-    rather than a fixed grid.  A near-tangent pair is two roots, one on each
-    side of that point, or none where phi's extremum does not pass zero; a
-    pair degenerate to rounding has a degenerate Hessian, which
-    ``classify_critical_point`` refuses.
+    phi is convex in Y where cos(X) > 0 and concave where cos(X) < 0, so
+    its interior stationary point splits (0, Y_GUARD) into at most two
+    monotone pieces, and a root is a strict sign change of phi on one of
+    them.  A near-tangent pair is two roots, one on each side of that
+    point; an extremum that does not pass zero, or sits exactly at zero,
+    gives none.
     """
     b = co.Ak * math.cos(X)
     omega, f = co.omega, co.f
@@ -248,24 +248,15 @@ def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
     if b == 0.0:
         if omega < 0:
             y0 = -f / omega
-            return [y0] if 0.0 < y0 <= Y_GUARD else []
+            return [y0] if 0.0 < y0 < Y_GUARD else []
         return []
 
-    breaks = [0.0]
-    ratio = omega / b
-    if ratio > 0:  # interior stationary point of phi
-        ym = math.asinh(ratio)
-        if 0.0 < ym < Y_GUARD:
-            breaks.append(ym)
-    breaks.append(Y_GUARD)
+    ym = math.asinh(omega / b)  # phi's stationary point, interior where 0 < ym
+    breaks = [0.0, ym, Y_GUARD] if 0.0 < ym < Y_GUARD else [0.0, Y_GUARD]
 
     roots = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        flo, fhi = fn(lo), fn(hi)
-        if flo == 0.0 and lo > 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi < 0.0:
+        if fn(lo) * fn(hi) < 0.0:
             y = bracketed_root(fn, lo, hi, ROOT_XTOL, what=f"isocline at X = {X:.6g}")
             for _ in range(3):  # guarded Newton steps: the residual at rounding level
                 d = co.hessian(X, y, math)[2]
@@ -274,11 +265,7 @@ def isocline_roots(X: float, co: SteadyCoeffs) -> list[float]:
                     break
                 y = y_next
             roots.append(y)
-        elif fhi == 0.0 and hi < Y_GUARD:
-            roots.append(hi)
-    if fn(Y_GUARD) == 0.0:
-        roots.append(Y_GUARD)
-    return sorted(set(roots))
+    return roots
 
 
 def column_crossing(co: SteadyCoeffs, H0: float, fn, Y0: float, up: bool, cuts,
@@ -390,7 +377,7 @@ def classify_critical_point(X: float, Y: float, co: SteadyCoeffs):
 
 def find_critical_points(co: SteadyCoeffs) -> list[CriticalPoint]:
     """The census: all stationary points in the canonical strip (X in {0, pi},
-    0 < Y <= Y_GUARD), X = 0 first, each column ascending.
+    0 < Y < Y_GUARD), X = 0 first, each column ascending.
 
     Coefficients must be normalized (Ak >= 0).  Ak = 0 is the wave-free
     shear flow: its stationary set is a horizontal line, not a Morse
@@ -410,10 +397,8 @@ def _search_critical_points(co: SteadyCoeffs) -> tuple[CriticalPoint, ...]:
         return ()
     points = []
     for X, labels in ((0.0, ("P0", "P0b")), (math.pi, ("P1", "P2"))):
-        roots = isocline_roots(X, co)
-        for idx, Y in enumerate(roots):
+        for Y, label in zip(isocline_roots(X, co), labels):
             kind, eigs = classify_critical_point(X, Y, co)
-            label = labels[idx] if idx < len(labels) else f"X{X:.0f}r{idx}"
             points.append(CriticalPoint(X=X, Y=Y, kind=kind, hessian_eigs=eigs,
                                         H_value=co.H(X, Y, GUARDED), label=label))
     return tuple(points)

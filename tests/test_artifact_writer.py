@@ -2,7 +2,8 @@
 writes them once the run has succeeded.
 
 A run that exits non-zero writes no file and makes no directory; a write
-that fails part way removes what the run made and keeps what was there;
+that fails part way removes what the run made and keeps what was there,
+with its old content;
 ``--format`` is refused before the parameters are read; ``validate --grid``
 writes through the same writer, making missing parent directories.
 """
@@ -41,6 +42,18 @@ def test_paths_failing_at_its_json_leaves_only_what_was_there(capsys, tmp_path):
     assert sorted(p.name for p in fig1.iterdir()) == ["keep.csv", "paths.json"]
     assert (fig1 / "keep.csv").read_text(encoding="utf-8") == "kept\n"
     assert not any((fig1 / "paths.json").iterdir())
+
+
+def test_a_failed_write_keeps_an_existing_files_old_content(capsys, tmp_path):
+    fig1 = tmp_path / "out" / "fig1"
+    (fig1 / "paths.json").mkdir(parents=True)
+    (fig1 / "trajectory_000.csv").write_text("old\n", encoding="utf-8")
+    code, out, err = run(capsys, "paths", "--preset", "fig1", "--periods", "1",
+                         "--out", str(tmp_path / "out"))
+    assert code == EXIT_IO
+    assert out == "" and err.startswith("i/o error:") and "paths.json" in err
+    assert (fig1 / "trajectory_000.csv").read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in fig1.iterdir()) == ["paths.json", "trajectory_000.csv"]
 
 
 def test_a_failed_write_removes_the_directories_it_made(tmp_path):

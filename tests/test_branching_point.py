@@ -1,10 +1,12 @@
 """fig3's flow at its branching vorticity omega*, where the centre P1 and
 the saddle P2 are born together on X = pi.
 
-There phi(pi, .) touches zero at its maximum.  The census finds the pair
-as two points or none; only a pair degenerate to rounding is refused (a
-degenerate Hessian, exit 4).  ``portrait``, ``drift`` and ``bifurcation``
-run on omega* itself, and a sweep that starts there reports it.
+There phi(pi, .) touches zero at its maximum.  A root of the census is a
+strict sign change of phi, so it finds the pair as two points or none, and
+a maximum exactly at zero, as one float past omega*, lists no point; no
+float around omega* is refused.  ``portrait``, ``drift`` and
+``bifurcation`` run on omega* itself, and a sweep that starts there
+reports it.
 """
 
 import json
@@ -18,6 +20,9 @@ from shearwave.steady import find_critical_points
 
 #: fig3's branching vorticity: the branching discriminant is 0.0 there.
 OMEGA_STAR = -0.9468436502889661
+
+#: One float past omega*, where phi(pi, .) is 0.0 at its maximum.
+OMEGA_TOUCH = math.nextafter(OMEGA_STAR, -math.inf)
 
 
 def _census(omega):
@@ -42,10 +47,18 @@ def test_commands_run_at_the_branching_point(command, capsys, tmp_path):
     assert [cp.kind for cp in _census(OMEGA_STAR)] == ["saddle"]
 
 
-def test_census_refuses_at_most_one_float_around_the_branching_point():
-    # 200 floats either side of omega*: one saddle below the birth, three
-    # points past it, and a refusal only where the pair is degenerate to
-    # rounding.
+@pytest.mark.parametrize("command", ["portrait", "drift"])
+def test_commands_run_where_the_isocline_touches_zero(command, capsys, tmp_path):
+    assert OMEGA_TOUCH == -0.9468436502889662
+    code = main([command, "--preset", "fig3", "--omega", repr(OMEGA_TOUCH),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert [cp.kind for cp in _census(OMEGA_TOUCH)] == ["saddle"]
+
+
+def test_census_refuses_no_float_around_the_branching_point():
+    # 200 floats either side of omega*: one saddle below the birth and
+    # where the isocline's maximum is exactly zero, three points past it.
     omegas = [OMEGA_STAR]
     for _ in range(200):
         omegas.insert(0, math.nextafter(omegas[0], 0.0))
@@ -58,5 +71,5 @@ def test_census_refuses_at_most_one_float_around_the_branching_point():
             refused += 1
             continue
         counts[n] = counts.get(n, 0) + 1
-    assert refused <= 1
+    assert refused == 0
     assert set(counts) == {1, 3} and sum(counts.values()) + refused == 401
