@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import params as wp
-from .errors import DomainError, NumericsError, ShearwaveError
+from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
 from .params import WaveParams, classify_regime, dispersion_residual
 
 # The solver modules are imported inside the commands that use them, so
@@ -347,6 +347,13 @@ def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
 def cmd_validate(args) -> int:
     name, p = resolve_params(args)
     grid = None if args.grid is None else _path(args.grid, "--grid")
+    if grid is not None:
+        try:
+            import numpy as np
+        except ImportError:
+            raise UnsupportedConfig("--grid needs numpy, which cannot be imported") from None
+
+        from .fields import field_grid_rows
     div, curl, bed, kin, dyn = _identity_maxima(*_validate_points(p), p)
     dyn_tol = 1e-9 * p.g * p.a if p.a > 0 else 1e-12
     checks = [
@@ -368,10 +375,6 @@ def cmd_validate(args) -> int:
         raise NumericsError(f"{len(failed)} field identities exceed tolerance",
                             diagnostics={"failed": failed})
     if grid is not None:
-        import numpy as np
-
-        from .fields import field_grid_rows
-
         xg = np.linspace(0.0, p.wavelength, 25)
         yg = np.linspace(0.0, p.h + p.a, 13)
         _write({grid: field_grid_rows(p, 0.0, xg, yg)})

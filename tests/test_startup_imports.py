@@ -5,7 +5,8 @@
   load scipy even where it is installed.
 - None of the six README commands loads numpy, ``dataclasses`` (with its
   ``inspect``) or the fields module, and all six exit 0 with every numpy
-  import blocked; ``validate --grid`` still writes its grid through numpy.
+  import blocked; ``validate --grid`` still writes its grid through numpy,
+  and where numpy cannot be imported it exits 2 before any check runs.
 - ``import shearwave`` loads no numpy, and the ``dispersion`` and
   ``bifurcation`` commands load neither numpy nor the fields, portrait,
   paths or DOP853 modules.
@@ -141,6 +142,23 @@ def test_validate_grid_still_writes_through_numpy(tmp_path):
     assert result["code"] == 0
     assert loaded(result, ("numpy", "shearwave.fields")) == ["numpy", "shearwave.fields"]
     assert (tmp_path / "grid.csv").read_text().startswith("x,y,t,u,v,P,eta_flag\n")
+
+
+def test_validate_grid_without_numpy_is_refused_up_front(tmp_path):
+    # A numpy package that cannot be imported shadows the installed one.
+    shadow = tmp_path / "shadow" / "numpy"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text('raise ImportError("numpy is not installed")\n')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(shadow.parent), SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shearwave", "validate", "--preset", "fig2", "--grid", "g.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""                          # no check was run
+    assert proc.stderr.splitlines() == ["error: --grid needs numpy, which cannot be imported"]
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_package_import_loads_no_numpy(tmp_path):
