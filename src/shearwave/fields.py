@@ -34,13 +34,15 @@ _GRID_BLOCK = 4096
 
 
 def _heights(y, params):
-    """``y`` as an array and ``k*y``, after the y >= 0 (no NaN) and hyperbolic checks."""
+    """``y`` as an array, after the y >= 0 (no NaN) and hyperbolic checks.
+
+    Once y >= 0 holds, ``k*max(y)`` is ``max|k*y|``: rounding is monotone,
+    so no ``k*y`` array is built to check it."""
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
-    ky = params.k * y
-    check_hyperbolic(float(np.max(np.abs(ky), initial=0.0)))
-    return y, ky
+    check_hyperbolic(params.k * float(np.max(y, initial=0.0)))
+    return y
 
 
 def _phase(t, x, params):
@@ -54,7 +56,8 @@ def velocity(t, x, y, params: WaveParams):
     analysis extends into the half-plane y >= 0); use :func:`in_fluid` to
     flag points outside the fluid domain.
     """
-    y, ky = _heights(y, params)
+    y = _heights(y, params)
+    ky = params.k * y
     theta = _phase(t, x, params)
     A = params.A
     u = -params.omega * y + A * np.cos(theta) * np.cosh(ky)
@@ -64,7 +67,8 @@ def velocity(t, x, y, params: WaveParams):
 
 def pressure(t, x, y, params: WaveParams):
     """Pressure per unit density (m^2/s^2) at (t, x, y), zero on y = h at rest."""
-    y, ky = _heights(y, params)
+    y = _heights(y, params)
+    ky = params.k * y
     theta = _phase(t, x, params)
     wave = (params.A / params.k) * np.cos(theta) * (
         (params.f + params.k * params.omega * y) * np.cosh(ky)
@@ -103,10 +107,12 @@ def field_identity_residuals(t, x, y, params: WaveParams) -> FieldResiduals:
     A*sinh(k*h) = a*(f + k*h*omega); the dynamic surface defect vanishes
     exactly when the dispersion relation holds, so it is the executable
     statement of that relation's necessity.  The expressions are
-    :func:`params.field_identities`, evaluated here on numpy.  A point
-    below the bed is refused, as by :func:`velocity` and :func:`pressure`.
+    :func:`params.field_identities`, evaluated here on numpy, where each
+    residual is one fresh array finished in place.  A point below the bed,
+    or a ``k*max(y)`` past the hyperbolic guard, is refused, as by
+    :func:`velocity` and :func:`pressure`.
     """
-    y, _ = _heights(y, params)
+    y = _heights(y, params)
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     return FieldResiduals(*wp.field_identities(params, np)(t, x, y))
 
@@ -239,7 +245,7 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid):
     per block of whole grid lines, its rows each ending in a newline."""
     _require_finite(t=t)
     x = _grid_axis("x_grid", x_grid)
-    y, _ = _heights(_grid_axis("y_grid", y_grid), params)
+    y = _heights(_grid_axis("y_grid", y_grid), params)
     t_cell = f",{t:.17g},"
     heights = _ascii([f"{yv:.17g}{t_cell}" for yv in y.tolist()])
     block = max(1, _GRID_BLOCK // max(len(y), 1))

@@ -276,7 +276,15 @@ def field_identities(params: WaveParams, m):
     """``at(t, x, y)``: the five residuals of ``fields.FieldResiduals`` at
     (t, x, y), each in the operand order of its per-term formula, which
     fixes its bits, with sin, cos, cosh and sinh from ``m``: ``math`` for
-    one point, ``numpy`` for arrays.  The caller checks |k*y| <= 700."""
+    one point, ``numpy`` for arrays.  The caller checks |k*y| <= 700.
+
+    Each residual starts as one fresh temporary of its result's shape (a
+    product with a ``y`` factor for the two that depend on y) and augmented
+    steps finish it: a numpy array updates in place, a float rebinds.  A
+    step may swap the operands of one ``*`` or ``+``, which IEEE arithmetic
+    makes exact, and a subtracted sum is built the same way in its own
+    temporary.  The phase, ``k*y`` and ``cosh(k*y)`` are dropped after
+    their last use, so an array call holds fewer arrays at its peak."""
     A, k, f, omega = params.A, params.k, params.f, params.omega
     a, h, g = params.a, params.h, params.g
     mAk, Ak, af, mOh, mak, A_k = -A * k, A * k, a * f, -omega * h, -a * k, A / k
@@ -287,17 +295,41 @@ def field_identities(params: WaveParams, m):
 
     def at(t, x, y):
         theta = k * x - f * t
-        ky = k * y
         sin_t, cos_t = sin(theta), cos(theta)
+        del theta
+        ky = k * y
+        # u_x + v_y: mAk*sin_t*cosh_ky + Ak*sin_t*cosh_ky
         cosh_ky = cosh(ky)
-        v_x = Ak * cos_t * sinh(ky)
-        return (mAk * sin_t * cosh_ky + Ak * sin_t * cosh_ky,    # u_x + v_y
-                (v_x - (-omega + v_x)) - omega,                   # (v_x - u_y) - omega
-                A * sin_t * sinh_0,                               # v at y = 0
-                # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h
-                A * sin_t * sinh_kh - (af * sin_t + mOh * (mak * sin_t)),
-                # P(h) - g*(eta - h), P = 0 on the mean level at rest
-                A_k * cos_t * p_shape - g * ((h + a * cos_t) - h))
+        div = mAk * sin_t * cosh_ky
+        div += Ak * sin_t * cosh_ky
+        del cosh_ky
+        # (v_x - u_y) - omega: (v_x - (-omega + v_x)) - omega,
+        # v_x = Ak*cos_t*sinh(ky)
+        curl = Ak * cos_t * sinh(ky)
+        del ky
+        curl -= -omega + curl
+        curl -= omega
+        # v at y = 0: A*sin_t*sinh_0
+        bed = A * sin_t
+        bed *= sinh_0
+        # v(h) - (eta_t + U(h)*eta_x), U(h) = -omega*h:
+        # A*sin_t*sinh_kh - (af*sin_t + mOh*(mak*sin_t))
+        rise = mak * sin_t
+        rise *= mOh
+        rise += af * sin_t
+        kin = A * sin_t
+        kin *= sinh_kh
+        kin -= rise
+        # P(h) - g*(eta - h), P = 0 on the mean level at rest:
+        # A_k*cos_t*p_shape - g*((h + a*cos_t) - h)
+        head = a * cos_t
+        head += h
+        head -= h
+        head *= g
+        dyn = A_k * cos_t
+        dyn *= p_shape
+        dyn -= head
+        return div, curl, bed, kin, dyn
 
     return at
 

@@ -117,3 +117,14 @@ def test_stiff_and_step_limit_outcomes_match_scipy(nmax, outcome):
     assert idid == istate == outcome
     assert got == want
 
+
+def test_resting_flow_matches_scipy():
+    # A right-hand side of constant zero: every stage is zero, so both error
+    # estimates are exactly zero (Hairer's deno <= 0 branch takes deno = 1),
+    # and the starting-step estimate takes its der12 <= 1e-15 branch.
+    def fcn(a, b):
+        return 0.0, 0.0
+    want, istate = scipy_steps(fcn, (0.3, 2.0), 10.0, 1e-10, 1e-12)
+    got, idid = port_steps(fcn, (0.3, 2.0), 10.0, 1e-10, 1e-12)
+    assert idid == istate == SUCCESS
+    assert got == want and len(got) > 2

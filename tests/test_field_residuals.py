@@ -90,6 +90,32 @@ def test_arrays_match_oracle(name, y0, a):
                     oracle_residuals(t, x, y, p))
 
 
+# The first sampled point gets a non-finite phase, or the time 1e308, where
+# f*t overflows to inf on fig1 and fig3 and stays a huge finite phase on
+# fig2 and fig4-left.  Each residual must carry the oracle's bytes, NaN
+# payloads and zero signs included, although the report builds them in
+# place with the operands of some * and + swapped.
+NON_FINITE_PHASES = ([("t", v) for v in (math.inf, -math.inf, math.nan, -math.nan, 1e308)]
+                     + [("x", v) for v in (math.nan, math.inf, -math.inf)])
+#: The presets with distinct parameters: fig4-right repeats fig2's.
+DISTINCT_PRESETS = [name for name in PRESETS if name != "fig4-right"]
+
+
+@pytest.mark.parametrize("name", DISTINCT_PRESETS)
+@pytest.mark.parametrize("a", [None, 0.0])
+@pytest.mark.parametrize("where, value", NON_FINITE_PHASES)
+def test_non_finite_phases_match_oracle_bytes(name, a, where, value):
+    p = preset_params(name, a)
+    rng = np.random.default_rng(20261019)
+    for n in (1, 7, 10_000):
+        t, x, y = sample(p, rng, n)
+        (t if where == "t" else x)[0] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = field_identity_residuals(t, x, y, p)
+            want = oracle_residuals(t, x, y, p)
+        assert_same(got, want)
+
+
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_scalars_and_zero_d_arrays_match_oracle(name):
     p = preset_params(name)

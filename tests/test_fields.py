@@ -222,3 +222,33 @@ class TestSteadyCoeffs:
         co_n, shifted = co.normalized()
         assert not shifted
         assert co_n == co
+
+
+def _largest_accepted_height(k):
+    """The largest float y with k*y <= 700, the hyperbolic guard's bound."""
+    y = 700.0 / k
+    while k * y > 700.0:
+        y = math.nextafter(y, 0.0)
+    while k * math.nextafter(y, math.inf) <= 700.0:
+        y = math.nextafter(y, math.inf)
+    return y
+
+
+# The field functions check k*max(y) once y >= 0 holds, in place of
+# max|k*y| over the array: the accepted heights end where k*y passes 700.
+@pytest.mark.parametrize("k", [1.0, 0.12, 0.3, 3.0, 7.1])
+def test_the_hyperbolic_guard_ends_at_the_last_height_with_k_y_at_most_700(k):
+    p = WaveParams.solve(G, 1.0, k, -6.0, a=0.01, branch="minus")
+    y_ok = _largest_accepted_height(k)
+    y_bad = math.nextafter(y_ok, math.inf)
+    assert k * y_ok <= 700.0 < k * y_bad
+    calls = (lambda y: velocity(0.0, 0.0, y, p), lambda y: [pressure(0.0, 0.0, y, p)],
+             lambda y: field_identity_residuals(0.0, 0.0, y, p))
+    for call in calls:
+        for y in (y_ok, [y_ok, 0.0], [0.5, y_ok, 0.25]):
+            assert all(np.all(np.isfinite(v)) for v in call(y))
+        for y in (y_bad, [y_bad, 0.0], [0.5, y_bad, y_ok]):
+            with pytest.raises(DomainError) as exc:
+                call(y)
+            assert str(exc.value) == ("hyperbolic argument exceeds 700; "
+                                      "evaluation would overflow")

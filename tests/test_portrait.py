@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from shearwave import (DomainError, SteadyCoeffs, UnsupportedConfig,
+from shearwave import (DomainError, NumericsError, SteadyCoeffs, UnsupportedConfig,
                        WaveParams, bifurcation_scan, branching_discriminant,
                        build_phase_portrait, classify_critical_point,
                        find_critical_points, from_mapping, trace_separatrix)
@@ -52,6 +52,15 @@ class TestInfinityIsocline:
             for Y in isocline_roots(float(X), fig2_coeffs):
                 dX = fig2_coeffs.H_Y(float(X), Y, np)
                 assert abs(float(dX)) < 1e-10
+
+    @pytest.mark.parametrize("omega, f", [(-6.0, 0.15), (-2.0, 3.0), (0.0, 2.0), (3.0, 0.5)])
+    def test_zero_amplitude_isocline_is_the_shear_stagnation_height(self, omega, f):
+        # With Ak = 0, phi = -omega*Y - f has one root, -f/omega, above the
+        # bed exactly when omega < 0.
+        co = SteadyCoeffs(0.0, omega, f, 1.0)
+        want = [-f / omega] if omega < 0 else []
+        for X in (0.0, 1.0, math.pi):
+            assert isocline_roots(X, co) == want
 
     def test_symmetry_in_x(self, fig2_coeffs):
         for X in (0.4, 1.9, 2.8):
@@ -228,6 +237,13 @@ class TestSeparatrixTracing:
         center = find_critical_points(fig2_coeffs)[1]
         with pytest.raises(DomainError):
             trace_separatrix(center, fig2_coeffs, "unstable+")
+
+    def test_a_center_labelled_saddle_is_refused(self, fig2_coeffs):
+        # The kind check passes; the flow Jacobian has no real directions.
+        center = find_critical_points(fig2_coeffs)[1]
+        assert center.kind == "center"
+        with pytest.raises(NumericsError, match="not a saddle"):
+            trace_separatrix(center._replace(kind="saddle"), fig2_coeffs, "unstable+")
 
     def test_direction_names(self, fig1_coeffs):
         saddle = find_critical_points(fig1_coeffs)[0]

@@ -24,7 +24,8 @@
   ``from shearwave import *`` and in ``dir(shearwave)``.
 
 Each check runs in a fresh interpreter, since the test process itself has
-every module loaded.
+every module loaded; the last, that ``dir(shearwave)`` lists every lazy
+name and submodule, runs in the test process too.
 """
 
 import json
@@ -267,3 +268,12 @@ print(json.dumps({
     assert result["not_in_dir"] == []
     assert result["submodules"] == ["shearwave.portrait", "shearwave.paths"]
     assert result["unknown_name_raises"]
+
+
+def test_dir_lists_every_lazy_name_and_submodule():
+    # The fresh-interpreter check above calls dir() in a subprocess; this
+    # one calls it here, with every submodule already loaded.
+    listed = dir(shearwave)
+    assert listed == sorted(set(listed))
+    assert set(shearwave._LAZY) <= set(listed)
+    assert set(shearwave._SUBMODULES) <= set(listed)
