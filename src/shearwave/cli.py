@@ -18,6 +18,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -455,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--grid", help="also write a field grid CSV to this path")
     val.set_defaults(func=cmd_validate)
 
+    for sub in subs.choices.values():   # read -6e0 as a value, as argparse reads -6
+        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -93,6 +93,8 @@ def accepted_steps(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
     idid = dop853(_scalar_rhs(co), 0.0, (float(X0), float(Y0)), t_end,
                   rtol, atol, solout, nmax=MAX_STEPS)
     escaped = idid == INTERRUPTED
+    if escaped and len(ts) > 1:     # the step past Y_GUARD is not kept
+        del ts[-1], Xs[-1], Ys[-1]
     if idid == TOO_MANY_STEPS:
         raise NumericsError(f"integration stopped at the step budget of {MAX_STEPS} steps",
                             diagnostics={"t_reached": ts[-1], "t_end": t_end, "idid": idid})

@@ -192,7 +192,7 @@ class PhasePortrait(NamedTuple):
     critical_points: list[CriticalPoint]
     isoclines: list[IsoclineBranch]
     separatrices: list[SeparatrixTrace]
-    separatrix_groups: list[list[int]]  # indexes into separatrices, mirror pairs
+    separatrix_groups: list[list[int]]  # indexes into separatrices: one level graph each
     ymax: float
     resolution: int
 
@@ -237,22 +237,6 @@ def _assemble_isoclines(co: SteadyCoeffs, ymax: float, n: int) -> list[IsoclineB
     return branches
 
 
-def _group_arms(arms: list[SeparatrixTrace]) -> list[list[int]]:
-    """Pair each arm with the next arm of its saddle and termination that ends
-    at its mirror image (or, at a critical point, at the same point)."""
-    groups: list[list[int]] = []
-    unpaired: dict = {}
-    for i, arm in enumerate(arms):
-        x, y = arm.points[-1]
-        key = (arm.saddle.label, arm.termination, abs(x), y)
-        if key in unpaired:
-            unpaired.pop(key).append(i)
-        else:
-            unpaired[key] = [i]
-            groups.append(unpaired[key])
-    return groups
-
-
 def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
                          resolution: int = DEFAULT_RESOLUTION) -> PhasePortrait:
     """Assemble the full portrait of one period strip X in [-pi, pi].
@@ -262,7 +246,8 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     (``shifted``), and the regime's crest position restores orientation.
     ``resolution`` is the number of points per graph piece: per separatrix
     arm (2*resolution - 1 if it returns mirrored across X = 0) and per
-    mirror half of an isocline branch.
+    mirror half of an isocline branch.  Each level graph leaving a saddle is
+    traced once; on X = 0 its second arm is the first's reflection (-X + 0.0, Y).
     """
     if not 0.0 < ymax <= YMAX_LIMIT:
         raise DomainError(f"ymax must be positive and at most {YMAX_LIMIT:g}, got {ymax!r}")
@@ -271,14 +256,24 @@ def build_phase_portrait(params: WaveParams, ymax: float = Y_SEARCH_MAX,
     regime = classify_regime(params)
     co_n, shifted = SteadyCoeffs.from_params(params).normalized()
     critical_points = listed(co_n, ymax)
-    arms = [_trace(cp, co_n, direction, ymax, resolution)
-            for cp in critical_points if cp.kind == "saddle"
-            for direction in SEPARATRIX_DIRECTIONS]
-    # The outward arms of a saddle on X = pi are the saddle alone; drop them.
-    arms = [arm for arm in arms if len(arm.points) > 1 or arm.termination != "strip_boundary"]
+    arms, groups = [], []
+    for saddle in (cp for cp in critical_points if cp.kind == "saddle"):
+        graphs: dict = {}   # vy > 0 -> that graph's arms (X = pi: one up, one down)
+        for direction in SEPARATRIX_DIRECTIONS:
+            vx, vy = _saddle_arm_direction(saddle, co_n, direction)
+            if saddle.X != 0.0 and vx > 0.0:    # out of the strip on X = pi: not built
+                continue
+            graph = graphs.setdefault(vy > 0.0, [])
+            arm = arms[graph[0]] if graph else _trace(saddle, co_n, direction, ymax, resolution)
+            if graph:                   # H is even in X: the graph's first arm, mirrored
+                arm = arm._replace(direction=direction,
+                                   points=[(-x + 0.0, y) for x, y in arm.points])
+            graph.append(len(arms))
+            arms.append(arm)
+        groups += graphs.values()
     isoclines = _assemble_isoclines(co_n, ymax, resolution)
     return PhasePortrait(params, regime, co_n, shifted, critical_points, isoclines,
-                         arms, _group_arms(arms), ymax, resolution)
+                         arms, groups, ymax, resolution)
 
 
 # ----------------------------------------------------------------------

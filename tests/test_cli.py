@@ -150,6 +150,15 @@ class TestOtherCommands:
         first = (tmp_path / "fig1" / "trajectory_000.csv").read_text().splitlines()
         assert first[0] == "t,X,Y,x,y,H"
 
+    def test_paths_keeps_the_rows_below_the_guard(self, capsys, tmp_path):
+        # At rtol 0.9 some DOP853 steps jump past Y = 700: those runs are
+        # truncated at their last row below it, not refused.
+        code, _, err = run(capsys, "paths", "--preset", "fig2", "--rtol", "0.9",
+                           "--periods", "1", "--out", str(tmp_path), "--quiet")
+        assert (code, err) == (0, "")
+        summary = json.loads((tmp_path / "fig2" / "paths.json").read_text())
+        assert any(t["truncated"] for t in summary["trajectories"])
+
     def test_paths_default_end_time_on_a_left_going_wave(self, capsys, tmp_path):
         # f = k*c < 0 on the minus branch: the default end time is
         # periods*2*pi/|f|, the same run as an explicit --t-end.
@@ -435,6 +444,23 @@ class TestOptionRanges:
                          "--out", "od")
         assert code == EXIT_BAD_INPUT
         assert not (tmp_path / "od" / "fig1").exists()
+
+
+class TestNegativeNumbers:
+    """A negative value in exponent form is a value, not an option."""
+
+    def test_exponent_form_reads_as_the_number(self, capsys):
+        reports = [run(capsys, "validate", "--preset", "fig2", *omega)
+                   for omega in (["--omega", "-6e0"], ["--omega=-6e0"], ["--omega", "-6"])]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0][0] == 0 and len(reports[0][1].splitlines()) == 6
+
+    def test_bifurcation_stops_at_a_tiny_negative_vorticity(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bifurcation", "--preset", "fig3",
+                           "--omega-stop", "-1e-300", "--out", str(tmp_path), "--quiet")
+        assert (code, err) == (0, "")
+        summary = json.loads((tmp_path / "fig3" / "bifurcation.json").read_text())
+        assert summary["omega_range"] == [0.0, -1e-300]
 
 
 class TestDeterminism:

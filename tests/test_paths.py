@@ -12,7 +12,7 @@ from shearwave import (DomainError, NumericsError, SteadyCoeffs, WaveParams,
                        integrate_steady, layer_boundaries, read_seeds,
                        section_height, transit_time_tau)
 from shearwave.cli import PRESETS
-from shearwave.dop853 import TOO_MANY_STEPS
+from shearwave.dop853 import TOO_MANY_STEPS, dop853
 from shearwave.drift import (DRIFT_HEADER, TRAJECTORY_HEADER, Y_GUARD, drift_csv_rows,
                              physical_coords, trajectory_csv_rows)
 
@@ -104,6 +104,20 @@ class TestIntegration:
             rows = np.column_stack([traj.t, traj.X, traj.Y, traj.x, traj.y, traj.H])
             assert np.all(np.isfinite(rows))
             assert np.max(np.abs(traj.Y)) <= Y_GUARD
+
+    def test_a_step_past_the_guard_is_not_kept(self):
+        # At rtol 0.9 an accepted DOP853 step jumps from Y = 6.5 to 5605, so
+        # the run is interrupted: it keeps the rows below the guard, the
+        # accepted steps up to that one, and is flagged truncated.
+        co = SteadyCoeffs(Ak=0.5, omega=0.0, f=0.1, k=1.0)
+        rows = []
+        dop853(drift._scalar_rhs(co), 0.0, (0.1, 5.0), 1e4, 0.9, 1e-12,
+               lambda t_old, t, z: rows.append((t, *z)) or abs(z[1]) > Y_GUARD)
+        assert rows[-1][2] > Y_GUARD >= max(Y for _, _, Y in rows[:-1])
+        traj = integrate_steady(0.1, 5.0, co, 1e4, rtol=0.9)
+        assert traj.truncated
+        assert list(zip(traj.t, traj.X, traj.Y)) == rows[:-1]
+        assert np.all(np.isfinite(traj.H))
 
     def test_preconditions(self, fig1_coeffs):
         with pytest.raises(DomainError):
