@@ -211,10 +211,7 @@ def cmd_dispersion(args) -> int:
                          a=args.a, branch=args.branch)
     regime = None
     if c > 0 and args.s == 0.0:
-        r = classify_regime(p)
-        regime = {"vorticity_sign": r.vorticity_sign, "crest_shift": r.crest_shift,
-                  "supercritical": r.supercritical,
-                  "branching_positive": r.branching_positive}
+        regime = classify_regime(p)._asdict()
     report = {"c": c, "f": p.k * c, "A": p.A, "regime": regime,
               "residual": dispersion_residual(p)}
     print(json.dumps(report, indent=2))
@@ -335,13 +332,7 @@ def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
     if any(not v >= 0.0 for v in y):  # NaN too
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     wp.check_hyperbolic(p.k * max(y, default=0.0))  # max |k*y|: no y is negative
-    div, curl, bed, kin, dyn = columns = [], [], [], [], []
-    for div_r, curl_r, bed_r, kin_r, dyn_r in map(wp.field_identities(p, m), t, x, y):
-        div.append(div_r)
-        curl.append(curl_r)
-        bed.append(bed_r)
-        kin.append(kin_r)
-        dyn.append(dyn_r)
+    columns = zip(*map(wp.field_identities(p, m), t, x, y))
     return tuple(float(_max_abs(values)) for values in columns)
 
 
@@ -456,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--grid", help="also write a field grid CSV to this path")
     val.set_defaults(func=cmd_validate)
 
-    for sub in subs.choices.values():   # read -6e0 as a value, as argparse reads -6
-        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for sub in subs.choices.values():   # read -6e0 and -inf as values, as argparse reads -6
+        sub._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
     return parser
 
 

@@ -120,7 +120,7 @@ def hinit(fcn, y, f0, posneg, hmax, rtol, atol):
         h = math.sqrt(dny / dnf) * 0.01
     h = math.copysign(min(h, hmax), posneg)
     if h == 0.0:
-        return h  # f0 overflowed; C's der2 / 0 ends in h = 0 as well
+        return h  # f0's norm overflowed; C's der2 / 0 ends in h = 0 as well
     # An explicit Euler step estimates the second derivative.
     f1 = fcn(y[0] + h * f0[0], y[1] + h * f0[1])
     der2 = 0.0

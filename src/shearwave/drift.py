@@ -40,9 +40,9 @@ from typing import NamedTuple
 
 from .dop853 import INTERRUPTED, TOO_MANY_STEPS, dop853
 from .errors import DomainError, NumericsError, UnsupportedConfig
-from .params import WaveParams
-from .steady import (GUARDED, Y_GUARD, SteadyCoeffs, bracketed_root, find_critical_points,
-                     level_end, linspace)
+from .params import WaveParams, check_hyperbolic
+from .steady import (Y_GUARD, SteadyCoeffs, bracketed_root, find_critical_points, level_end,
+                     linspace)
 
 #: |Y| above which a step-size collapse is read as an escape to infinity
 #: (the hyperbolic blow-up outruns the representable time resolution long
@@ -148,13 +148,16 @@ class Trajectory(NamedTuple):
 
 def check_trajectory_start(X0: float, Y0: float, t_end: float,
                            **steps: float) -> None:
-    """DomainError unless the start point is finite with Y0 >= 0, the end
-    time positive and finite, and each named tolerance or step size
-    positive and finite."""
+    """DomainError unless the start point is finite with 0 <= Y0 <= Y_GUARD,
+    the end time positive and finite, and each named tolerance or step size
+    positive and finite.  The rows after the start stay at |Y| <= Y_GUARD
+    (``accepted_steps``, ``midpoint_trajectory``)."""
     if not (math.isfinite(X0) and math.isfinite(Y0)):
         raise DomainError(f"the start point must be finite, got ({X0!r}, {Y0!r})")
     if Y0 < 0:
         raise DomainError("Y0 must be nonnegative")
+    if Y0 > Y_GUARD:
+        raise DomainError(f"Y0 = {Y0!r} is above the hyperbolic guard Y = {Y_GUARD:g}")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     for name, value in steps.items():
@@ -166,8 +169,8 @@ def steady_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                       rtol: float = 1e-10, atol: float = 1e-12,
                       shifted: bool = False) -> Trajectory:
     """DOP853 trajectory from (X0, Y0) over [0, t_end] at every accepted
-    step, as lists, with H on the guarded math kernel; truncated when the
-    orbit escapes (see accepted_steps)."""
+    step, as lists, with H on ``math``; truncated when the orbit escapes
+    (see accepted_steps)."""
     check_trajectory_start(X0, Y0, t_end, rtol=rtol, atol=atol)
     ts, Xs, Ys, escaped = accepted_steps(X0, Y0, co, t_end, rtol, atol)
     return _trajectory(ts, Xs, Ys, co, shifted, escaped)
@@ -179,7 +182,7 @@ def _trajectory(ts, Xs, Ys, co, shifted, truncated) -> Trajectory:
         x, y = physical_coords(t, X, Y, co, shifted)
         xs.append(x)
         ys.append(y)
-    H = [co.H(X, Y, GUARDED) for X, Y in zip(Xs, Ys)]
+    H = [co.H(X, Y, math) for X, Y in zip(Xs, Ys)]
     return Trajectory(ts, Xs, Ys, xs, ys, H, shifted=shifted, truncated=truncated)
 
 
@@ -197,7 +200,7 @@ def _newton_correction(co: SteadyCoeffs, X: float, Y: float, dt: float,
 def midpoint_trajectory(X0: float, Y0: float, co: SteadyCoeffs, t_end: float,
                         dt: float, shifted: bool = False) -> Trajectory:
     """Fixed-step implicit midpoint rule (symplectic) from (X0, Y0) over
-    [0, t_end], as lists, with H on the guarded math kernel.
+    [0, t_end], as lists, with H on ``math``.
 
     The run takes n = max(1, round(t_end/dt)) steps of t_end/n; a t_end/dt
     above MAX_STEPS is refused with a DomainError.  Each step
@@ -290,7 +293,7 @@ def _orbit(X0: float, Y0: float,
     if co_n.Ak == 0.0:
         return "internal_wave", Y0, None  # wave-free shear: every level moves uniformly
     shear = abs(0.5 * co_n.omega * Y0 * Y0) + co_n.f * Y0  # the size of H's other terms
-    if co_n.Ak * GUARDED.sinh(Y0) * (1.0 + math.cos(X0)) > math.ulp(shear):
+    if co_n.Ak * math.sinh(check_hyperbolic(Y0)) * (1.0 + math.cos(X0)) > math.ulp(shear):
         up = co_n.H_Y(X0, Y0, math) > 0.0
         ends = [level_end(co_n, X0, Y0, up)]
         if ends[0] is None or ends[0][1] == 0.0:
@@ -408,7 +411,7 @@ def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, layer: str,
         return None
     rightward = layer == "surface_wave"
     sign = 1.0 if rightward else -1.0
-    H0 = co_n.H(math.pi, Y0, GUARDED)
+    H0 = co_n.H(math.pi, Y0, math)
     # The orbit is mirror-symmetric in X, so integrate a half period.  The
     # integrand peaks where the level passes a saddle, at X = 0 or pi,
     # where tanh-sinh clusters its nodes, and, with Ak > f, over the bed's

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericsError, ShearwaveError, UnsupportedConfig
@@ -28,12 +27,6 @@ Y_GUARD = HYPERBOLIC_ARG_MAX
 
 #: Flows whose census ``find_critical_points`` keeps, least recently used out first.
 CENSUS_MEMO_FLOWS = 64
-
-
-#: ``math`` with the hyperbolic guard, for ``co.H(X, Y, GUARDED)`` and kin.
-GUARDED = SimpleNamespace(cos=math.cos, sin=math.sin,
-                          cosh=lambda y: math.cosh(check_hyperbolic(y)),
-                          sinh=lambda y: math.sinh(check_hyperbolic(y)))
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -98,9 +91,10 @@ class SteadyCoeffs:
         return self, False
 
     # The steady system, written once.  ``m`` is the arithmetic module:
-    # ``steady``, ``phase`` and ``drift`` pass ``math`` (or GUARDED).  numpy
-    # works too, but its cosh/sinh differ from math's in the last ulp, so a
-    # value's bits follow the module that computed it.
+    # ``steady``, ``phase`` and ``drift`` pass ``math``, on heights checked
+    # against Y_GUARD where they enter.  numpy works too, but its cosh/sinh
+    # differ from math's in the last ulp, so a value's bits follow the
+    # module that computed it.
 
     def H(self, X, Y, m):
         """H = Ak*cos(X)*sinh(Y) - omega*Y^2/2 - f*Y, unguarded."""
@@ -311,7 +305,7 @@ def level_end(co: SteadyCoeffs, X0: float, Y0: float,
     = pi first, then X = 0 up to where X = pi was met.  On the start's own
     section the column is written as rises from the first critical height
     passed, a loop's center, to keep a small loop's digits."""
-    H0 = co.H(X0, Y0, GUARDED)
+    H0 = co.H(X0, check_hyperbolic(Y0), math)
     census, end = find_critical_points(co), None
     for X, sign in ((math.pi, -1.0), (0.0, 1.0)):
         cuts = sorted((cp for cp in census
@@ -360,7 +354,7 @@ def classify_critical_point(X: float, Y: float, co: SteadyCoeffs):
     """
     if Y < 0:
         raise DomainError("Y must be nonnegative (the bed maps to Y = 0)")
-    dX, dY = co.H_Y(X, Y, GUARDED), -co.H_X(X, Y, GUARDED)
+    dX, dY = co.H_Y(X, check_hyperbolic(Y), math), -co.H_X(X, Y, math)
     scale = abs(co.Ak) * math.cosh(Y) + abs(co.omega) * Y + abs(co.f) + 1.0
     if math.hypot(dX, dY) > 1e-8 * scale:
         raise DomainError(
@@ -400,7 +394,7 @@ def _search_critical_points(co: SteadyCoeffs) -> tuple[CriticalPoint, ...]:
         for Y, label in zip(isocline_roots(X, co), labels):
             kind, eigs = classify_critical_point(X, Y, co)
             points.append(CriticalPoint(X=X, Y=Y, kind=kind, hessian_eigs=eigs,
-                                        H_value=co.H(X, Y, GUARDED), label=label))
+                                        H_value=co.H(X, Y, math), label=label))
     return tuple(points)
 
 

@@ -40,8 +40,6 @@ ALLOWED = [
     ("cli.py", '"--grid needs numpy', (-1, 1),
      "runs only where numpy cannot be imported: a tier-1 subprocess test "
      "and CI's cli-without-numpy job run it"),
-    ("dop853.py", "return h  # f0 overflowed", (0, 1),
-     "fidelity to Hairer's dop853.f: an infinite f0 ends in h = 0 there too"),
     ("drift.py", "integration step failure", (0, 3),
      "refusal of an outcome the integrator can return: idid < 0 (step too "
      "small, too many steps, stiff) below the escape height"),

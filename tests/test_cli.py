@@ -447,13 +447,23 @@ class TestOptionRanges:
 
 
 class TestNegativeNumbers:
-    """A negative value in exponent form is a value, not an option."""
+    """A negative value in exponent form, or a negative infinity or NaN, is a
+    value, not an option."""
 
     def test_exponent_form_reads_as_the_number(self, capsys):
         reports = [run(capsys, "validate", "--preset", "fig2", *omega)
                    for omega in (["--omega", "-6e0"], ["--omega=-6e0"], ["--omega", "-6"])]
         assert reports[0] == reports[1] == reports[2]
         assert reports[0][0] == 0 and len(reports[0][1].splitlines()) == 6
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN", "-INF"])
+    def test_a_negative_non_finite_value_is_refused_as_a_value(self, capsys, value):
+        spaced = run(capsys, "validate", "--preset", "fig2", "--omega", value)
+        joined = run(capsys, "validate", "--preset", "fig2", f"--omega={value}")
+        assert spaced == joined
+        code, out, err = spaced
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.splitlines() == [f"error: omega must be finite, got {float(value)!r}"]
 
     def test_bifurcation_stops_at_a_tiny_negative_vorticity(self, capsys, tmp_path):
         code, _, err = run(capsys, "bifurcation", "--preset", "fig3",

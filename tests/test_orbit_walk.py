@@ -18,11 +18,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from event_oracle import event_oracle
-from shearwave import (DomainError, SteadyCoeffs, classify_layer, drift_per_period,
-                       find_critical_points, section_height, transit_time_tau)
+from shearwave import (DomainError, SteadyCoeffs, classify_critical_point, classify_layer,
+                       drift_per_period, find_critical_points, section_height,
+                       transit_time_tau)
 from shearwave.cli import PRESETS
-from shearwave.drift import orbit_layer
+from shearwave.drift import orbit_layer, steady_trajectory
 from shearwave.params import from_mapping
+from shearwave.paths import integrate_steady
+from shearwave.steady import Y_GUARD, level_end
 from test_validate_report import sweep_box
 
 #: Sweep-box flows checked: the first 20, and 23, 52 and 80, deep-water flows
@@ -135,11 +138,28 @@ def test_a_level_flat_to_rounding_transits_at_its_height(seed, X0, Y0):
 
 
 def test_a_start_past_the_hyperbolic_guard_is_refused_on_every_read():
-    # The walk checks H at the start on the guarded module before it reads
-    # dX/dt, whose math.cosh overflowed above Y = 710 from X = pi.
+    # Each entry checks the height it is given once, with
+    # params.check_hyperbolic, before the kernel reads it on math, whose
+    # cosh overflowed above Y = 710; every height after it is inside the guard.
     co = _coeffs(FLOWS["fig2"])
-    for read in (lambda: classify_layer(800.0, co), lambda: orbit_layer(1.0, 800.0, co),
-                 lambda: section_height(math.pi, 800.0, co),
-                 lambda: transit_time_tau(800.0, co), lambda: drift_per_period(800.0, co)):
+    reads = {
+        "classify_layer": lambda Y: classify_layer(Y, co),
+        "orbit_layer": lambda Y: orbit_layer(1.0, Y, co),
+        "section_height": lambda Y: section_height(math.pi, Y, co),
+        "transit_time_tau": lambda Y: transit_time_tau(Y, co),
+        "drift_per_period": lambda Y: drift_per_period(Y, co),
+        "classify_critical_point": lambda Y: classify_critical_point(0.0, Y, co),
+        "level_end": lambda Y: level_end(co, 1.0, Y, True),
+        "steady_trajectory": lambda Y: steady_trajectory(1.0, Y, co, 1.0),
+        "integrate_steady adaptive": lambda Y: integrate_steady(1.0, Y, co, 1.0),
+        "integrate_steady midpoint": lambda Y: integrate_steady(1.0, Y, co, 1.0,
+                                                                 method="midpoint"),
+    }
+    over = math.nextafter(Y_GUARD, math.inf)
+    for name, read in reads.items():
         with pytest.raises(DomainError, match="hyperbolic"):
-            read()
+            read(over)
+        try:
+            read(Y_GUARD)
+        except DomainError as exc:
+            assert "hyperbolic" not in str(exc), (name, str(exc))

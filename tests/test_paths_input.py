@@ -1,6 +1,7 @@
 """``shearwave paths`` refuses what it cannot integrate with exit 2 and one
-``error:`` line naming the bad value: a non-finite start point, end time
-or tolerance, and a seeds line that is not two numbers.
+``error:`` line naming the bad value: a non-finite start point, a start
+above the hyperbolic guard, a non-finite end time or tolerance, and a
+seeds line that is not two numbers.
 
 A non-finite start or end time would otherwise integrate without end, so
 each case runs the CLI in a fresh process under a timeout.
@@ -23,6 +24,7 @@ CASES = {
     "seed Y0 nan": ("3.14 nan\n", [], "start point"),
     "seed X0 inf": ("inf 0.5\n", [], "start point"),
     "seed Y0 -inf": ("3.14 -inf\n", [], "start point"),
+    "seed Y0 800": ("0 800\n", [], "800"),
     "seed not a number": ("3.14 0.5\n1 abc\n", [], "line 2"),
     "periods inf": (None, ["--periods", "inf"], "t_end"),
     "t-end inf": (None, ["--t-end", "inf"], "t_end"),

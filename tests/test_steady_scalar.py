@@ -6,7 +6,8 @@
   of the spectral radius, and to 1e-15 of each eigenvalue where the
   entries fix it to that accuracy (b = 0, or the small eigenvalue 1e-8 of
   the large one), where m -+ hypot alone loses half the digits;
-- the guarded scalar kernel refuses hyperbolic arguments beyond 700.
+- a height checked by ``params.check_hyperbolic`` where it enters, then
+  read by the scalar kernel on ``math``, is refused beyond 700.
 """
 
 import math
@@ -17,8 +18,8 @@ import pytest
 from shearwave import DomainError, SteadyCoeffs, classify_critical_point, from_mapping
 from shearwave.cli import PRESETS
 from shearwave.drift import drift_profile, fluid_top_level
-from shearwave.params import HYPERBOLIC_ARG_MAX
-from shearwave.steady import GUARDED, hessian_eigenvalues, linspace
+from shearwave.params import HYPERBOLIC_ARG_MAX, check_hyperbolic
+from shearwave.steady import hessian_eigenvalues, linspace
 
 
 def _linspace_cases():
@@ -98,9 +99,9 @@ def test_guarded_kernel_refuses_arguments_beyond_700():
     co = SteadyCoeffs(Ak=0.05, omega=-6.0, f=0.15, k=1.0)
     over = math.nextafter(HYPERBOLIC_ARG_MAX, math.inf)
     for fn in (co.H, co.H_X, co.H_Y, co.hessian):
-        fn(0.3, HYPERBOLIC_ARG_MAX, GUARDED)
+        fn(0.3, check_hyperbolic(HYPERBOLIC_ARG_MAX), math)
         for Y in (over, -over):
             with pytest.raises(DomainError):
-                fn(0.3, Y, GUARDED)
+                fn(0.3, check_hyperbolic(Y), math)
     with pytest.raises(DomainError):
         classify_critical_point(0.0, over, co)
