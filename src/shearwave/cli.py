@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -325,15 +326,25 @@ def _max_abs(values) -> float:
     return total if total != total else max(mags)
 
 
+#: Points whose residuals ``_identity_maxima`` holds at once.
+_MAXIMA_CHUNK = 1024
+
+
 def _identity_maxima(t, x, y, p: WaveParams, m=math) -> tuple[float, ...]:
     """max |residual| of the five ``params.field_identities`` over the points
     (t, x, y), one at a time on ``m``; numpy's cosh and sinh may differ from
-    ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits."""
+    ``math``'s in the last ulp, so ``m=numpy`` gives the array report's bits.
+    The maxima are taken ``_MAXIMA_CHUNK`` points at a time, together with
+    the maxima so far, so memory stays bounded."""
     if any(not v >= 0.0 for v in y):  # NaN too
         raise DomainError("y must be nonnegative (the bed is at y = 0)")
     wp.check_hyperbolic(p.k * max(y, default=0.0))  # max |k*y|: no y is negative
-    columns = zip(*map(wp.field_identities(p, m), t, x, y))
-    return tuple(float(_max_abs(values)) for values in columns)
+    rows, maxima = map(wp.field_identities(p, m), t, x, y), ()
+    while chunk := list(itertools.islice(rows, _MAXIMA_CHUNK)):
+        if maxima:
+            chunk.append(maxima)
+        maxima = tuple(_max_abs(values) for values in zip(*chunk))
+    return tuple(map(float, maxima))
 
 
 def cmd_validate(args) -> int:

@@ -17,9 +17,10 @@ bed_adjacent).  ``classify_layer``, ``orbit_layer``, ``section_height``,
 the transit times and the drift profile all read that walk:
 
 * X = 0: a transit, internal_wave running left or surface_wave running
-  right; tau comes from tanh-sinh quadrature of dt = dX / (-dX/dt) along
-  the H-level curve, with an error estimate.  A leftward transit drifts
-  forward or backward; a rightward one moves forward throughout;
+  right; tau comes from tanh-sinh quadrature over Y along its graph
+  between its two section heights, with an error estimate, or in closed
+  form on a flat level.  A leftward transit drifts forward or backward; a
+  rightward one moves forward throughout;
 * X = pi again: a closed vortex loop (negative-vorticity cat's eye), whose
   period T comes from the same quadrature over Y; the particle advances
   f*T/k per loop;
@@ -333,7 +334,7 @@ def section_height(X0: float, Y0: float, co_n: SteadyCoeffs) -> float | None:
 # Transit times and loop periods
 # ----------------------------------------------------------------------
 
-#: Tanh-sinh quadrature of transit times and loop periods over [0, pi]:
+#: Tanh-sinh quadrature of transit times and loop periods over u in [0, pi]:
 #: nodes at t = j*h for |t| <= TS_T_MAX, where the weights fall below
 #: 1e-20; h is halved from TS_H0 until two estimates agree to TS_RTOL, at
 #: most TS_MAX_HALVINGS times.
@@ -345,7 +346,7 @@ TS_MAX_HALVINGS = 7
 
 @cache
 def _tanh_sinh_nodes(halving: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes X in [0, pi] and weights dX/dt of X = (pi/2)(1 + tanh((pi/2) sinh t))
+    """Nodes u in [0, pi] and weights du/dt of u = (pi/2)(1 + tanh((pi/2) sinh t))
     at the t = j*TS_H0/2**halving new at that halving, t > 0 mirrored to -t."""
     h = TS_H0 / 2 ** halving
     nodes, weights = [], []
@@ -359,69 +360,55 @@ def _tanh_sinh_nodes(halving: int) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(nodes), tuple(weights)
 
 
-def _level_height(X: float, Y0: float, H0: float, co: SteadyCoeffs,
-                  rightward: bool, Y_end: float) -> float:
-    """Y on the transit's level H(X, Y) = H0 at X: Newton from Y0, else one
-    Brent call on [Y0, Y_end], the heights of its ends on X = pi and X = 0,
-    where H(X, .) - H0 is Ak sinh Y0 (1 + cos X) > 0 and
-    Ak sinh Y_end (cos X - 1) < 0."""
-    y = Y0
-    try:
-        for _ in range(30):
-            step = (co.H(X, y, math) - H0) / co.H_Y(X, y, math)
-            y -= step
-            if not abs(step) > 1e-15 * (1.0 + abs(y)):
-                break
-        # Leftward transits have dX/dt < 0, rightward ones dX/dt > 0: Newton
-        # may converge on another crossing of the level.
-        if (y >= 0.0 and abs(co.H(X, y, math) - H0) <= 1e-14 * (1.0 + abs(H0))
-                and (co.H_Y(X, y, math) > 0.0) == rightward):
-            return y
-    except (OverflowError, ZeroDivisionError):
-        pass
-    fn = lambda yy: co.H(X, yy, math) - H0
-    if not fn(Y_end) < 0.0:
-        return Y_end  # X within rounding of 0: the level is at its end
-    lo, hi = sorted((Y0, Y_end))
-    y = bracketed_root(fn, lo, hi, 1e-15, maxiter=300,
-                       what=f"level H = {H0:.6g} at X = {X:.6g}")
-    for _ in range(3):
-        d = co.H_Y(X, y, math)
-        if d == 0.0:
-            break
-        y = min(max(y - fn(y) / d, lo), hi)
-    return y
-
-
 def _tau_quadrature(Y0: float, co_n: SteadyCoeffs, layer: str,
                     Y_end: float | None) -> tuple[float, bool, float] | None:
     """Transit time over one X-period along the orbit through (pi, Y0) in
     family ``layer`` and with height Y_end on X = 0, whether it runs
     rightward, and an error estimate of the time.  None where the orbit does
-    not transit: a vortex loop, the asymptote-bound family, a shear level at
-    rest in the steady frame, or a bed with stagnation points (Ak >= f),
-    which is a chain of saddle connections."""
-    if co_n.Ak == 0.0:
-        # Pure shear: uniform steady X-speed -(f + omega*Y0).
-        speed_left = co_n.f + co_n.omega * Y0
-        if speed_left == 0.0:
-            return None
-        return 2.0 * math.pi / abs(speed_left), speed_left < 0.0, 0.0
-    if layer in ("vortex", "unbounded") or (Y0 == 0.0 and co_n.Ak >= co_n.f):
+    not transit: a vortex loop, the asymptote-bound family, or a flat level
+    with stagnation points.
+
+    A flat level, Y_end == Y0 (the bed, a wave-free shear, or a level whose
+    X = 0 height rounds to Y0), stays at Y0, where dX/dt = b cos X - s with
+    b = Ak cosh Y0 and s = f + omega*Y0: tau = 2 pi / sqrt((s - b)(s + b)),
+    rightward where s < 0, exact to rounding.  Any other transit is the
+    graph cos X = G(Y) from (pi, Y0) to (0, Y_end), run once on each side of
+    X = 0, so tau = 2 * integral of dY / sqrt(p q) with
+    p = H(pi, Y0) - H(pi, Y) and q = H(0, Y) - H(0, Y_end), each a rise from
+    its own end (on the level p q = (Ak sinh Y sin X)^2), split at
+    sqrt(Y0*Y_end) into two ``_half_graph`` integrals."""
+    if layer in ("vortex", "unbounded"):
         return None
-    rightward = layer == "surface_wave"
-    sign = 1.0 if rightward else -1.0
-    H0 = co_n.H(math.pi, Y0, math)
-    # The orbit is mirror-symmetric in X, so integrate a half period.  The
-    # integrand peaks where the level passes a saddle, at X = 0 or pi,
-    # where tanh-sinh clusters its nodes, and, with Ak > f, over the bed's
-    # saddle at cos X = f/Ak, where the half period is split.
-    integrand = lambda X: sign / co_n.H_Y(
-        X, _level_height(X, Y0, H0, co_n, rightward, Y_end), math)
-    Xs = math.acos(co_n.f / co_n.Ak) if co_n.Ak > co_n.f else 0.0
-    halves = [_tanh_sinh(lambda u, a=a, s=s: s * integrand(a + s * u))
-              for a, s in ((0.0, Xs / math.pi), (Xs, 1.0 - Xs / math.pi)) if s > 0.0]
-    return 2.0 * sum(h for h, _ in halves), rightward, 2.0 * sum(e for _, e in halves)
+    if co_n.Ak == 0.0 or Y_end == Y0:
+        b, s = co_n.Ak * math.cosh(Y0), co_n.f + co_n.omega * Y0
+        rate = (s - b) * (s + b)
+        return (2.0 * math.pi / math.sqrt(rate), s < 0.0, 0.0) if rate > 0.0 else None
+    Ym, gap = math.sqrt(Y0 * Y_end), Y0 - Y_end
+    p = lambda d: -co_n.H_rise(math.pi, Y0, d)
+    q = lambda d: co_n.H_rise(0.0, Y_end, d)
+    (Ta, err_a), (Tb, err_b) = (_half_graph(Y0, Ym, lambda d: p(d) * q(gap + d), Y0),
+                                _half_graph(Y_end, Ym, lambda d: p(d - gap) * q(d), Y0))
+    return 2.0 * (Ta + Tb), layer == "surface_wave", 2.0 * (err_a + err_b)
+
+
+def _half_graph(Ye: float, Ym: float, S, Y0: float) -> tuple[float, float]:
+    """Time between the heights Ye and Ym on the level through (pi, Y0), the
+    integral of |dY| / sqrt(S(Y - Ye)), and its error estimate
+    (``_tanh_sinh``).  S is the level's
+    (Ak sinh Y sin X)^2 written from Ye, where it vanishes; the substitution
+    Y = Ye + (Ym - Ye)(u/pi)^2, u in [0, pi], removes the 1/sqrt
+    singularity there.  A non-positive S refuses the level as within
+    rounding of its separatrix."""
+    c = (Ym - Ye) / math.pi ** 2
+
+    def dt_du(u):
+        d = c * u * u
+        s = S(d)
+        if not s > 0.0:
+            raise NumericsError(f"level Y0 = {Y0!r} within rounding of its separatrix",
+                                diagnostics={"Y0": Y0, "Y": Ye + d})
+        return 2.0 * abs(c) * u / math.sqrt(s)
+    return _tanh_sinh(dt_du)
 
 
 def _tanh_sinh(fn) -> tuple[float, float]:
@@ -461,9 +448,8 @@ def _loop_period(Y0: float, Y1: float,
     T = 2 * integral of dY / (Ak sinh Y sqrt((1 - G)(1 + G))), split at the
     census's first height inside (Ya, Yb): the saddle at X = 0 of the paper's
     cat's eye where there is one, else the loop's center.  Each half takes
-    its level from its end Ye, so (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y),
-    and the substitution Y = Ye + (Ym - Ye)(X/pi)^2, X in [0, pi], removes
-    the 1/sqrt singularity at Ye.
+    its level from its end Ye, so p = (1 + G) Ak sinh Y = H(pi, Ye) - H(pi, Y)
+    and (Ak sinh Y sin X)^2 = p (2 Ak sinh Y - p) (``_half_graph``).
 
     The loop's least dX/dt is H_Y(pi, Ya), at its bottom: on the loop
     dX/dt = H_Y(X, Y) >= H_Y(pi, Y), as Ak >= 0, and H_Y(pi, .) is concave,
@@ -477,17 +463,10 @@ def _loop_period(Y0: float, Y1: float,
         return None  # at the center to rounding: no loop to time
 
     def half(Ye):
-        c = (Ym - Ye) / math.pi ** 2
-
-        def dt_dX(X):
-            d = c * X * X
+        def S(d):
             p = -co_n.H_rise(math.pi, Ye, d)
-            q = p * (2.0 * Ak * math.sinh(Ye + d) - p)
-            if not q > 0.0:
-                raise NumericsError(f"vortex loop level Y0 = {Y0!r} within rounding of "
-                                    "its separatrix", diagnostics={"Y0": Y0, "Y": Ye + d})
-            return 2.0 * abs(c) * X / math.sqrt(q)
-        return _tanh_sinh(dt_dX)
+            return p * (2.0 * Ak * math.sinh(Ye + d) - p)
+        return _half_graph(Ye, Ym, S, Y0)
 
     (Ta, err_a), (Tb, err_b) = half(Ya), half(Yb)
     return 2.0 * (Ta + Tb), 2.0 * (err_a + err_b)
@@ -506,10 +485,11 @@ class DriftReport(NamedTuple):
     direction: str          # forward | backward | closed | always_forward
     layer: str
     mean_speed: float       # drift_m / tau, or f/k where X stays bounded
-    #: Quadrature-only error estimate of tau, a transit or a loop.  Next to
-    #: a separatrix the rounding of the level can dominate: the true error
-    #: can be up to 38 times larger for a transit and 23 times for a loop
-    #: (README, "Numerical notes").
+    #: Quadrature-only error estimate of tau, a transit or a loop; 0.0 on a
+    #: flat level, whose tau is in closed form.  Next to a separatrix the
+    #: rounding of the level dominates: the true error can be 150,000 times
+    #: larger for a transit and 23 times for a loop (README, "Numerical
+    #: notes").
     tau_err: float = math.nan
 
 

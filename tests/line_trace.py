@@ -5,7 +5,7 @@ compares the lines it saw run with every executable line of the package,
 read from the ``co_lines()`` of each module's code objects.  It exits 1 if
 a line is unreached and not in ``ALLOWED``, or if an ``ALLOWED`` line was
 reached (the entry is stale), and 0 otherwise.  Pytest's own exit status
-is printed but decides nothing: tracing makes the suite about four times
+is printed but decides nothing: tracing makes the suite about three times
 slower, so a test with a wall-time bound may fail under it.
 
 Usage, from the repository root (too slow for tier 1: minutes, not
@@ -46,14 +46,9 @@ ALLOWED = [
     ("drift.py", "meets neither section", (0, 2),
      "refusal of an outcome the callee can return: level_end's None on a "
      "downward walk"),
-    ("drift.py", "except (OverflowError, ZeroDivisionError):", (0, 2),
-     "refusal of an error the callee can raise: math's overflow or a zero "
-     "H_Y in the Newton start, after which Brent's bracket takes over"),
-    ("drift.py", "if d == 0.0:", (1, 2),
-     "guard of the Newton polish: H_Y exactly zero at the bracketed root"),
-    ("drift.py", "vortex loop level Y0", (0, 2),
-     "refusal of a loop level within rounding of its separatrix, where the "
-     "transit integrand's q is not positive"),
+    ("drift.py", "within rounding of its separatrix", (0, 2),
+     "refusal of a transit or loop level within rounding of its separatrix, "
+     "where the half-graph integrand's S is not positive"),
     ("drift.py", "closed-orbit candidate does not transit", (0, 2),
      "refusal of an outcome the callee can return: a vortex layer or a NaN "
      "transit time at the bracketed closed-orbit level"),
@@ -101,26 +96,41 @@ def allowed_lines(files: dict[str, Path]) -> tuple[dict, list[str]]:
 
 
 def trace_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Pytest's exit status and the lines run in each file of the package."""
+    """Pytest's exit status and the lines run in each file of the package.
+
+    A frame is traced only while its code object has lines not yet seen:
+    once every line of its ``co_lines()`` has run, new frames of that code
+    are not traced and running ones stop at their next line."""
     names = {str(path): path.name for path in PACKAGE.glob("*.py")}
     reached = {name: set() for name in names.values()}
-    watched: dict[str, set | None] = {}
+    locals_by_code: dict[types.CodeType, object] = {}
 
-    def local(frame, event, arg):
-        if event == "line":
-            watched[frame.f_code.co_filename].add(frame.f_lineno)
+    def line_tracer(code):
+        """The local trace function of ``code``, or None outside the package."""
+        name = names.get(str(Path(code.co_filename).resolve()))
+        if name is None:
+            return None
+        lines = reached[name]
+        unseen = {line for _, _, line in code.co_lines() if line is not None}
+
+        def local(frame, event, arg):
+            if event == "line" or event == "call":
+                n = frame.f_lineno
+                if n in unseen:
+                    lines.add(n)
+                    unseen.discard(n)
+                    if not unseen:
+                        locals_by_code[code] = None
+                        return None
+            return local
         return local
 
     def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
-        lines = watched.get(filename, False)
-        if lines is False:
-            name = names.get(str(Path(filename).resolve()))
-            lines = watched[filename] = reached[name] if name else None
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-        return local
+        code = frame.f_code
+        local = locals_by_code.get(code, tracer)
+        if local is tracer:  # a code object not met before
+            local = locals_by_code[code] = line_tracer(code)
+        return local and local(frame, event, arg)
 
     threading.settrace(tracer)
     sys.settrace(tracer)

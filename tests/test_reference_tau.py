@@ -8,7 +8,8 @@ and below the error of the adaptive Gauss-Kronrod quadrature (``quad`` over
 a scalar level solver) that computed tau before, measured against the same
 file.  The fig2 rows were regenerated after the bounds were set, and the
 fig2 eps = 1e-3 row now errs by 99.4% of its bound (9.94e-15 of 1e-14); the
-other rows sit 1.4 to 4.3 times below theirs.  There the level height is
+other rows sit 1.1 to 4.5 times below theirs, measured with transits timed
+over Y on the level graph.  There the level height is
 ill-conditioned where dX/dt nearly vanishes, and that rounding, not the
 quadrature, sets the error.
 
@@ -44,12 +45,12 @@ LOOP_RTOL, LOOP_MEASURED = 2e-15, 4.5e-16
 #: (preset, eps): (bound, measured error of the current quadrature, former
 #: quad error); only the bound is asserted
 NEAR_SEPARATRIX = {
-    ("fig1", 1e-3): (2e-14, 4.7e-15, 5.5e-14),
-    ("fig1", 1e-6): (1e-11, 2.4e-12, 2.8e-11),
-    ("fig1", 1e-8): (5e-10, 1.4e-10, 3.0e-9),
+    ("fig1", 1e-3): (2e-14, 5.62e-15, 5.5e-14),
+    ("fig1", 1e-6): (1e-11, 2.23e-12, 2.8e-11),
+    ("fig1", 1e-8): (5e-10, 2.24e-10, 3.0e-9),
     ("fig2", 1e-3): (1e-14, 9.94e-15, 5.9e-11),
-    ("fig2", 1e-6): (1e-11, 6.84e-12, 8.6e-8),
-    ("fig2", 1e-8): (5e-10, 3.58e-10, 4.7e-6),
+    ("fig2", 1e-6): (1e-11, 4.47e-12, 8.6e-8),
+    ("fig2", 1e-8): (5e-10, 4.50e-10, 4.7e-6),
 }
 
 #: fig2 vortex loops next to the separatrix, (boundary, eps) for the level

@@ -12,6 +12,7 @@ run the loop with ``m=numpy``; the presets also match on ``math``.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,48 @@ def test_both_reports_follow_the_one_kernel(monkeypatch, capsys):
         assert rows_after[i] != rows_before[i] and rows_after[i].endswith("FAIL")
         assert array_after[i] == scalar_after[i] == pytest.approx(1e-3 * (i + 1))
     assert rows_after[5] == rows_before[5]  # the dispersion residual
+
+
+def test_scalar_maxima_take_bounded_memory():
+    # Holding all 10,000 residual tuples at once peaked at about 2.8 MB.
+    p = WaveParams.solve(**PRESETS["fig2"]["params"])
+    t, x, y = _validate_points(p)
+    before = _identity_maxima(t, x, y, p)
+    tracemalloc.start()
+    try:
+        after = _identity_maxima(t, x, y, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(after) == bits(before)
+    assert peak < 1_000_000
+    assert _identity_maxima([], [], [], p) == ()
+
+
+def test_a_nan_in_any_chunk_reaches_the_scalar_maxima(monkeypatch):
+    # NaN in the first column at the first point and in the second at the
+    # last: each survives the chunks after it, and no other column changes.
+    p = WaveParams.solve(**PRESETS["fig2"]["params"])
+    t, x, y = _validate_points(p)
+    clean = _identity_maxima(t, x, y, p)
+    kernel = wparams.field_identities
+
+    def with_nans(params, m):
+        at = kernel(params, m)
+
+        def residuals(tt, xx, yy):
+            r = list(at(tt, xx, yy))
+            if tt == t[0]:
+                r[0] = math.nan
+            if tt == t[-1]:
+                r[1] = math.nan
+            return tuple(r)
+        return residuals
+
+    monkeypatch.setattr(wparams, "field_identities", with_nans)
+    maxima = _identity_maxima(t, x, y, p)
+    assert math.isnan(maxima[0]) and math.isnan(maxima[1])
+    assert bits(maxima[2:]) == bits(clean[2:])
 
 
 @pytest.mark.parametrize("y", [[-1.0], [0.5, -800.0], [-800.0, 0.5], [0.5, -1e-300]])
