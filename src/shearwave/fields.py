@@ -15,6 +15,7 @@ once, in ``steady.SteadyCoeffs``, and the package evaluates it on ``math``.
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,9 @@ _FLAGS = np.frombuffer(b"outside\ninside\n\0", np.uint8).reshape(2, 8).T
 #: Points of one block of whole grid lines evaluated by one call each of
 #: velocity, pressure and in_fluid (one line if it is longer).
 _GRID_BLOCK = 4096
+#: Per thread, ``buffer``: the bytes of the grid blocks' row matrices,
+#: kept from one block and export to the next (see :func:`_workspace`).
+_SPACE = threading.local()
 
 
 def _heights(y, params):
@@ -253,22 +257,41 @@ def _grid_lines(params: WaveParams, t, x_grid, y_grid):
             for start in range(0, len(x), block))
 
 
+def _workspace(size, points):
+    """``size`` bytes for the row matrix of a block of ``points`` points.
+
+    A block of at most ``_GRID_BLOCK`` points takes them from this thread's
+    buffer, grown when a block needs more and kept for every later block
+    and export, so its pages are not mapped and faulted in again on each
+    call.  A larger block (one grid line of more points) gets bytes of its
+    own, which are not kept.
+    """
+    if points > _GRID_BLOCK:
+        return np.empty(size, np.uint8)
+    buffer = getattr(_SPACE, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _SPACE.buffer = np.empty(size, np.uint8)
+    return buffer[:size]
+
+
 def _block_rows(params, t, xb, y, heights):
     """The rows of the grid lines at ``xb`` as one NUL-padded byte string.
 
-    The rows are built as a byte matrix with a column per row: the x cell,
-    the y and t cells (``heights``), the u, v and P cells each with its
-    comma, and the flag.  Dropping the NULs leaves the text.
+    The rows are built as a byte matrix from :func:`_workspace`, with a
+    column per row: the x cell, the y and t cells (``heights``), the u, v
+    and P cells each with its comma, and the flag.  Dropping the NULs
+    leaves the text.
     """
     xb = xb[:, None]
     u, v = velocity(t, xb, y, params)
     P = pressure(t, xb, y, params)
     inside = in_fluid(t, xb, y, params)
     nb, ny = len(xb), len(y)
-    cells = _cells(np.stack([u, v, P])).reshape(_CELL, 3, nb, ny)
     lead = _ascii([f"{xv:.17g}," for xv in xb[:, 0].tolist()])
     at = len(lead) + len(heights)
-    rows = np.empty((at + 3 * (_CELL + 1) + len(_FLAGS), nb, ny), np.uint8)
+    width = at + 3 * (_CELL + 1) + len(_FLAGS)
+    cells = _cells(np.stack([u, v, P])).reshape(_CELL, 3, nb, ny)
+    rows = _workspace(width * nb * ny, nb * ny).reshape(width, nb, ny)
     rows[:len(lead)] = lead[:, :, None]
     rows[len(lead):at] = heights[:, None]
     values = rows[at:at + 3 * (_CELL + 1)].reshape(3, _CELL + 1, nb, ny)

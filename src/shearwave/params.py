@@ -283,8 +283,11 @@ def field_identities(params: WaveParams, m):
     steps finish it: a numpy array updates in place, a float rebinds.  A
     step may swap the operands of one ``*`` or ``+``, which IEEE arithmetic
     makes exact, and a subtracted sum is built the same way in its own
-    temporary.  The phase, ``k*y`` and ``cosh(k*y)`` are dropped after
-    their last use, so an array call holds fewer arrays at its peak."""
+    temporary.  The cos side (``curl``, ``dyn``) is finished and ``cos``
+    of the phase dropped before ``sin`` of the phase is taken for ``div``,
+    ``bed`` and ``kin``, and the phase, ``k*y`` and ``cosh(k*y)`` are
+    dropped after their last use: an array call on n points holds at most
+    seven arrays of n floats at once."""
     A, k, f, omega = params.A, params.k, params.f, params.omega
     a, h, g = params.a, params.h, params.g
     mAk, Ak, af, mOh, mak, A_k = -A * k, A * k, a * f, -omega * h, -a * k, A / k
@@ -295,20 +298,32 @@ def field_identities(params: WaveParams, m):
 
     def at(t, x, y):
         theta = k * x - f * t
-        sin_t, cos_t = sin(theta), cos(theta)
-        del theta
+        cos_t = cos(theta)
         ky = k * y
-        # u_x + v_y: mAk*sin_t*cosh_ky + Ak*sin_t*cosh_ky
-        cosh_ky = cosh(ky)
-        div = mAk * sin_t * cosh_ky
-        div += Ak * sin_t * cosh_ky
-        del cosh_ky
         # (v_x - u_y) - omega: (v_x - (-omega + v_x)) - omega,
         # v_x = Ak*cos_t*sinh(ky)
         curl = Ak * cos_t * sinh(ky)
-        del ky
         curl -= -omega + curl
         curl -= omega
+        # P(h) - g*(eta - h), P = 0 on the mean level at rest:
+        # A_k*cos_t*p_shape - g*((h + a*cos_t) - h)
+        head = a * cos_t
+        head += h
+        head -= h
+        head *= g
+        dyn = A_k * cos_t
+        del cos_t
+        dyn *= p_shape
+        dyn -= head
+        del head
+        cosh_ky = cosh(ky)
+        del ky
+        sin_t = sin(theta)
+        del theta
+        # u_x + v_y: mAk*sin_t*cosh_ky + Ak*sin_t*cosh_ky
+        div = mAk * sin_t * cosh_ky
+        div += Ak * sin_t * cosh_ky
+        del cosh_ky
         # v at y = 0: A*sin_t*sinh_0
         bed = A * sin_t
         bed *= sinh_0
@@ -320,15 +335,6 @@ def field_identities(params: WaveParams, m):
         kin = A * sin_t
         kin *= sinh_kh
         kin -= rise
-        # P(h) - g*(eta - h), P = 0 on the mean level at rest:
-        # A_k*cos_t*p_shape - g*((h + a*cos_t) - h)
-        head = a * cos_t
-        head += h
-        head -= h
-        head *= g
-        dyn = A_k * cos_t
-        dyn *= p_shape
-        dyn -= head
         return div, curl, bed, kin, dyn
 
     return at
