@@ -96,7 +96,7 @@ PRESETS = {
 
 def _read_utf8(path: Path, what: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{what} {path} is not UTF-8 "
                           f"(byte {exc.start}: {exc.reason})") from None

@@ -606,10 +606,9 @@ def find_closed_orbit(params: WaveParams) -> ClosedOrbit | None:
         return None
     Y_star = bracketed_root(drift, lo, hi, 1e-15, maxiter=300,
                             what="closed-orbit level")
+    # Y_star is a Brent iterate, so its drift is finite: a transit, or a
+    # vortex loop, which the closure check below would report unverified.
     report = drift_per_period(Y_star, co_n)
-    if report.layer == "vortex" or math.isnan(report.tau):
-        raise NumericsError("closed-orbit candidate does not transit",
-                            diagnostics={"Y": Y_star})
     ts, Xs, Ys, _ = accepted_steps(math.pi, Y_star, co_n, report.tau, 1e-13, 1e-15)
     x0, y0 = physical_coords(ts[0], Xs[0], Ys[0], co_n, shifted)
     x1, y1 = physical_coords(ts[-1], Xs[-1], Ys[-1], co_n, shifted)

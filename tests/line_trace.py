@@ -31,7 +31,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shearwave"
 #: Unreached lines, each entry with its reason: (module file, text that
 #: occurs on exactly one line of it, the lines as offsets from that line,
 #: reason).  The text finds the lines wherever edits move them; ``None``
-#: stands for the whole file.
+#: stands for the whole file.  Only the process entry points are here:
+#: every refusal and guard is reached in process by a named input.
 ALLOWED = [
     ("__main__.py", None, None,
      "the `python -m shearwave` entry point: only subprocess tests run it"),
@@ -40,31 +41,6 @@ ALLOWED = [
     ("cli.py", '"--grid needs numpy', (-1, 1),
      "runs only where numpy cannot be imported: a tier-1 subprocess test "
      "and CI's cli-without-numpy job run it"),
-    ("drift.py", "integration step failure", (0, 3),
-     "refusal of an outcome the integrator can return: idid < 0 (step too "
-     "small, too many steps, stiff) below the escape height"),
-    ("drift.py", "meets neither section", (0, 2),
-     "refusal of an outcome the callee can return: level_end's None on a "
-     "downward walk"),
-    ("drift.py", "within rounding of its separatrix", (0, 2),
-     "refusal of a transit or loop level within rounding of its separatrix, "
-     "where the half-graph integrand's S is not positive"),
-    ("drift.py", "closed-orbit candidate does not transit", (0, 2),
-     "refusal of an outcome the callee can return: a vortex layer or a NaN "
-     "transit time at the bracketed closed-orbit level"),
-    ("paths.py", "except NumericsError:", (0, 2),
-     "refusal of an error the callee can raise: orbit_layer's NumericsError "
-     "leaves the layer unset"),
-    ("phase.py", "if y0 == y1:", (1, 2),
-     "guard of a zero-length graph: neither caller is shown unable to pass "
-     "two ends at one height (a level end or an isocline turn at rounding "
-     "distance)"),
-    ("steady.py", "if not lo <= y_next <= hi:", (1, 2),
-     "guard of the Newton polish: a step that leaves its monotone piece"),
-    ("steady.py", "degenerate Hessian at a critical point", (0, 2),
-     "refusal of a critical point whose Hessian determinant is within "
-     "rounding of zero: no tier-1 flow has one; flows in slow time units "
-     "(ROADMAP item 13) do"),
 ]
 
 
